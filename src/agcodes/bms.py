@@ -38,7 +38,14 @@ from .errors import (
     ZeroCoordinatePoint,
 )
 from .galois import Elt, Field, ONE, ZERO
-from .geometry import Cell, MonomialOrder, Point, WeightedCurveOrder, minimal_outside
+from .geometry import (
+    Cell,
+    MonomialOrder,
+    Point,
+    WeightedCurveOrder,
+    eval_poly,
+    minimal_outside,
+)
 from .transform import Array2D, dft2, idft2
 
 # ---------------------------------------------------------------------------
@@ -57,10 +64,7 @@ class BivariatePoly:
         self.lt = max(self.coeffs, key=order.key)
 
     def evaluate(self, f: Field, x: Elt, y: Elt) -> Elt:
-        acc = ZERO
-        for (i, j), c in self.coeffs.items():
-            acc = f.add(acc, f.mul(c, f.mul(f.pow(x, i), f.pow(y, j))))
-        return acc
+        return eval_poly(f, self.coeffs, x, y)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"({i},{j}):{c}" for (i, j), c in sorted(self.coeffs.items()))
@@ -147,6 +151,52 @@ def grid_cells(q: int, order: MonomialOrder) -> list[Cell]:
 
 
 # ---------------------------------------------------------------------------
+# the one elimination kernel
+
+
+class _Echelon:
+    """Incremental Gaussian elimination over a field, with labelled inputs.
+
+    add(vec, label) reduces vec (in place; the caller hands it over)
+    against the rows kept so far.  If something nonzero is left, it is
+    kept as a new row together with the labelled combination of inputs
+    that formed it, and None is returned.  Otherwise vec depends on the
+    vectors kept before it, and the relation {label: ONE, other: coeff}
+    is returned: sum(coeff * input vector) = 0, where every other label
+    is one of a kept vector.  Coefficients may be ZERO.  Dependent
+    vectors are not kept, so len(rows) is the rank of everything added.
+    """
+
+    __slots__ = ("f", "rows")
+
+    def __init__(self, f: Field):
+        self.f = f
+        # (reduced vector, pivot index, combination of labels forming it)
+        self.rows: list[tuple[list[Elt], int, dict]] = []
+
+    def add(self, vec: list[Elt], label) -> dict | None:
+        f = self.f
+        mul, sub, div = f.mul, f.sub, f.div
+        size = len(vec)
+        combo = {label: ONE}
+        for rvec, ridx, rcombo in self.rows:
+            c = vec[ridx]
+            if c == ZERO:
+                continue
+            factor = div(c, rvec[ridx])
+            for k in range(size):
+                if rvec[k] != ZERO:
+                    vec[k] = sub(vec[k], mul(factor, rvec[k]))
+            for s, rc in rcombo.items():
+                combo[s] = sub(combo.get(s, ZERO), mul(factor, rc))
+        pivot = next((k for k in range(size) if vec[k] != ZERO), None)
+        if pivot is None:
+            return combo
+        self.rows.append((vec, pivot, combo))
+        return None
+
+
+# ---------------------------------------------------------------------------
 # exact synthesis on a fully known (cyclic) array
 
 
@@ -160,7 +210,6 @@ def _synthesize_full(f: Field, data: list[list[Elt]], order: MonomialOrder) -> G
     basis elements, independent ones join the staircase.
     """
     n = f.q - 1
-    mul, div = f.mul, f.div
 
     def vec(t: Cell) -> list[Elt]:
         i0, j0 = t
@@ -174,32 +223,18 @@ def _synthesize_full(f: Field, data: list[list[Elt]], order: MonomialOrder) -> G
     lts: list[Cell] = []
     basis: list[BivariatePoly] = []
     delta: list[Cell] = []
-    # echelon rows: (vector, pivot index, monomial combination producing it)
-    rows: list[tuple[list[Elt], int, dict[Cell, Elt]]] = []
+    echelon = _Echelon(f)
 
     for t in candidates:
         if any(_leq(lt, t) for lt in lts):
             continue
-        v = vec(t)
-        combo: dict[Cell, Elt] = {t: ONE}
-        for rvec, ridx, rcombo in rows:
-            c = v[ridx]
-            if c == ZERO:
-                continue
-            factor = div(c, rvec[ridx])
-            for k in range(n * n):
-                if rvec[k] != ZERO:
-                    v[k] = f.sub(v[k], mul(factor, rvec[k]))
-            for s, rc in rcombo.items():
-                combo[s] = f.sub(combo.get(s, ZERO), mul(factor, rc))
-        pivot = next((k for k in range(n * n) if v[k] != ZERO), None)
-        if pivot is None:
-            # dependent: combo is a relation, monic at t with tail in delta
-            basis.append(BivariatePoly(combo, order))
-            lts.append(t)
-        else:
-            rows.append((v, pivot, combo))
+        relation = echelon.add(vec(t), t)
+        if relation is None:
             delta.append(t)
+        else:
+            # monic at t with tail in delta
+            basis.append(BivariatePoly(relation, order))
+            lts.append(t)
 
     basis.sort(key=lambda p: order.key(p.lt))
     return GroebnerBasis(tuple(basis), tuple(delta), order)
@@ -380,35 +415,28 @@ class SakataState:
     def _solve_corner(self, t2: Cell) -> dict[Cell, Elt] | None:
         """Least-structure fallback: monic polynomial with lt t2 and support
         in the current staircase, vanishing on every computable shift."""
-        f = self.f
         key = self.order.key
+        assigned = self.assigned
         supp = sorted((s for s in self.delta if key(s) < key(t2)), key=key)
-        cols = {s: k for k, s in enumerate(supp)}
-        rows: list[list[Elt]] = []
-        rhs: list[Elt] = []
-        for w in self.assigned:
-            if not _leq(t2, w):
-                continue
-            d0, d1 = w[0] - t2[0], w[1] - t2[1]
-            row = [ZERO] * len(supp)
-            ok = True
-            for s in supp:
-                v = self.assigned.get((s[0] + d0, s[1] + d1))
-                if v is None:
-                    ok = False
-                    break
-                row[cols[s]] = v
-            if ok:
-                rows.append(row)
-                rhs.append(self.assigned[w])
-        sol = _solve_particular(f, rows, rhs, len(supp))
-        if sol is None:
+        shifts = [(w[0] - t2[0], w[1] - t2[1]) for w in assigned if _leq(t2, w)]
+        shifts = [
+            (d0, d1)
+            for d0, d1 in shifts
+            if all((s[0] + d0, s[1] + d1) in assigned for s in supp)
+        ]
+
+        def column(s: Cell) -> list[Elt]:
+            return [assigned[(s[0] + d0, s[1] + d1)] for d0, d1 in shifts]
+
+        # the staircase columns in order, then t2: a relation for t2 is the
+        # monic polynomial, with zero weight on every column left dependent
+        echelon = _Echelon(self.f)
+        for s in supp:
+            echelon.add(column(s), s)
+        relation = echelon.add(column(t2), t2)
+        if relation is None:
             return None
-        poly = {t2: ONE}
-        for s, k in cols.items():
-            if sol[k] != ZERO:
-                poly[s] = sol[k]
-        return poly
+        return {s: relation[s] for s in (t2, *supp) if relation.get(s, ZERO) != ZERO}
 
     def basis(self) -> GroebnerBasis:
         order = self.order
@@ -418,38 +446,6 @@ class SakataState:
         )
         delta = tuple(sorted(self.delta, key=order.key))
         return GroebnerBasis(elems, delta, order)
-
-
-def _solve_particular(
-    f: Field, rows: list[list[Elt]], rhs: list[Elt], ncols: int
-) -> list[Elt] | None:
-    """One solution of rows*x = rhs over the field (free variables zero),
-    or None if inconsistent."""
-    mat = [row[:] + [r] for row, r in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != ZERO), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = f.inv(mat[rank][col])
-        mat[rank] = [f.mul(inv, v) for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != ZERO:
-                factor = mat[r][col]
-                mat[r] = [f.sub(a, f.mul(factor, b)) for a, b in zip(mat[r], mat[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for r in range(rank, len(mat)):
-        if mat[r][ncols] != ZERO:
-            return None
-    sol = [ZERO] * ncols
-    for r, col in pivots:
-        sol[col] = mat[r][ncols]
-    # equations used -rhs on the left: solve A*x = -rhs for the tail of a
-    # monic polynomial  x^t2 + sum x_s x^s
-    return [f.neg(v) for v in sol]
 
 
 def bms(f: Field, known: PartialArray, order: MonomialOrder) -> GroebnerBasis:

@@ -200,18 +200,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _info_from_rows(spec, rows, trailer):
-    """Extract the information vector from a carrier-placed array file."""
-    if spec.kind == "rs":
-        if len(rows) != 1 or len(rows[0]) != spec.k:
-            raise ValueError(f"rs info file must be one row of {spec.k} values")
-        return list(rows[0]), []
-    n = spec.field.q - 1
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"info file must be a {n}x{n} array")
-    return rows, trailer
-
-
 def cmd_encode(args) -> int:
     spec = _get_spec(args)
     rows, trailer = read_array_file(args.infile, spec.field.q)
@@ -250,27 +238,10 @@ def cmd_encode(args) -> int:
                 if (p.x, p.y) not in trailer:
                     raise ValueError(f"missing zero-point symbol for ({p.x},{p.y})")
                 zvals.append(trailer[(p.x, p.y)])
-            full_word = codec.encode_systematic_extended(spec, info + zvals)
+            word = codec.encode_systematic_extended(spec, info + zvals)
             out_trailer = [
-                ((p.x, p.y), v) for p, v in zip(spec.zero_points, full_word[spec.n :])
+                ((p.x, p.y), v) for p, v in zip(spec.zero_points, word[spec.n :])
             ]
-            write_array_file(
-                args.out,
-                spec.field.q,
-                word_to_rows(spec, full_word[: spec.n]),
-                out_trailer,
-            )
-            h = codec.check_matrix(spec)
-            sv = []
-            for l in range(len(spec.phi)):
-                acc = ZERO
-                for pos, v in enumerate(full_word):
-                    acc = spec.field.add(acc, spec.field.mul(v, h[pos][l]))
-                sv.append(acc)
-            with open(args.out + ".check", "w") as fh:
-                fh.write(" ".join(str(v) for v in sv) + "\n")
-            print(f"wrote {args.out} and {args.out}.check")
-            return 0
         else:
             word = (
                 codec.encode_systematic(spec, info)
@@ -278,8 +249,13 @@ def cmd_encode(args) -> int:
                 else codec.encode_nonsystematic(spec, info)
             )
             out_trailer = []
-    write_array_file(args.out, spec.field.q, word_to_rows(spec, word), out_trailer)
-    sv, _ = codec.syndromes(spec, word)
+    write_array_file(
+        args.out, spec.field.q, word_to_rows(spec, word[: spec.n]), out_trailer
+    )
+    if out_trailer:
+        sv = codec.lengthened_syndromes(spec, word)
+    else:
+        sv, _ = codec.syndromes(spec, word)
     with open(args.out + ".check", "w") as fh:
         fh.write(" ".join(str(v) for v in sv) + "\n")
     print(f"wrote {args.out} and {args.out}.check")

@@ -26,6 +26,7 @@ from typing import Sequence
 from .bms import (
     GroebnerBasis,
     PartialArray,
+    _Echelon,
     bms_with_voting,
     extend,
     parse_basis,
@@ -47,6 +48,7 @@ from .geometry import (
     MonomialOrder,
     Point,
     WeightedCurveOrder,
+    code_params,
     defining_set,
     enumerate_points,
     eval_poly,
@@ -109,51 +111,29 @@ def _select_redundant_points(
 ) -> tuple[list[Point], list[Point], GroebnerBasis]:
     """Pick the redundant-point set with a generic vanishing-ideal staircase.
 
-    Start from the first n-k points; if their staircase differs from the
-    defining set, swap the last of them with successive information
-    points until it matches.
+    Greedy rank selection: walk the points in order and keep each one
+    whose defining-set evaluation column is independent of the columns
+    kept so far, until n-k are kept.  The defining set is a prefix of the
+    order enumeration, so an invertible evaluation matrix on it is exactly
+    the condition that the kept points' staircase is the defining set; the
+    check after the vanishing-ideal computation confirms it.
     """
     nk = len(phi)
-    phiset = set(phi)
-    pts = list(points)
-    candidates = [pts[:nk]]
-    rest = pts[nk:]
-    candidates += [pts[: nk - 1] + [p] for p in rest]
-    for cand in candidates:
-        basis = vanishing_ideal_basis(cand, order, f)
-        if set(basis.delta) == phiset:
-            wpset = set(cand)
-            wp = [p for p in pts if p in wpset]
-            wpp = [p for p in pts if p not in wpset]
-            return wp, wpp, basis
-    # Single swaps cannot always reach a generic set (the leading points may
-    # share too many coordinate lines).  Greedy rank selection always can:
-    # keep each point whose defining-set evaluation column is independent
-    # of the points kept so far.  Since the defining set is a prefix of the
-    # order enumeration, an invertible evaluation matrix is exactly the
-    # generic-staircase condition.
     chosen: list[Point] = []
-    echelon: list[tuple[list[Elt], int]] = []
-    for p in pts:
-        vec = [f.mul(f.pow(p.x, i), f.pow(p.y, j)) for (i, j) in phi]
-        for rvec, ridx in echelon:
-            if vec[ridx] != ZERO:
-                fac = f.div(vec[ridx], rvec[ridx])
-                vec = [f.sub(a, f.mul(fac, b)) for a, b in zip(vec, rvec)]
-        piv = next((i for i, v in enumerate(vec) if v != ZERO), None)
-        if piv is None:
-            continue
-        echelon.append((vec, piv))
-        chosen.append(p)
-        if len(chosen) == nk:
-            break
+    echelon = _Echelon(f)
+    for p in points:
+        col = [f.mul(f.pow(p.x, i), f.pow(p.y, j)) for (i, j) in phi]
+        if echelon.add(col, p) is None:
+            chosen.append(p)
+            if len(chosen) == nk:
+                break
     if len(chosen) < nk:
         raise NonGenericSupport("defining-set evaluation matrix is rank deficient")
-    wpset = set(chosen)
     basis = vanishing_ideal_basis(chosen, order, f)
-    if set(basis.delta) != phiset:
+    if set(basis.delta) != set(phi):
         raise NonGenericSupport("greedy point selection is not generic")
-    return chosen, [p for p in pts if p not in wpset], basis
+    wpset = set(chosen)
+    return chosen, [p for p in points if p not in wpset], basis
 
 
 def _capability(kind: str, m: int, genus: int) -> int:
@@ -177,8 +157,6 @@ def make_curve_code(
             for p in enumerate_points(curve, f, include_zero=True)
             if p.x == ZERO or p.y == ZERO
         ]
-    from .geometry import code_params
-
     n, k = code_params(len(points), order, m, f, genus=curve.genus)
     phi = defining_set(order, m, f)
     basis_all = vanishing_ideal_basis(points, order, f)
@@ -316,40 +294,22 @@ def _is_codeword(spec: CodeSpec, word: Word) -> bool:
 
 
 def matrix_rank(f: Field, rows: list[list[Elt]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != ZERO), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = f.inv(mat[rank][col])
-        mat[rank] = [f.mul(inv, v) for v in mat[rank]]
-        for rr in range(len(mat)):
-            if rr != rank and mat[rr][col] != ZERO:
-                fac = mat[rr][col]
-                mat[rr] = [f.sub(a, f.mul(fac, b)) for a, b in zip(mat[rr], mat[rank])]
-        rank += 1
-    return rank
+    echelon = _Echelon(f)
+    for k, row in enumerate(rows):
+        echelon.add(row[:], k)
+    return len(echelon.rows)
 
 
 def _solve_square(f: Field, a: list[list[Elt]], rhs: list[Elt]) -> list[Elt]:
     """Solve a square system; raises RankDeficient when singular."""
     dim = len(a)
-    mat = [row[:] + [r] for row, r in zip(a, rhs)]
+    echelon = _Echelon(f)
     for col in range(dim):
-        piv = next((r for r in range(col, dim) if mat[r][col] != ZERO), None)
-        if piv is None:
+        if echelon.add([row[col] for row in a], col) is not None:
             raise RankDeficient("parity system is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = f.inv(mat[col][col])
-        mat[col] = [f.mul(inv, v) for v in mat[col]]
-        for rr in range(dim):
-            if rr != col and mat[rr][col] != ZERO:
-                fac = mat[rr][col]
-                mat[rr] = [f.sub(x, f.mul(fac, y)) for x, y in zip(mat[rr], mat[col])]
-    return [mat[r][dim] for r in range(dim)]
+    # rhs + sum_col c_col * A[:, col] = 0, so x = -c
+    relation = echelon.add(list(rhs), dim)
+    return [f.neg(relation.get(col, ZERO)) for col in range(dim)]
 
 
 def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
@@ -513,14 +473,23 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
         word[h] = wpp_vals[p] if p in wpp_vals else red[(p.x, p.y)]
     word += list(zvals)
 
+    if any(v != ZERO for v in lengthened_syndromes(spec, word)):
+        raise AssertionError("lengthened parity check failed")
+    return word
+
+
+def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
+    """Defining-set syndromes of a lengthened word (the n point values
+    followed by the zero-point values), through the check matrix."""
+    f = spec.field
     h = check_matrix(spec)
+    out = []
     for l in range(len(spec.phi)):
         acc = ZERO
-        for pos in range(len(word)):
-            acc = f.add(acc, f.mul(word[pos], h[pos][l]))
-        if acc != ZERO:
-            raise AssertionError("lengthened parity check failed")
-    return word
+        for v, row in zip(word, h):
+            acc = f.add(acc, f.mul(v, row[l]))
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +543,7 @@ def decode(
         wpp_idx = spec.info_positions()
         info = [corrected[h] for h in wpp_idx]
     elif mode == "nonsystematic":
-        n_side = f.q - 1
-        info = [
-            f.sub(full[c], ext[c]) for c in spec.info_cells()
-        ]
+        info = [f.sub(full[c], ext[c]) for c in spec.info_cells()]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return corrected, info
@@ -783,22 +749,33 @@ def load_spec(path: str) -> CodeSpec:
         if line.strip():
             key, _, rest = line.partition(" ")
             fields[key] = rest.strip()
-    p, m_deg, *poly = fields["field"].split()
+
+    def value(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"{path}: missing key {key!r}")
+        return fields[key]
+
+    def section(name: str) -> str:
+        if name not in sections:
+            raise ValueError(f"{path}: missing section [{name}]")
+        return "\n".join(sections[name])
+
+    p, m_deg, *poly = value("field").split()
     f = field_new(int(p), int(m_deg), [int(c) for c in poly])
-    kind = fields["kind"]
+    kind = value("kind")
     if kind == "rs":
-        return make_rs_code(f, int(fields["r"]))
-    m = int(fields["m"])
+        return make_rs_code(f, int(value("r")))
+    m = int(value("m"))
     points = tuple(
-        Point(*(int(v) for v in tok.split(","))) for tok in fields["points"].split()
+        Point(*(int(v) for v in tok.split(","))) for tok in value("points").split()
     )
     zero_points = tuple(
         Point(*(int(v) for v in tok.split(",")))
         for tok in fields.get("zero_points", "").split()
     )
-    wp_idx = [int(v) for v in fields["wp"].split()]
+    wp_idx = [int(v) for v in value("wp").split()]
     if kind == "curve":
-        a, b, *terms = fields["curve"].split()
+        a, b, *terms = value("curve").split()
         poly_terms = {}
         for tok in terms:
             i, j, c = (int(v) for v in tok.split(","))
@@ -810,8 +787,8 @@ def load_spec(path: str) -> CodeSpec:
         curve = None
         order = HyperbolicOrder()
         genus = 0
-    basis_wp = parse_basis("\n".join(sections["basis_wp"]), order)
-    basis_all = parse_basis("\n".join(sections["basis_all"]), order)
+    basis_wp = parse_basis(section("basis_wp"), order)
+    basis_all = parse_basis(section("basis_all"), order)
     phi = defining_set(order, m, f)
     wpset = {points[h] for h in wp_idx}
     wp = tuple(p for p in points if p in wpset)

@@ -6,6 +6,7 @@ from agcodes.bms import (
     GroebnerBasis,
     PartialArray,
     SakataState,
+    _Echelon,
     _leq,
     bms,
     bms_with_voting,
@@ -69,6 +70,34 @@ def bm_moeller_oracle(points, order, f):
             rows.append((vec, piv, combo))
             delta.append(t)
     return basis, delta
+
+
+def test_echelon_relations_and_rank():
+    rng = random.Random(4)
+    echelon = _Echelon(F9)
+    vecs = {}
+    relations = 0
+    for label in range(12):
+        if label % 3 == 2:  # dependent by construction
+            c = rng.randrange(8)
+            pairs = zip(vecs[label - 1], vecs[label - 2])
+            vec = [F9.add(a, F9.mul(c, b)) for a, b in pairs]
+        else:
+            vec = [rng.randrange(-1, 8) for _ in range(6)]
+        vecs[label] = vec
+        relation = echelon.add(list(vec), label)
+        if relation is None:
+            continue
+        relations += 1
+        assert relation[label] == ONE
+        for k in range(6):
+            acc = ZERO
+            for other, c in relation.items():
+                acc = F9.add(acc, F9.mul(c, vecs[other][k]))
+            assert acc == ZERO
+    assert relations >= 4
+    assert len(echelon.rows) + relations == 12
+    assert len(echelon.rows) == 6
 
 
 def test_vanishing_basis_hermitian_exact():

@@ -93,6 +93,32 @@ def test_build_and_spec_file(tmp_path, capsys):
     assert "n=24 k=15" in out
 
 
+@pytest.mark.parametrize(
+    "name, drop",
+    [("hermitian-q9", key) for key in ("field", "kind", "m", "points", "wp", "curve")]
+    + [("rs-q9", "r")]
+    + [("hermitian-q9", sec) for sec in ("[basis_wp]", "[basis_all]")],
+)
+def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
+    spec_path = tmp_path / "s.spec"
+    codec.save_spec(codec.preset(name), str(spec_path))
+    lines = spec_path.read_text().splitlines()
+    if drop.startswith("["):
+        start = lines.index(drop)
+        end = next(
+            (k for k in range(start + 1, len(lines)) if lines[k].startswith("[")),
+            len(lines),
+        )
+        del lines[start:end]
+    else:
+        lines = [line for line in lines if line.split(" ", 1)[0] != drop]
+    spec_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["info", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert err.startswith("ValueError")
+    assert drop.strip("[]") in err
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     spec = codec.preset("hermitian-q9")
     rng = random.Random(1)

@@ -8,6 +8,7 @@ from agcodes.errors import (
     DecodingFailure,
     ExtendedDecodeUnsupported,
     NotAZeroPoint,
+    RankDeficient,
 )
 from agcodes.galois import ZERO, gf9
 from agcodes.geometry import Point
@@ -66,6 +67,14 @@ def test_zero_points(herm):
     assert herm.zero_points == (Point(ZERO, ZERO), Point(ZERO, 2), Point(ZERO, 6))
 
 
+def test_redundant_positions_pinned(herm, hcrs):
+    # spec files, 'info' output and systematic codewords all carry these
+    assert herm.parity_positions() == [0, 1, 2, 3, 4, 5, 6, 7, 9]
+    assert hcrs.parity_positions() == [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 24, 25, 32, 40, 48, 56
+    ]
+
+
 # -- check matrix ------------------------------------------------------------
 
 
@@ -93,6 +102,21 @@ def test_check_matrix_zero_point_entries(herm):
 def test_check_matrix_rank(herm):
     h = codec.check_matrix(herm)[: herm.n]
     assert codec.matrix_rank(F9, h) == 9
+    assert codec.matrix_rank(F9, [h[3], h[5], h[3]]) == 2
+    assert codec.matrix_rank(F9, [h[0]] * 4) == 1
+    assert codec.matrix_rank(F9, []) == 0
+
+
+def test_solve_square():
+    a = [[0, 1], [2, ZERO]]
+    rhs = [5, 3]
+    x = codec._solve_square(F9, a, rhs)
+    for row, r in zip(a, rhs):
+        assert F9.add(F9.mul(row[0], x[0]), F9.mul(row[1], x[1])) == r
+    with pytest.raises(RankDeficient):
+        codec._solve_square(F9, [[0, 1], [0, 1]], rhs)
+    with pytest.raises(RankDeficient):
+        codec._solve_square(F9, [[0, ZERO], [3, ZERO]], rhs)
 
 
 # -- encoders ----------------------------------------------------------------
