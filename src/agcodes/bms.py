@@ -171,28 +171,27 @@ class _Echelon:
 
     def __init__(self, f: Field):
         self.f = f
-        # (reduced vector, pivot index, combination of labels forming it)
-        self.rows: list[tuple[list[Elt], int, dict]] = []
+        # (reduced vector, indices of its nonzero entries with the pivot
+        # first, combination of labels forming it)
+        self.rows: list[tuple[list[Elt], list[int], dict]] = []
 
     def add(self, vec: list[Elt], label) -> dict | None:
         f = self.f
-        mul, sub, div = f.mul, f.sub, f.div
-        size = len(vec)
+        sub_t, mul_t = f.sub_table, f.mul_table
         combo = {label: ONE}
-        for rvec, ridx, rcombo in self.rows:
-            c = vec[ridx]
+        for rvec, support, rcombo in self.rows:
+            c = vec[support[0]]
             if c == ZERO:
                 continue
-            factor = div(c, rvec[ridx])
-            for k in range(size):
-                if rvec[k] != ZERO:
-                    vec[k] = sub(vec[k], mul(factor, rvec[k]))
+            mf = mul_t[f.div(c, rvec[support[0]])]
+            for k in support:
+                vec[k] = sub_t[vec[k]][mf[rvec[k]]]
             for s, rc in rcombo.items():
-                combo[s] = sub(combo.get(s, ZERO), mul(factor, rc))
-        pivot = next((k for k in range(size) if vec[k] != ZERO), None)
-        if pivot is None:
+                combo[s] = sub_t[combo.get(s, ZERO)][mf[rc]]
+        support = [k for k, v in enumerate(vec) if v != ZERO]
+        if not support:
             return combo
-        self.rows.append((vec, pivot, combo))
+        self.rows.append((vec, support, combo))
         return None
 
 
@@ -300,7 +299,7 @@ class SakataState:
 
     def _test(self, lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
         """Recurrence sum of the polynomial at shift w, None if untestable."""
-        f = self.f
+        add_t, mul_t = self.f.add_table, self.f.mul_table
         assigned = self.assigned
         d0, d1 = w[0] - lt[0], w[1] - lt[1]
         acc = ZERO
@@ -308,7 +307,7 @@ class SakataState:
             v = assigned.get((s0 + d0, s1 + d1))
             if v is None:
                 return None
-            acc = f.add(acc, f.mul(c, v))
+            acc = add_t[acc][mul_t[c][v]]
         return acc
 
     # -- the update -------------------------------------------------------
@@ -350,6 +349,7 @@ class SakataState:
         survivors: list[tuple[Cell, dict[Cell, Elt]]],
     ) -> dict[Cell, Elt]:
         f = self.f
+        sub_t, mul_t = f.sub_table, f.mul_table
         key = self.order.key
         # 1. shift a surviving still-valid polynomial
         cands = [(lt, co) for lt, co in survivors if _leq(lt, t2)]
@@ -386,10 +386,10 @@ class SakataState:
                 aux = self._shift(
                     r.coeffs, (r.span[0] - target[0], r.span[1] - target[1])
                 )
-                factor = f.div(d, r.disc)
+                mf = mul_t[f.div(d, r.disc)]
                 h = dict(shifted)
                 for s, rc in aux.items():
-                    h[s] = f.sub(h.get(s, ZERO), f.mul(factor, rc))
+                    h[s] = sub_t[h.get(s, ZERO)][mf[rc]]
                 h = {s: v for s, v in h.items() if v != ZERO}
                 lead = h.get(t2, ZERO)
                 if lead == ZERO:
@@ -397,7 +397,8 @@ class SakataState:
                 if any(key(s) >= key(t2) for s in h if s != t2):
                     continue
                 if lead != ONE:
-                    h = {s: f.div(v, lead) for s, v in h.items()}
+                    ml = mul_t[f.inv(lead)]
+                    h = {s: ml[v] for s, v in h.items()}
                 return h
         # 3. direct linear solve for this corner
         solved = self._solve_corner(t2)
@@ -472,69 +473,89 @@ def bms(f: Field, known: PartialArray, order: MonomialOrder) -> GroebnerBasis:
 # extension by recurrences
 
 
+def _solved_rules(
+    f: Field, elems: Iterable[tuple[Cell, dict[Cell, Elt]]]
+) -> list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]]:
+    """Each recurrence solved for its leading cell.
+
+    Returns (lt, tail) pairs: tail holds (offset from lt, mul_table row of
+    -coeff/lead) per other term, so the value the recurrence forces at w
+    is the sum of row[value at w + offset] over the tail.
+    """
+    mul_t = f.mul_table
+    rules = []
+    for lt, coeffs in elems:
+        scale = f.neg(f.inv(coeffs[lt]))
+        tail = [
+            (s0 - lt[0], s1 - lt[1], mul_t[mul_t[cf][scale]])
+            for (s0, s1), cf in coeffs.items()
+            if (s0, s1) != lt
+        ]
+        rules.append((lt, tail))
+    return rules
+
+
 def _fill_by_recurrences(
     f: Field,
     q: int,
     values: dict[Cell, Elt],
     elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
     schedule: list[Cell],
-) -> dict[Cell, Elt] | None:
+) -> list[list[Elt]] | None:
     """Fill unknown grid cells using the recurrences, cyclic indexing.
 
-    Returns the completed dict, or None if some cell stays unreachable.
-    Repeats passes over the schedule until a fixpoint, so schedule order
-    cannot change reachability.
+    Returns the completed grid (grid[i][j] is cell (i, j)), or None if
+    some cell stays unreachable.  Repeats passes over the schedule until a
+    fixpoint, so schedule order cannot change reachability.
     """
     n = q - 1
-    add, mul, neg, div = f.add, f.mul, f.neg, f.div
-    elems = list(elems)
-    missing = [w for w in schedule if w not in values]
+    add_t = f.add_table
+    rules = [tail for _, tail in _solved_rules(f, elems)]
+    grid: list[list] = [[None] * n for _ in range(n)]
+    for (i, j), v in values.items():
+        grid[i][j] = v
+    missing = [w for w in schedule if grid[w[0]][w[1]] is None]
     while missing:
-        progressed = False
         still: list[Cell] = []
         for w in missing:
-            done = False
-            for lt, coeffs in elems:
-                d0, d1 = w[0] - lt[0], w[1] - lt[1]
+            w0, w1 = w
+            for tail in rules:
                 acc = ZERO
-                ok = True
-                for (s0, s1), cf in coeffs.items():
-                    if (s0, s1) == lt:
-                        continue
-                    v = values.get(((s0 + d0) % n, (s1 + d1) % n))
+                for e0, e1, row in tail:
+                    v = grid[(w0 + e0) % n][(w1 + e1) % n]
                     if v is None:
-                        ok = False
                         break
-                    acc = add(acc, mul(cf, v))
-                if ok:
-                    values[w] = div(neg(acc), coeffs[lt])
-                    done = True
+                    acc = add_t[acc][row[v]]
+                else:
+                    grid[w0][w1] = acc
                     break
-            if done:
-                progressed = True
             else:
                 still.append(w)
-        if not progressed:
+        if len(still) == len(missing):
             return None
         missing = still
-    return values
+    return grid
 
 
 def _verify_recurrences(
     f: Field,
     q: int,
-    values: dict[Cell, Elt],
+    grid: list[list[Elt]],
     elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
 ) -> bool:
+    """True when every recurrence holds at every cyclic shift of the grid."""
     n = q - 1
-    add, mul = f.add, f.mul
+    add_t, mul_t = f.add_table, f.mul_table
+    # rows repeated twice, and the grid too, so no index needs a modulo
+    wrapped = [row * 2 for row in grid] * 2
     for lt, coeffs in elems:
-        items = list(coeffs.items())
+        terms = [(s0 % n, s1 % n, mul_t[cf]) for (s0, s1), cf in coeffs.items()]
         for d0 in range(n):
+            rows = [(wrapped[s0 + d0], s1, mc) for s0, s1, mc in terms]
             for d1 in range(n):
                 acc = ZERO
-                for (s0, s1), cf in items:
-                    acc = add(acc, mul(cf, values[((s0 + d0) % n, (s1 + d1) % n)]))
+                for row, s1, mc in rows:
+                    acc = add_t[acc][mc[row[s1 + d1]]]
                 if acc != ZERO:
                     return False
     return True
@@ -560,15 +581,12 @@ def extend(
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     elems = [(p.lt, p.coeffs) for p in basis.elements]
-    out = _fill_by_recurrences(f, q, values, elems, cells)
-    if out is None:
+    grid = _fill_by_recurrences(f, q, values, elems, cells)
+    if grid is None:
         raise IncompleteCover("some cells are not reachable by any recurrence")
-    if not _verify_recurrences(f, q, out, elems):
+    if not _verify_recurrences(f, q, grid, elems):
         raise InconsistentKnownValues("known values violate a basis recurrence")
-    arr = Array2D.zeros(q)
-    for cell, v in out.items():
-        arr[cell] = v
-    return arr
+    return Array2D(q, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -639,35 +657,33 @@ def bms_with_voting(
     cells = grid_cells(q, proc_order)
 
     state = SakataState(f, proc_order)
-    amb_elems = (
-        [(p.lt, p.coeffs) for p in ambient.elements] if ambient is not None else []
+    add_t, mul_t = f.add_table, f.mul_table
+    neg = f.sub_table[ZERO]
+    amb_rules = (
+        _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
+        if ambient is not None
+        else []
     )
     assigned = state.assigned  # shared view; process() writes it
 
     def derive(cell: Cell) -> Elt | None:
         """Value forced by an ambient recurrence, None if not available."""
-        for lt, coeffs in amb_elems:
+        c0, c1 = cell
+        for lt, tail in amb_rules:
             if not _leq(lt, cell):
                 continue
-            d0, d1 = cell[0] - lt[0], cell[1] - lt[1]
             acc = ZERO
-            ok = True
-            for (s0, s1), cf in coeffs.items():
-                if (s0, s1) == lt:
-                    continue
-                v = assigned.get(((s0 + d0) % n, (s1 + d1) % n))
+            for e0, e1, row in tail:
+                v = assigned.get(((c0 + e0) % n, (c1 + e1) % n))
                 if v is None:
-                    ok = False
                     break
-                acc = f.add(acc, f.mul(cf, v))
-            if ok:
-                return f.div(f.neg(acc), coeffs[lt])
+                acc = add_t[acc][row[v]]
+            else:
+                return acc
         return None
 
-    def finalize(values: dict[Cell, Elt]) -> tuple[GroebnerBasis, Array2D] | None:
-        arr = Array2D.zeros(q)
-        for cell, v in values.items():
-            arr[cell] = v
+    def finalize(grid: list[list[Elt]]) -> tuple[GroebnerBasis, Array2D] | None:
+        arr = Array2D(q, grid)
         basis = _synthesize_full(f, arr.data, order)
         if len(basis.delta) > max_errors:
             return None
@@ -684,10 +700,10 @@ def bms_with_voting(
         # by the processing enumeration
         values = dict(known)
         values.update(assigned)
-        values = _fill_by_recurrences(f, q, values, state.F, cells)
-        if values is None or not _verify_recurrences(f, q, values, state.F):
+        grid = _fill_by_recurrences(f, q, values, state.F, cells)
+        if grid is None or not _verify_recurrences(f, q, grid, state.F):
             return None
-        return finalize(values)
+        return finalize(grid)
 
     def vote(c: Cell) -> Elt:
         # symbolic cell values A + B*X where X is the unknown u[c]
@@ -703,27 +719,19 @@ def bms_with_voting(
                 return sym_memo[cell]
             sym_memo[cell] = None  # cycle guard
             result = None
-            for lt, coeffs in amb_elems:
+            c0, c1 = cell
+            for lt, tail in amb_rules:
                 if not _leq(lt, cell):
                     continue
-                d0, d1 = cell[0] - lt[0], cell[1] - lt[1]
                 acc_a = acc_b = ZERO
-                ok = True
-                for (s0, s1), cf in coeffs.items():
-                    if (s0, s1) == lt:
-                        continue
-                    child = sym(((s0 + d0) % n, (s1 + d1) % n))
+                for e0, e1, row in tail:
+                    child = sym(((c0 + e0) % n, (c1 + e1) % n))
                     if child is None:
-                        ok = False
                         break
-                    acc_a = f.add(acc_a, f.mul(cf, child[0]))
-                    acc_b = f.add(acc_b, f.mul(cf, child[1]))
-                if ok:
-                    lead = coeffs[lt]
-                    result = (
-                        f.div(f.neg(acc_a), lead),
-                        f.div(f.neg(acc_b), lead),
-                    )
+                    acc_a = add_t[acc_a][row[child[0]]]
+                    acc_b = add_t[acc_b][row[child[1]]]
+                else:
+                    result = (acc_a, acc_b)
                     break
             sym_memo[cell] = result
             return result
@@ -744,11 +752,12 @@ def bms_with_voting(
                 if child is None:
                     defined = False
                     break
-                acc_a = f.add(acc_a, f.mul(cf, child[0]))
-                acc_b = f.add(acc_b, f.mul(cf, child[1]))
+                mc = mul_t[cf]
+                acc_a = add_t[acc_a][mc[child[0]]]
+                acc_b = add_t[acc_b][mc[child[1]]]
             result: Elt | None = None
             if defined and acc_b != ZERO:
-                result = f.div(f.neg(acc_a), acc_b)
+                result = f.div(neg[acc_a], acc_b)
             pred_memo[k] = result
             return result
 
@@ -810,7 +819,7 @@ def bms_with_voting(
         if stats is not None:
             stats["voted_cells"] = voted
 
-    res = finalize(dict(assigned))
+    res = finalize([[assigned.get((i, j), ZERO) for j in range(n)] for i in range(n)])
     if res is None:
         raise DecodingFailure("completed syndrome array fails the final checks")
     return res

@@ -102,6 +102,20 @@ class CodeSpec:
         return [h for h, p in enumerate(self.points) if p not in wpset]
 
 
+def _check_symbols(f: Field, symbols: Sequence, what: str) -> None:
+    """Raise ValueError unless every symbol is an element log in [-1, q-2]."""
+    top = f.q - 2
+    for v in symbols:
+        if not isinstance(v, int) or not -1 <= v <= top:
+            raise ValueError(f"{what} symbol {v!r} is not an element log in [-1, {top}]")
+
+
+def _monomials(f: Field, p: Point, phi: Sequence[Cell]) -> list[Elt]:
+    """x(P)^i * y(P)^j for every cell (i, j) of phi, with 0^0 = 1."""
+    mul_t = f.mul_table
+    return [mul_t[f.pow(p.x, i)][f.pow(p.y, j)] for (i, j) in phi]
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -122,8 +136,7 @@ def _select_redundant_points(
     chosen: list[Point] = []
     echelon = _Echelon(f)
     for p in points:
-        col = [f.mul(f.pow(p.x, i), f.pow(p.y, j)) for (i, j) in phi]
-        if echelon.add(col, p) is None:
+        if echelon.add(_monomials(f, p, phi), p) is None:
             chosen.append(p)
             if len(chosen) == nk:
                 break
@@ -258,10 +271,7 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
     f = spec.field
     if spec.kind == "rs":
         return [[f.pow(h, i) for (i, _) in spec.phi] for h in range(spec.n)]
-    rows = []
-    for p in list(spec.points) + list(spec.zero_points):
-        rows.append([f.mul(f.pow(p.x, i), f.pow(p.y, j)) for (i, j) in spec.phi])
-    return rows
+    return [_monomials(f, p, spec.phi) for p in spec.points + spec.zero_points]
 
 
 def syndromes(spec: CodeSpec, word: Word):
@@ -309,7 +319,8 @@ def _solve_square(f: Field, a: list[list[Elt]], rhs: list[Elt]) -> list[Elt]:
             raise RankDeficient("parity system is singular")
     # rhs + sum_col c_col * A[:, col] = 0, so x = -c
     relation = echelon.add(list(rhs), dim)
-    return [f.neg(relation.get(col, ZERO)) for col in range(dim)]
+    neg = f.sub_table[ZERO]
+    return [neg[relation.get(col, ZERO)] for col in range(dim)]
 
 
 def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
@@ -320,6 +331,7 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
     is the independent reference for every other encoder.
     """
     f = spec.field
+    _check_symbols(f, info, "info")
     if spec.kind == "rs":
         parity_idx = list(range(spec.r))
         info_idx = list(range(spec.r, spec.n))
@@ -330,12 +342,13 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
         raise ValueError(f"info must have length {len(info_idx)}")
     h = check_matrix(spec)[: spec.n]
     nphi = len(spec.phi)
+    add_t, mul_t, neg = f.add_table, f.mul_table, f.sub_table[ZERO]
     rhs = []
     for l in range(nphi):
         acc = ZERO
         for pos, v in zip(info_idx, info):
-            acc = f.add(acc, f.mul(v, h[pos][l]))
-        rhs.append(f.neg(acc))
+            acc = add_t[acc][mul_t[v][h[pos][l]]]
+        rhs.append(neg[acc])
     a = [[h[pos][l] for pos in parity_idx] for l in range(nphi)]
     par = _solve_square(f, a, rhs)
     word = [ZERO] * spec.n
@@ -356,6 +369,7 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     if spec.kind == "rs":
         raise ValueError("use rs_encode_idft for rs codes")
     f = spec.field
+    _check_symbols(f, info, "info")
     cells = spec.info_cells()
     if len(info) != len(cells):
         raise ValueError(f"info must have length {len(cells)}")
@@ -378,6 +392,7 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     if spec.kind == "rs":
         return rs_encode_euclid(spec.field, spec.r, info)
     f = spec.field
+    _check_symbols(f, info, "info")
     if len(info) != spec.k:
         raise ValueError(f"info must have length {spec.k}")
     arr = Array2D.zeros(f.q)
@@ -386,12 +401,12 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     tilde = dft2(f, arr)
     known = {c: tilde[c] for c in spec.phi}
     breve = extend(PartialArray.from_values(f.q, known), spec.basis_wp, f)
-    n_side = f.q - 1
+    sub_t = f.sub_table
     diff = Array2D(
         f.q,
         [
-            [f.sub(tilde.data[i][j], breve.data[i][j]) for j in range(n_side)]
-            for i in range(n_side)
+            [sub_t[a][b] for a, b in zip(trow, brow)]
+            for trow, brow in zip(tilde.data, breve.data)
         ],
     )
     cw = idft2(f, diff)
@@ -419,13 +434,15 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
         if eval_poly(f, spec.curve.poly_dict(), point.x, point.y) != ZERO:
             raise ValueError(f"{point} is not on the curve")
     n_side = f.q - 1
+    mul_t = f.mul_table
     out = Array2D.zeros(f.q)
     for i in range(n_side):
         xi = f.pow(point.x, i)
         if xi == ZERO:
             continue
+        mv = mul_t[mul_t[value][xi]]
         for j in range(n_side):
-            out.data[i][j] = f.mul(value, f.mul(xi, f.pow(point.y, j)))
+            out.data[i][j] = mv[f.pow(point.y, j)]
     return out
 
 
@@ -435,6 +452,7 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     symbol per zero point; the output word is the n point values followed
     by the zero-point values."""
     f = spec.field
+    _check_symbols(f, info, "info")
     if not spec.zero_points:
         raise ValueError("this code has no zero-coordinate points")
     nz = len(spec.zero_points)
@@ -447,19 +465,18 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
         arr[(p.x, p.y)] = v
     y_arr = dft2(f, arr)
     n_side = f.q - 1
+    add_t = f.add_table
     for zp, v in zip(spec.zero_points, zvals):
         if v == ZERO:
             continue
         a = analogue_dft(spec, zp, v)
-        for i in range(n_side):
-            for j in range(n_side):
-                y_arr.data[i][j] = f.add(y_arr.data[i][j], a.data[i][j])
+        for yrow, arow in zip(y_arr.data, a.data):
+            yrow[:] = [add_t[y][x] for y, x in zip(yrow, arow)]
 
     known = {c: y_arr[c] for c in spec.phi}
     z_arr = extend(PartialArray.from_values(f.q, known), spec.basis_wp, f)
-    neg_z = Array2D(
-        f.q, [[f.neg(v) for v in row] for row in z_arr.data]
-    )
+    neg = f.sub_table[ZERO]
+    neg_z = Array2D(f.q, [[neg[v] for v in row] for row in z_arr.data])
     red = idft2(f, neg_z)
     wpcells = {(p.x, p.y) for p in spec.wp}
     for i in range(n_side):
@@ -482,12 +499,13 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     """Defining-set syndromes of a lengthened word (the n point values
     followed by the zero-point values), through the check matrix."""
     f = spec.field
+    add_t, mul_t = f.add_table, f.mul_table
     h = check_matrix(spec)
     out = []
     for l in range(len(spec.phi)):
         acc = ZERO
         for v, row in zip(word, h):
-            acc = f.add(acc, f.mul(v, row[l]))
+            acc = add_t[acc][mul_t[v][row[l]]]
         out.append(acc)
     return out
 
@@ -512,9 +530,10 @@ def decode(
     ("voted_cells") and whether an early certificate completed the rest
     ("early_certificate").
     """
+    f = spec.field
+    _check_symbols(f, received, "received")
     if spec.kind == "rs":
         return _rs_decode(spec, list(received), mode)
-    f = spec.field
     if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
         raise ExtendedDecodeUnsupported(
             "decoding of words with zero-coordinate positions is not supported"
@@ -533,9 +552,8 @@ def decode(
         stats=stats,
     )
     err = idft2(f, ext)
-    corrected = [
-        f.sub(v, err[(p.x, p.y)]) for v, p in zip(received, spec.points)
-    ]
+    sub_t = f.sub_table
+    corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
     chk, _ = syndromes(spec, corrected)
     if any(v != ZERO for v in chk):
         raise DecodingFailure("corrected word fails the parity check")
@@ -543,7 +561,7 @@ def decode(
         wpp_idx = spec.info_positions()
         info = [corrected[h] for h in wpp_idx]
     elif mode == "nonsystematic":
-        info = [f.sub(full[c], ext[c]) for c in spec.info_cells()]
+        info = [sub_t[full[c]][ext[c]] for c in spec.info_cells()]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return corrected, info
@@ -558,13 +576,14 @@ def rs_gen_poly(f: Field, r: int) -> list[Elt]:
     coefficient logs, monic of degree r."""
     if not 1 <= r < f.q - 1:
         raise BadRedundancy(f"need 1 <= r < {f.q - 1}, got {r}")
+    add_t, mul_t, neg = f.add_table, f.mul_table, f.sub_table[ZERO]
     g = [ONE]
     for i in range(r):
-        root = i  # log of alpha^i
+        m_root = mul_t[neg[i]]  # times -alpha^i
         nxt = [ZERO] * (len(g) + 1)
         for d, c in enumerate(g):
-            nxt[d + 1] = f.add(nxt[d + 1], c)
-            nxt[d] = f.add(nxt[d], f.mul(c, f.neg(root)))
+            nxt[d + 1] = add_t[nxt[d + 1]][c]
+            nxt[d] = add_t[nxt[d]][m_root[c]]
         g = nxt
     return g
 
@@ -574,30 +593,35 @@ def rs_encode_euclid(f: Field, r: int, info: Info) -> Word:
 
     info occupies coefficients r..n-1; parity lands on 0..r-1.
     """
+    _check_symbols(f, info, "info")
     n = f.q - 1
     if len(info) != n - r:
         raise ValueError(f"info must have length {n - r}")
     g = rs_gen_poly(f, r)
+    sub_t, mul_t = f.sub_table, f.mul_table
     # remainder of I(x) = sum info[t] x^(r+t) modulo monic g
     rem = [ZERO] * r + list(info)
     for d in range(n - 1, r - 1, -1):
         c = rem[d]
         if c == ZERO:
             continue
+        mc = mul_t[c]
         for t, gc in enumerate(g):
-            rem[d - r + t] = f.sub(rem[d - r + t], f.mul(c, gc))
-    word = [f.neg(v) for v in rem[:r]] + list(info)
-    return word
+            rem[d - r + t] = sub_t[rem[d - r + t]][mc[gc]]
+    neg = sub_t[ZERO]
+    return [neg[v] for v in rem[:r]] + list(info)
 
 
 def rs_encode_idft(f: Field, r: int, info: Info) -> Word:
     """Non-systematic RS encoding c_h = sum_i I_i alpha^(-ih) with the
     information on indices r..n-1."""
+    _check_symbols(f, info, "info")
     n = f.q - 1
     if len(info) != n - r:
         raise ValueError(f"info must have length {n - r}")
     coeffs = [ZERO] * r + list(info)
-    return [f.neg(v) for v in idft1(f, coeffs)]
+    neg = f.sub_table[ZERO]
+    return [neg[v] for v in idft1(f, coeffs)]
 
 
 def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
@@ -607,30 +631,34 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     the generator coefficients; the inverse transform of (d_h) recovers
     the remainder R(x), and c = I - R.  Must match rs_encode_euclid.
     """
+    _check_symbols(f, info, "info")
     n = f.q - 1
     if len(info) != n - r:
         raise ValueError(f"info must have length {n - r}")
     g = rs_gen_poly(f, r)
+    add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
+    neg = sub_t[ZERO]
     coeffs = [ZERO] * r + list(info)
     d = []
     for h in range(r):
         acc = ZERO  # I(alpha^h)
         for t, c in enumerate(coeffs):
             if c != ZERO:
-                acc = f.add(acc, (c + t * h) % n)
+                acc = add_t[acc][(c + t * h) % n]
         d.append(acc)
     for h in range(r, n):
         acc = ZERO
         for i in range(r):
-            acc = f.add(acc, f.mul(g[i], d[i + h - r]))
-        d.append(f.neg(acc))
+            acc = add_t[acc][mul_t[g[i]][d[i + h - r]]]
+        d.append(neg[acc])
     rem = idft1(f, d)
-    word = [f.sub(c, rv) for c, rv in zip(coeffs, rem)]
-    return word
+    return [sub_t[c][rv] for c, rv in zip(coeffs, rem)]
 
 
 def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
     f = spec.field
+    add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
+    neg = sub_t[ZERO]
     n = f.q - 1
     r = spec.r
     if len(received) != n:
@@ -649,14 +677,14 @@ def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
             for j in range(1, big_l + 1):
                 cj = cpoly.get(j, ZERO)
                 if cj != ZERO:
-                    d = f.add(d, f.mul(cj, s[i - j]))
+                    d = add_t[d][mul_t[cj][s[i - j]]]
             if d == ZERO:
                 gap += 1
                 continue
-            adj = f.div(d, bdisc)
+            m_adj = mul_t[f.div(d, bdisc)]
             updated = dict(cpoly)
             for j, bj in bpoly.items():
-                updated[j + gap] = f.sub(updated.get(j + gap, ZERO), f.mul(adj, bj))
+                updated[j + gap] = sub_t[updated.get(j + gap, ZERO)][m_adj[bj]]
             if 2 * big_l <= i:
                 bpoly, bdisc, gap, big_l = cpoly, d, 1, i + 1 - big_l
             else:
@@ -664,22 +692,23 @@ def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
             cpoly = updated
         if big_l > spec.t_capability:
             raise DecodingFailure(f"locator degree {big_l} exceeds capability")
+        taps = [mul_t[cpoly.get(j, ZERO)] for j in range(big_l + 1)]
         ext = list(s)
         for i in range(r, n):
             acc = ZERO
             for j in range(1, big_l + 1):
-                acc = f.add(acc, f.mul(cpoly.get(j, ZERO), ext[i - j]))
-            ext.append(f.neg(acc))
+                acc = add_t[acc][taps[j][ext[i - j]]]
+            ext.append(neg[acc])
         for i in range(n):  # the recurrence must hold cyclically
             acc = ZERO
             for j in range(0, big_l + 1):
-                acc = f.add(acc, f.mul(cpoly.get(j, ZERO), ext[(i - j) % n]))
+                acc = add_t[acc][taps[j][ext[(i - j) % n]]]
             if acc != ZERO:
                 raise DecodingFailure("syndrome extension is not cyclic")
         err = idft1(f, ext)
         if sum(1 for v in err if v != ZERO) > spec.t_capability:
             raise DecodingFailure("error estimate exceeds capability")
-        corrected = [f.sub(v, e) for v, e in zip(received, err)]
+        corrected = [sub_t[v][e] for v, e in zip(received, err)]
     chk = dft1(f, corrected)[:r]
     if any(v != ZERO for v in chk):
         raise DecodingFailure("corrected word fails the parity check")
@@ -687,7 +716,7 @@ def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
         info = corrected[r:]
     elif mode == "nonsystematic":
         full = dft1(f, corrected)
-        info = [f.neg(full[i]) for i in range(r, n)]
+        info = [neg[full[i]] for i in range(r, n)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return corrected, info

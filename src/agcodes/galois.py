@@ -8,9 +8,14 @@ so elements are carried around as plain ints:
     -1        the zero element
     k         alpha^k, for 0 <= k <= q-2
 
-This makes multiplication exponent arithmetic mod q-1, and it makes
-arrays of elements printable exactly as their exponent grids.  Addition
-uses a precomputed Zech-logarithm table: 1 + alpha^k = alpha^zech[k].
+This makes arrays of elements printable exactly as their exponent grids.
+All arithmetic is read from three q x q tables built once per field from
+the exp/log tables: add_table, sub_table and mul_table.  Entry [a][b] is
+the log of a+b, a-b or a*b.  Index q-1 stands for the zero element, so
+the log -1 reaches it directly through Python's negative index, and no
+branch or offset is needed: add_table[a][-1] == a.  The Field methods
+are one-line lookups into the same tables that the inner loops of the
+transforms, recurrences and codecs index directly.
 
 The shipped default is GF(9) built from x^2 + x + 2 over GF(3), whose
 root satisfies alpha^3 + alpha + 1 = 0.
@@ -28,6 +33,9 @@ Elt = int
 ZERO: Elt = -1
 ONE: Elt = 0
 
+# Largest field order accepted: the arithmetic tables grow as q^2.
+MAX_Q = 256
+
 
 def _times_x(coords: tuple[int, ...], poly: Sequence[int], p: int) -> tuple[int, ...]:
     """Multiply a coordinate vector by x modulo the monic polynomial."""
@@ -41,7 +49,13 @@ def _times_x(coords: tuple[int, ...], poly: Sequence[int], p: int) -> tuple[int,
 
 
 class Field:
-    """GF(p^m) with exp/log/Zech tables.
+    """GF(p^m) with exp/log tables and q x q add/sub/mul tables.
+
+    Hot loops bind a table row, e.g. mw = mul_table[w], and index it
+    without any call; row and column q-1 are the zero element (see the
+    module docstring).  The three tables cost O(q^2) memory and build
+    time: q tuples of q small ints each, about 0.5 MB per table at
+    q = MAX_Q = 256.  Larger fields are rejected.
 
     Immutable after construction; safe to share across threads.
     """
@@ -55,9 +69,11 @@ class Field:
         poly = [c % p for c in primitive_poly]
         if len(poly) != m + 1 or poly[m] != 1:
             raise ValueError(f"primitive_poly must be monic of degree {m} over GF({p})")
+        self.q = p ** m
+        if self.q > MAX_Q:
+            raise ValueError(f"GF({p}^{m}) exceeds the field size limit q <= {MAX_Q}")
         self.p = p
         self.m = m
-        self.q = p ** m
         self.primitive_poly = tuple(poly)
 
         # exp_table[i] = coordinate tuple of alpha^i; built by repeated
@@ -79,14 +95,19 @@ class Field:
         self.exp_table = exp
         self.log_table = seen
 
-        # Zech logs: zech[k] = log(1 + alpha^k), -1 when that sum is zero.
-        one = exp[0]
-        self._zech = []
-        for k in range(n):
-            s = tuple((one[d] + exp[k][d]) % p for d in range(m))
-            self._zech.append(seen.get(s, ZERO))
-        # log of -1; for p = 2 this is 0 (since -1 = 1).
-        self._neg_one = seen[tuple((-c) % p for c in one)]
+        # Row/column e < n is alpha^e, row/column n is zero.  Sums and
+        # differences are taken in GF(p) coordinates; products add logs.
+        coords = exp + [tuple([0] * m)]
+        self.add_table = tuple(
+            tuple(seen.get(tuple((x + y) % p for x, y in zip(u, v)), ZERO) for v in coords)
+            for u in coords
+        )
+        negs = [seen.get(tuple(-x % p for x in v), ZERO) for v in coords]
+        self.sub_table = tuple(tuple(row[b] for b in negs) for row in self.add_table)
+        logs = list(range(n))
+        self.mul_table = tuple(
+            tuple(logs[a:] + logs[:a]) + (ZERO,) for a in range(n)
+        ) + ((ZERO,) * self.q,)
 
     # -- representation helpers ------------------------------------------
 
@@ -113,27 +134,16 @@ class Field:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: Elt, b: Elt) -> Elt:
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
-        z = self._zech[(b - a) % (self.q - 1)]
-        if z == ZERO:
-            return ZERO
-        return (a + z) % (self.q - 1)
+        return self.add_table[a][b]
 
     def neg(self, a: Elt) -> Elt:
-        if a == ZERO:
-            return ZERO
-        return (a + self._neg_one) % (self.q - 1)
+        return self.sub_table[ZERO][a]
 
     def sub(self, a: Elt, b: Elt) -> Elt:
-        return self.add(a, self.neg(b))
+        return self.sub_table[a][b]
 
     def mul(self, a: Elt, b: Elt) -> Elt:
-        if a == ZERO or b == ZERO:
-            return ZERO
-        return (a + b) % (self.q - 1)
+        return self.mul_table[a][b]
 
     def inv(self, a: Elt) -> Elt:
         if a == ZERO:

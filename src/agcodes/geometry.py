@@ -28,9 +28,10 @@ class Point(NamedTuple):
 
 def eval_poly(f: Field, coeffs: PolyDict, x: Elt, y: Elt) -> Elt:
     """Evaluate a sparse bivariate polynomial at (x, y); 0^0 = 1."""
+    add_t, mul_t = f.add_table, f.mul_table
     acc = ZERO
     for (i, j), c in coeffs.items():
-        acc = f.add(acc, f.mul(c, f.mul(f.pow(x, i), f.pow(y, j))))
+        acc = add_t[acc][mul_t[c][mul_t[f.pow(x, i)][f.pow(y, j)]]]
     return acc
 
 

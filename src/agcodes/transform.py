@@ -70,13 +70,14 @@ class Array2D:
 def _transform1(f: Field, a: list[Elt], sign: int) -> list[Elt]:
     """out[i] = sum_h a[h] * alpha^(sign*ih), by Horner at alpha^(sign*i)."""
     n = f.q - 1
-    add, mul = f.add, f.mul
+    add_t, mul_t = f.add_table, f.mul_table
+    top, rest = a[-1], a[:-1][::-1]
     out = [ZERO] * n
     for i in range(n):
-        w = (sign * i) % n
-        acc = a[n - 1]
-        for h in range(n - 2, -1, -1):
-            acc = add(mul(acc, w), a[h])
+        mw = mul_t[(sign * i) % n]
+        acc = top
+        for v in rest:
+            acc = add_t[mw[acc]][v]
         out[i] = acc
     return out
 
@@ -95,7 +96,8 @@ def dft1(f: Field, a: Array1D) -> Array1D:
 def idft1(f: Field, a: Array1D) -> Array1D:
     """Inverse of dft1, including the -1 normalization (see module doc)."""
     _check1(f, a)
-    return [f.neg(v) for v in _transform1(f, list(a), -1)]
+    neg = f.sub_table[ZERO]
+    return [neg[v] for v in _transform1(f, list(a), -1)]
 
 
 def _transform2(f: Field, a: Array2D, sign: int) -> Array2D:

@@ -84,6 +84,14 @@ def test_info_raw_field_parameters(capsys):
     assert err.startswith("NonPrimitivePolynomial")
 
 
+def test_info_field_above_size_limit(capsys):
+    # GF(2^12) would need 4096 x 4096 arithmetic tables: refused, exit 2
+    field = "2,12,1,1,0,0,1,0,1,0,0,0,0,0,1"
+    code, _, err = run(["info", "--field", field, "--kind", "rs", "--r", "4"], capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and "256" in err
+
+
 def test_build_and_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "h.spec"
     code, _, _ = run(["build", "--preset", "hermitian-q9", "--out", str(spec_path)], capsys)

@@ -533,3 +533,38 @@ def test_spec_save_load_roundtrip(tmp_path, herm, hcrs, rs4):
         assert codec.encode_systematic(again, info) == codec.encode_systematic(
             spec, info
         )
+
+
+@pytest.mark.parametrize("name", codec.PRESETS)
+@pytest.mark.parametrize("bad", [99, -5, 1.5], ids=["99", "-5", "1.5"])
+def test_decode_rejects_non_element_symbols(name, bad):
+    spec = codec.preset(name)
+    with pytest.raises(ValueError, match="element log"):
+        codec.decode(spec, [bad] * spec.n)
+
+
+@pytest.mark.parametrize("name", codec.PRESETS)
+def test_encoders_reject_out_of_range_info(name):
+    spec = codec.preset(name)
+    f = spec.field
+    encoders = [codec.encode_systematic, codec.encode_matrix_oracle]
+    if spec.kind == "rs":
+        encoders += [
+            lambda s, i: codec.rs_encode_euclid(s.field, s.r, i),
+            lambda s, i: codec.rs_encode_idft(s.field, s.r, i),
+            lambda s, i: codec.rs_encode_dh(s.field, s.r, i),
+        ]
+    else:
+        encoders.append(codec.encode_nonsystematic)
+    for bad in (f.q - 1, -2, 0.0):
+        for encode in encoders:
+            k = len(spec.info_cells()) if encode is codec.encode_nonsystematic else spec.k
+            info = [ZERO] * k
+            info[-1] = bad
+            with pytest.raises(ValueError, match="element log"):
+                encode(spec, info)
+    if spec.zero_points:
+        info = [ZERO] * (spec.k + len(spec.zero_points))
+        info[-1] = f.q - 1  # a zero-point symbol
+        with pytest.raises(ValueError, match="element log"):
+            codec.encode_systematic_extended(spec, info)

@@ -1,7 +1,7 @@
 import pytest
 
 from agcodes.errors import NonPrimitivePolynomial
-from agcodes.galois import ZERO, field_new, gf9
+from agcodes.galois import MAX_Q, ZERO, field_new, gf9
 
 
 # Independent oracle: GF(3)[x] arithmetic on coefficient tuples, reduced
@@ -134,3 +134,80 @@ def test_larger_field_smoke():
     for a in f.nonzero():
         assert f.pow(a, 7) == 0
         assert f.add(a, a) == ZERO
+
+
+# Independent oracle for any field: polynomial arithmetic on GF(p)
+# coordinate tuples modulo the primitive polynomial.  Logs are mapped to
+# coordinates only through exp_table, which the first check pins down.
+FIELDS = {
+    "GF(2)": (2, 1, [1, 1]),
+    "GF(8)": (2, 3, [1, 1, 0, 1]),
+    "GF(9)": (3, 2, [2, 1, 1]),
+    "GF(16)": (2, 4, [1, 1, 0, 0, 1]),  # x^4 + x + 1
+    "GF(25)": (5, 2, [2, 1, 1]),  # x^2 + x + 2
+}
+
+
+def poly_mul_coords(u, v, poly, p):
+    m = len(poly) - 1
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    for d in range(len(prod) - 1, m - 1, -1):  # x^m = -(c_0 + ... + c_{m-1} x^{m-1})
+        c = prod[d]
+        prod[d] = 0
+        for k in range(m):
+            prod[d - m + k] = (prod[d - m + k] - c * poly[k]) % p
+    return tuple(prod[:m])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_tables_match_coordinate_arithmetic(name):
+    p, m, poly = FIELDS[name]
+    f = field_new(p, m, poly)
+    n = f.q - 1
+    zero = (0,) * m
+    one = (1,) + (0,) * (m - 1)
+    cur = one  # alpha^0; each next power is the previous one times x
+    for k in range(n):
+        assert f.exp_table[k] == cur
+        cur = poly_mul_coords(cur, (0, 1), poly, p)
+    assert cur == one
+    coords = {ZERO: zero, **{k: f.exp_table[k] for k in range(n)}}
+    log = {c: e for e, c in coords.items()}
+    for a, ca in coords.items():
+        for b, cb in coords.items():
+            add = tuple((s + t) % p for s, t in zip(ca, cb))
+            sub = tuple((s - t) % p for s, t in zip(ca, cb))
+            assert f.add(a, b) == log[add], (a, b)
+            assert f.sub(a, b) == log[sub], (a, b)
+            assert f.mul(a, b) == log[poly_mul_coords(ca, cb, poly, p)], (a, b)
+            if b == ZERO:
+                with pytest.raises(ZeroDivisionError):
+                    f.div(a, b)
+            else:
+                assert poly_mul_coords(coords[f.div(a, b)], cb, poly, p) == ca, (a, b)
+        assert f.neg(a) == log[tuple(-s % p for s in ca)]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_tables_shape_and_zero_index(name):
+    f = field_new(*FIELDS[name])
+    for table in (f.add_table, f.sub_table, f.mul_table):
+        assert isinstance(table, tuple) and len(table) == f.q
+        assert all(isinstance(row, tuple) and len(row) == f.q for row in table)
+    # the last row and column stand for zero, reached through index -1
+    for a in f.elements():
+        assert f.add_table[a][ZERO] == f.add_table[ZERO][a] == a
+        assert f.mul_table[a][ZERO] == f.mul_table[ZERO][a] == ZERO
+        assert f.sub_table[a][ZERO] == a
+
+
+def test_field_size_limit():
+    assert MAX_Q == 256
+    field_new(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])  # x^8+x^4+x^3+x^2+1, q = 256
+    with pytest.raises(ValueError, match="256"):
+        field_new(2, 9, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="256"):
+        field_new(2, 12, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1])

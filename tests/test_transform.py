@@ -3,7 +3,7 @@ import random
 import pytest
 
 from agcodes.errors import DimensionMismatch
-from agcodes.galois import ZERO, gf9
+from agcodes.galois import ZERO, field_new, gf9
 from agcodes.transform import Array2D, dft1, dft2, idft1, idft2
 
 
@@ -12,35 +12,49 @@ def f9():
     return gf9()
 
 
+# A characteristic-2 and a characteristic-5 field beside GF(9)
+LARGER_FIELDS = {
+    "GF(16)": (2, 4, [1, 1, 0, 0, 1]),
+    "GF(25)": (5, 2, [2, 1, 1]),
+}
+
+
+def coord_sum(f, logs, negate=False):
+    """Log of the sum of alpha^e over the logs, added in GF(p) coordinates
+    from exp_table, so it shares no arithmetic table with the transforms."""
+    acc = [0] * f.m
+    for e in logs:
+        acc = [(c + d) % f.p for c, d in zip(acc, f.exp_table[e])]
+    if negate:
+        acc = [-c % f.p for c in acc]
+    return f.log_table.get(tuple(acc), ZERO)
+
+
 # Independent oracles: direct double/single summation, no Horner, no
-# row-column split.
+# row-column split, additions in coordinates.
 def dft2_oracle(f, a, sign):
     n = f.q - 1
     out = Array2D.zeros(f.q)
     for i in range(n):
         for j in range(n):
-            acc = ZERO
-            for r in range(n):
-                for s in range(n):
-                    v = a.data[r][s]
-                    if v == ZERO:
-                        continue
-                    acc = f.add(acc, (v + sign * (r * i + s * j)) % n)
-            out.data[i][j] = acc
+            out.data[i][j] = coord_sum(
+                f,
+                (
+                    (a.data[r][s] + sign * (r * i + s * j)) % n
+                    for r in range(n)
+                    for s in range(n)
+                    if a.data[r][s] != ZERO
+                ),
+            )
     return out
 
 
-def dft1_oracle(f, a, sign):
+def dft1_oracle(f, a, sign, negate=False):
     n = f.q - 1
-    out = []
-    for i in range(n):
-        acc = ZERO
-        for h in range(n):
-            if a[h] == ZERO:
-                continue
-            acc = f.add(acc, (a[h] + sign * i * h) % n)
-        out.append(acc)
-    return out
+    return [
+        coord_sum(f, ((a[h] + sign * i * h) % n for h in range(n) if a[h] != ZERO), negate)
+        for i in range(n)
+    ]
 
 
 def random_array(f, rng):
@@ -68,12 +82,16 @@ def test_dft2_single_cell_row_pattern(f9):
     assert out == dft2_oracle(f9, a, +1)
 
 
-def test_dft2_matches_oracle(f9):
+def check_dft2_oracle(f, draws):
     rng = random.Random(7)
-    for _ in range(10):
-        a = random_array(f9, rng)
-        assert dft2(f9, a) == dft2_oracle(f9, a, +1)
-        assert idft2(f9, a) == dft2_oracle(f9, a, -1)
+    for _ in range(draws):
+        a = random_array(f, rng)
+        assert dft2(f, a) == dft2_oracle(f, a, +1)
+        assert idft2(f, a) == dft2_oracle(f, a, -1)
+
+
+def test_dft2_matches_oracle(f9):
+    check_dft2_oracle(f9, 10)
 
 
 def test_idft2_of_constant_array(f9):
@@ -85,12 +103,16 @@ def test_idft2_of_constant_array(f9):
     assert idft2(f9, Array2D.zeros(9)) == Array2D.zeros(9)
 
 
-def test_dft2_idft2_roundtrip(f9):
+def check_dft2_roundtrip(f):
     rng = random.Random(11)
     for _ in range(25):
-        a = random_array(f9, rng)
-        assert idft2(f9, dft2(f9, a)) == a
-        assert dft2(f9, idft2(f9, a)) == a
+        a = random_array(f, rng)
+        assert idft2(f, dft2(f, a)) == a
+        assert dft2(f, idft2(f, a)) == a
+
+
+def test_dft2_idft2_roundtrip(f9):
+    check_dft2_roundtrip(f9)
 
 
 def test_transform_linearity(f9):
@@ -136,20 +158,40 @@ def test_idft1_delta_convention(f9):
     assert idft1(f9, [ZERO] * 8) == [ZERO] * 8
 
 
-def test_dft1_matches_oracle(f9):
+def check_dft1_oracle(f):
+    n = f.q - 1
     rng = random.Random(19)
     for _ in range(20):
-        a = [rng.randrange(-1, 8) for _ in range(8)]
-        assert dft1(f9, a) == dft1_oracle(f9, a, +1)
-        assert idft1(f9, a) == [f9.neg(v) for v in dft1_oracle(f9, a, -1)]
+        a = [rng.randrange(-1, n) for _ in range(n)]
+        assert dft1(f, a) == dft1_oracle(f, a, +1)
+        assert idft1(f, a) == dft1_oracle(f, a, -1, negate=True)
+
+
+def test_dft1_matches_oracle(f9):
+    check_dft1_oracle(f9)
+
+
+def check_dft1_roundtrip(f):
+    n = f.q - 1
+    rng = random.Random(23)
+    for _ in range(1000):
+        a = [rng.randrange(-1, n) for _ in range(n)]
+        assert dft1(f, idft1(f, a)) == a
+        assert idft1(f, dft1(f, a)) == a
 
 
 def test_dft1_idft1_roundtrip_1000(f9):
-    rng = random.Random(23)
-    for _ in range(1000):
-        a = [rng.randrange(-1, 8) for _ in range(8)]
-        assert dft1(f9, idft1(f9, a)) == a
-        assert idft1(f9, dft1(f9, a)) == a
+    check_dft1_roundtrip(f9)
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_FIELDS))
+def test_transforms_larger_field(name):
+    # the oracle is O(q^4), so two random arrays per field
+    f = field_new(*LARGER_FIELDS[name])
+    check_dft2_oracle(f, 2)
+    check_dft2_roundtrip(f)
+    check_dft1_oracle(f)
+    check_dft1_roundtrip(f)
 
 
 def test_dimension_mismatch(f9):
