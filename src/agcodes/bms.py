@@ -15,7 +15,11 @@ Three synthesis entry points:
   of a point indicator this ideal is the vanishing ideal of the points.
 
 * bms() on an order-prefix of an array runs Sakata's incremental
-  two-dimensional Berlekamp-Massey update.
+  two-dimensional Berlekamp-Massey update (Sakata 1988), which needs a
+  translation-invariant order.  A polynomial failing at cell c and moved
+  to a new corner t2 is kept as it is when t2 is not <= c, and otherwise
+  corrected by a failure recorded before c.  A test that needs a cell
+  outside the grid is skipped.
 
 * bms_with_voting() completes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
@@ -40,6 +44,7 @@ from .errors import (
 from .galois import Elt, Field, ONE, ZERO
 from .geometry import (
     Cell,
+    HyperbolicOrder,
     MonomialOrder,
     Point,
     WeightedCurveOrder,
@@ -267,24 +272,37 @@ def vanishing_ideal_basis(
 
 @dataclass
 class _Record:
-    """A past failure: polynomial, its nonzero discrepancy, where it failed."""
+    """A past failure: polynomial, its nonzero discrepancy, and the span
+    from its leading cell to the cell lt + span where it failed."""
 
     coeffs: dict[Cell, Elt]
     lt: Cell
     disc: Elt
-    failpoint: Cell
     span: Cell
 
 
 class SakataState:
     """Minimal polynomial set F and auxiliary failures G, updated per cell.
 
-    Discrepancies that would touch cells outside the processed prefix are
-    skipped (treated as untested); this only matters for orders that are
-    not translation invariant, e.g. the hyperbolic one.
+    Cells arrive in the order's enumeration.  The order must be
+    translation invariant (s < t implies s+d < t+d), so the hyperbolic one
+    is refused.  Each element of F is monic at its leading cell, and the
+    leading cells are the corners of the staircase delta.  A test that
+    needs a cell outside the grid is skipped (treated as passed); every
+    other cell a test needs is already assigned.
+
+    When polynomials fail at cell c, each new corner t2 gets a surviving
+    polynomial shifted to t2 if one lies below it.  Otherwise a failing
+    polynomial f is shifted to t2, and then:
+
+    * t2 not <= c: f is kept as it is; no test led by t2 reaches c yet.
+    * t2 <= c: a failure g recorded before c whose span covers c - t2 is
+      shifted and scaled so that its discrepancy cancels f's at c.
     """
 
     def __init__(self, f: Field, order: MonomialOrder):
+        if isinstance(order, HyperbolicOrder):
+            raise ValueError("Sakata's update needs a translation-invariant order")
         self.f = f
         self.order = order
         self.n = f.q - 1
@@ -323,128 +341,69 @@ class SakataState:
         if not fails:
             return
         self.version += 1
-        key = self.order.key
+        records = []
         for lt, coeffs, d in fails:
             span = (c[0] - lt[0], c[1] - lt[1])
-            for i in range(span[0] + 1):
-                for j in range(span[1] + 1):
-                    self.delta.add((i, j))
-            self.G.append(_Record(coeffs, lt, d, c, span))
-
-        corners = minimal_outside(self.delta, self.n)
+            self.delta.update(
+                (i, j) for i in range(span[0] + 1) for j in range(span[1] + 1)
+            )
+            records.append(_Record(coeffs, lt, d, span))
         failed_lts = {lt for lt, _, _ in fails}
-        survivors = [(lt, co) for lt, co in self.F if lt not in failed_lts]
-        newF: list[tuple[Cell, dict[Cell, Elt]]] = []
-        for t2 in corners:
-            poly = self._poly_for_corner(t2, c, fails, survivors)
-            newF.append((t2, poly))
-        newF.sort(key=lambda e: key(e[0]))
-        self.F = newF
+        kept = [(lt, co) for lt, co in self.F if lt not in failed_lts]
+        corners = minimal_outside(self.delta, self.n)
+        self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners]
+        self.F.sort(key=lambda e: self.order.key(e[0]))
+        # only failures at cells before c may correct a failure at c
+        self.G.extend(records)
 
     def _poly_for_corner(
         self,
         t2: Cell,
         c: Cell,
         fails: list[tuple[Cell, dict[Cell, Elt], Elt]],
-        survivors: list[tuple[Cell, dict[Cell, Elt]]],
+        kept: list[tuple[Cell, dict[Cell, Elt]]],
     ) -> dict[Cell, Elt]:
+        """The minimal polynomial led by the new corner t2 after failures at c."""
         f = self.f
         sub_t, mul_t = f.sub_table, f.mul_table
         key = self.order.key
-        # 1. shift a surviving still-valid polynomial
-        cands = [(lt, co) for lt, co in survivors if _leq(lt, t2)]
+        # no failure to correct: shift a surviving polynomial
+        cands = [(lt, co) for lt, co in kept if _leq(lt, t2)]
         if cands:
             lt, co = min(cands, key=lambda e: key(e[0]))
             return self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
-        # 2. Sakata update: failing polynomial corrected by a past failure
-        fcands = sorted(
-            (fd for fd in fails if _leq(fd[0], t2)),
-            key=lambda fd: (
-                tuple(-x for x in key((c[0] - fd[0][0], c[1] - fd[0][1]))),
-                key(fd[0]),
-            ),
-        )
-        for lt, co, d in fcands:
-            shifted = self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
-            target = (c[0] - t2[0], c[1] - t2[1])
-            recs = [
-                r
-                for r in self.G
-                if r.span[0] >= target[0] and r.span[1] >= target[1]
-            ]
-            # prefer auxiliaries from earlier cells, then larger spans
-            recs.sort(
-                key=lambda r: (
-                    r.failpoint == c,
-                    tuple(-x for x in key(r.span)),
-                    key(r.lt),
-                )
-            )
-            for r in recs:
-                # shift so that the record's failing test lines up with c:
-                # the test of x^e g at c is then exactly the recorded one
-                aux = self._shift(
-                    r.coeffs, (r.span[0] - target[0], r.span[1] - target[1])
-                )
-                mf = mul_t[f.div(d, r.disc)]
-                h = dict(shifted)
-                for s, rc in aux.items():
-                    h[s] = sub_t[h.get(s, ZERO)][mf[rc]]
-                h = {s: v for s, v in h.items() if v != ZERO}
-                lead = h.get(t2, ZERO)
-                if lead == ZERO:
-                    continue
-                if any(key(s) >= key(t2) for s in h if s != t2):
-                    continue
-                if lead != ONE:
-                    ml = mul_t[f.inv(lead)]
-                    h = {s: ml[v] for s, v in h.items()}
-                return h
-        # 3. direct linear solve for this corner
-        solved = self._solve_corner(t2)
-        if solved is not None:
-            return solved
-        # 4. last resort: shifted failing polynomial, discrepancy left in place
-        lt, co, _ = fcands[0] if fcands else (None, None, None)
-        if co is not None:
-            return self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
-        return {t2: ONE}
+        # t2 lies outside the old staircase, so it is above a failing corner
+        lt, co, d = min((e for e in fails if _leq(e[0], t2)), key=lambda e: key(e[0]))
+        h = self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
+        target = (c[0] - t2[0], c[1] - t2[1])
+        if target[0] < 0 or target[1] < 0:
+            # t2 is not below c: no test of a polynomial led by t2 reaches c
+            return h
+        recs = [r for r in self.G if _leq(target, r.span)]
+        if not recs:
+            # Sakata's theorem puts c - t2 in the old staircase, which the
+            # records' spans cover, unless a skipped test hid a failure.
+            # Measured, that happens only beyond the decoding radius, where
+            # the decoder's final checks reject the result.
+            return h
+        # largest span first, then smallest leading cell
+        r = min(recs, key=lambda r: (tuple(-x for x in key(r.span)), key(r.lt)))
+        # x^e g with e = span - (c - t2): its test at c is g's recorded
+        # failing test, and its leading cell r.lt + r.span - (c - t2) lies
+        # below t2, since g failed before c and the order is translation
+        # invariant; so h stays monic at t2 with its test at c cancelled
+        aux = self._shift(r.coeffs, (r.span[0] - target[0], r.span[1] - target[1]))
+        mf = mul_t[f.div(d, r.disc)]
+        for s, rc in aux.items():
+            h[s] = sub_t[h.get(s, ZERO)][mf[rc]]
+        return {s: v for s, v in h.items() if v != ZERO}
 
     def _shift(self, coeffs: dict[Cell, Elt], d: Cell) -> dict[Cell, Elt]:
         return {(s[0] + d[0], s[1] + d[1]): c for s, c in coeffs.items()}
 
-    def _solve_corner(self, t2: Cell) -> dict[Cell, Elt] | None:
-        """Least-structure fallback: monic polynomial with lt t2 and support
-        in the current staircase, vanishing on every computable shift."""
-        key = self.order.key
-        assigned = self.assigned
-        supp = sorted((s for s in self.delta if key(s) < key(t2)), key=key)
-        shifts = [(w[0] - t2[0], w[1] - t2[1]) for w in assigned if _leq(t2, w)]
-        shifts = [
-            (d0, d1)
-            for d0, d1 in shifts
-            if all((s[0] + d0, s[1] + d1) in assigned for s in supp)
-        ]
-
-        def column(s: Cell) -> list[Elt]:
-            return [assigned[(s[0] + d0, s[1] + d1)] for d0, d1 in shifts]
-
-        # the staircase columns in order, then t2: a relation for t2 is the
-        # monic polynomial, with zero weight on every column left dependent
-        echelon = _Echelon(self.f)
-        for s in supp:
-            echelon.add(column(s), s)
-        relation = echelon.add(column(t2), t2)
-        if relation is None:
-            return None
-        return {s: relation[s] for s in (t2, *supp) if relation.get(s, ZERO) != ZERO}
-
     def basis(self) -> GroebnerBasis:
         order = self.order
-        elems = tuple(
-            BivariatePoly(co, order)
-            for _, co in sorted(self.F, key=lambda e: order.key(e[0]))
-        )
+        elems = tuple(BivariatePoly(co, order) for _, co in self.F)
         delta = tuple(sorted(self.delta, key=order.key))
         return GroebnerBasis(elems, delta, order)
 

@@ -49,6 +49,7 @@ from .geometry import (
     Point,
     WeightedCurveOrder,
     code_params,
+    curve_spec,
     defining_set,
     enumerate_points,
     eval_poly,
@@ -282,6 +283,7 @@ def syndromes(spec: CodeSpec, word: Word):
     for rs the full length-(q-1) DFT vector is returned.
     """
     f = spec.field
+    _check_symbols(f, word, "word")
     if spec.kind == "rs":
         full = dft1(f, list(word))
         return full[: spec.r], full
@@ -428,6 +430,7 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
     out[i][j] = value * x^i * y^j with 0^0 = 1, so the support is a single
     row, column or cell."""
     f = spec.field
+    _check_symbols(f, [value], "value")
     if point.x != ZERO and point.y != ZERO:
         raise NotAZeroPoint(f"{point} has no zero coordinate")
     if spec.curve is not None:
@@ -499,6 +502,9 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     """Defining-set syndromes of a lengthened word (the n point values
     followed by the zero-point values), through the check matrix."""
     f = spec.field
+    _check_symbols(f, word, "word")
+    if len(word) != spec.n + len(spec.zero_points):
+        raise ValueError(f"word must have length {spec.n + len(spec.zero_points)}")
     add_t, mul_t = f.add_table, f.mul_table
     h = check_matrix(spec)
     out = []
@@ -792,24 +798,37 @@ def load_spec(path: str) -> CodeSpec:
     p, m_deg, *poly = value("field").split()
     f = field_new(int(p), int(m_deg), [int(c) for c in poly])
     kind = value("kind")
+    if kind not in ("curve", "hcrs", "rs"):
+        raise ValueError(f"{path}: unknown kind {kind!r}")
     if kind == "rs":
         return make_rs_code(f, int(value("r")))
     m = int(value("m"))
-    points = tuple(
-        Point(*(int(v) for v in tok.split(","))) for tok in value("points").split()
-    )
-    zero_points = tuple(
-        Point(*(int(v) for v in tok.split(",")))
-        for tok in fields.get("zero_points", "").split()
-    )
+
+    def parse_points(text: str) -> tuple[Point, ...]:
+        pts = []
+        for tok in text.split():
+            xy = [int(v) for v in tok.split(",")]
+            if len(xy) != 2:
+                raise ValueError(f"{path}: point {tok!r} needs two coordinates")
+            _check_symbols(f, xy, f"{path}: point")
+            pts.append(Point(*xy))
+        return tuple(pts)
+
+    points = parse_points(value("points"))
+    zero_points = parse_points(fields.get("zero_points", ""))
     wp_idx = [int(v) for v in value("wp").split()]
+    if len(set(wp_idx)) != len(wp_idx) or not all(0 <= h < len(points) for h in wp_idx):
+        raise ValueError(
+            f"{path}: wp indices must be distinct and in [0, {len(points) - 1}]"
+        )
     if kind == "curve":
         a, b, *terms = value("curve").split()
         poly_terms = {}
         for tok in terms:
             i, j, c = (int(v) for v in tok.split(","))
+            _check_symbols(f, [c], f"{path}: curve coefficient")
             poly_terms[(i, j)] = c
-        curve = CurveSpec(int(a), int(b), tuple(sorted(poly_terms.items())))
+        curve = curve_spec(int(a), int(b), poly_terms)
         order: MonomialOrder = WeightedCurveOrder(curve.a, curve.b)
         genus = curve.genus
     else:

@@ -7,6 +7,7 @@ from agcodes.bms import (
     PartialArray,
     SakataState,
     _Echelon,
+    _GradedOrder,
     _leq,
     bms,
     bms_with_voting,
@@ -15,13 +16,14 @@ from agcodes.bms import (
     parse_basis,
     vanishing_ideal_basis,
 )
+from agcodes import codec
 from agcodes.errors import (
     DecodingFailure,
     IncompleteCover,
     InconsistentKnownValues,
     ZeroCoordinatePoint,
 )
-from agcodes.galois import ONE, ZERO, gf9
+from agcodes.galois import ONE, ZERO, field_new, gf9
 from agcodes.geometry import (
     HyperbolicOrder,
     Point,
@@ -29,6 +31,7 @@ from agcodes.geometry import (
     defining_set,
     enumerate_points,
     hermitian_curve,
+    minimal_outside,
 )
 from agcodes.transform import Array2D, dft2
 
@@ -333,21 +336,72 @@ def test_voting_prefix_validation(basis_all):
         bms_with_voting(F9, PartialArray(arr, [(7, 7)]), WORDER, 3, ambient=basis_all)
 
 
-def test_sakata_validity_invariant_weighted_order():
+@pytest.mark.parametrize("order", [WORDER, _GradedOrder()], ids=["weighted", "graded"])
+def test_sakata_validity_invariant_weighted_order(order):
     # For a translation-invariant order, every minimal polynomial must
-    # pass every computable test at the cells processed so far.
+    # pass every computable test at the cells processed so far, be monic
+    # at its leading cell, and lead at a corner of the staircase.
     rng = random.Random(43)
-    cells = grid_cells(9, WORDER)
+    cells = grid_cells(9, order)
     for _ in range(50):
-        state = SakataState(F9, WORDER)
+        state = SakataState(F9, order)
         for c in cells[:20]:
             state.process(c, rng.randrange(-1, 8))
+            corners = sorted(minimal_outside(state.delta, 8), key=order.key)
+            assert [lt for lt, _ in state.F] == corners
             for lt, co in state.F:
+                assert co[lt] == ONE
+                assert all(order.key(s) < order.key(lt) for s in co if s != lt)
                 for w in state.assigned:
                     if not _leq(lt, w):
                         continue
                     d = state._test(lt, co, w)
                     assert d is None or d == ZERO, (lt, w)
+
+
+def _hermitian_q16():
+    f = field_new(2, 4, [1, 1, 0, 0, 1])
+    return codec.make_curve_code(f, hermitian_curve(f), 20)
+
+
+@pytest.mark.parametrize("name", [*codec.PRESETS, "hermitian-q16"])
+def test_sakata_never_skips_a_test_within_radius(monkeypatch, name):
+    # Within the decoding radius every test Sakata's update makes can be
+    # computed, so the update never needs a fallback.
+    spec = _hermitian_q16() if name == "hermitian-q16" else codec.preset(name)
+    f = spec.field
+    test = SakataState._test
+
+    def checked_test(self, lt, coeffs, w):
+        d = test(self, lt, coeffs, w)
+        assert d is not None, (lt, w)
+        return d
+
+    monkeypatch.setattr(SakataState, "_test", checked_test)
+    rng = random.Random(47)
+    for weight in range(spec.t_capability + 1):
+        for _ in range(20):
+            info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
+            sent = codec.encode_matrix_oracle(spec, info)
+            received = list(sent)
+            for pos in rng.sample(range(spec.n), weight):
+                received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+            assert codec.decode(spec, received)[0] == sent
+
+
+def test_sakata_refuses_hyperbolic_order():
+    with pytest.raises(ValueError, match="translation-invariant"):
+        SakataState(F9, HORDER)
+    e = Array2D.zeros(9)
+    e[(3, 5)] = 0
+    u = dft2(F9, e)
+    prefix = grid_cells(9, HORDER)[:10]
+    with pytest.raises(ValueError, match="translation-invariant"):
+        bms(F9, PartialArray(u, prefix), HORDER)
+    basis = bms(F9, PartialArray(u, all_cells()), HORDER)
+    assert basis.delta == ((0, 0),)
+    for poly in basis.elements:
+        assert poly.evaluate(F9, 3, 5) == ZERO
 
 
 def test_voting_collinear_errors(basis_all):

@@ -127,6 +127,46 @@ def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
     assert drop.strip("[]") in err
 
 
+@pytest.mark.parametrize(
+    "key, edit, message",
+    [
+        ("wp", lambda v: v.rsplit(" ", 1)[0] + " 24", "wp indices"),
+        ("wp", lambda v: v + " 0", "wp indices"),
+        ("points", lambda v: "0,1,5" + v[3:], "two coordinates"),
+        ("points", lambda v: "0,8" + v[3:], "element log"),
+        ("zero_points", lambda v: "-2,-1" + v[5:], "element log"),
+        ("kind", lambda v: "foo", "unknown kind"),
+        ("curve", lambda v: "2 4" + v[3:], "gcd"),
+        ("curve", lambda v: v.replace("0,3,0 ", ""), "y^3"),
+        ("curve", lambda v: v.replace("0,1,0", "0,1,9"), "element log"),
+    ],
+    ids=[
+        "wp-past-end",
+        "wp-duplicate",
+        "point-three-coords",
+        "point-above-range",
+        "zero-point-below-range",
+        "kind-unknown",
+        "curve-not-coprime",
+        "curve-no-leading-term",
+        "curve-coefficient-above-range",
+    ],
+)
+def test_spec_malformed_value(tmp_path, capsys, key, edit, message):
+    spec_path = tmp_path / "s.spec"
+    codec.save_spec(codec.preset("hermitian-q9"), str(spec_path))
+    lines = spec_path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        head, _, rest = line.partition(" ")
+        if head == key:
+            lines[k] = f"{key} {edit(rest)}"
+    spec_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["info", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert err.startswith("ValueError")
+    assert message in err
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     spec = codec.preset("hermitian-q9")
     rng = random.Random(1)

@@ -541,6 +541,24 @@ def test_decode_rejects_non_element_symbols(name, bad):
     spec = codec.preset(name)
     with pytest.raises(ValueError, match="element log"):
         codec.decode(spec, [bad] * spec.n)
+    # the public helpers validate their symbols the same way
+    with pytest.raises(ValueError, match="element log"):
+        codec.syndromes(spec, [bad] * spec.n)
+    with pytest.raises(ValueError, match="element log"):
+        codec.lengthened_syndromes(spec, [bad] * (spec.n + len(spec.zero_points)))
+    for zp in spec.zero_points:
+        with pytest.raises(ValueError, match="element log"):
+            codec.analogue_dft(spec, zp, bad)
+
+
+@pytest.mark.parametrize("name", codec.PRESETS)
+def test_lengthened_syndromes_rejects_wrong_length(name):
+    spec = codec.preset(name)
+    full = spec.n + len(spec.zero_points)
+    assert codec.lengthened_syndromes(spec, [ZERO] * full) == [ZERO] * len(spec.phi)
+    for length in (3, full - 1, full + 1):
+        with pytest.raises(ValueError, match="length"):
+            codec.lengthened_syndromes(spec, [ZERO] * length)
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)
