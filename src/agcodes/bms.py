@@ -24,7 +24,12 @@ Three synthesis entry points:
 * bms_with_voting() completes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
   Feng-Rao pair predictions drawn from the current minimal polynomial
-  set, then certified by re-extension and a support check.
+  set, then certified by re-extension and a count of the error support.
+  It returns the completed array and its inverse transform, the error
+  array; the locator basis is vanishing_ideal_basis() of the error
+  array's nonzero cells, since the staircase of a fully known array's
+  recurrence ideal has exactly one cell per nonzero cell of its inverse
+  transform.
 
 extend() fills a partially known array using the recurrences of a basis,
 with both cyclic index wrap and schedule independence.
@@ -560,7 +565,7 @@ class _GradedOrder:
     touches is already assigned, and that every componentwise split of a
     cell is a valid prediction pair.  Orders that are not translation
     invariant (the hyperbolic one) are swapped for this one while
-    processing; the returned basis is still taken in the caller's order.
+    processing; the caller's order still decides the syndrome prefix.
     """
 
     kind = "graded"
@@ -580,8 +585,8 @@ def bms_with_voting(
     ambient: GroebnerBasis | None = None,
     support: set[Cell] | None = None,
     stats: dict | None = None,
-) -> tuple[GroebnerBasis, Array2D]:
-    """Locator basis and full syndrome array from values on the defining set.
+) -> tuple[Array2D, Array2D]:
+    """(full syndrome array, error array) from values on the defining set.
 
     Grid cells are processed in a translation-invariant enumeration (the
     code's own order when it is one, a graded order otherwise).  Cells an
@@ -593,10 +598,11 @@ def bms_with_voting(
     The plurality value is taken, ties fail.  Whenever the staircase is
     small enough the current polynomial set is tried as a full solution.
     A completion is accepted only if it extends consistently, matches the
-    known syndromes, has a staircase (in the code's order) of at most
-    max_errors cells, and its inverse transform is supported on `support`
-    (when given) -- which pins it to the unique error pattern within the
-    decoding radius.
+    known syndromes, and its inverse transform (the error array) has at
+    most max_errors nonzero cells, all in `support` (when given) -- which
+    pins it to the unique error pattern within the decoding radius.  The
+    count equals the staircase size of the completion's recurrence ideal,
+    which has one cell per error point, so no locator basis is built.
     """
     q = f.q
     n = q - 1
@@ -641,20 +647,22 @@ def bms_with_voting(
                 return acc
         return None
 
-    def finalize(grid: list[list[Elt]]) -> tuple[GroebnerBasis, Array2D] | None:
-        arr = Array2D(q, grid)
-        basis = _synthesize_full(f, arr.data, order)
-        if len(basis.delta) > max_errors:
-            return None
-        if support is not None:
-            err = idft2(f, arr)
-            for i in range(n):
-                for j in range(n):
-                    if err.data[i][j] != ZERO and (i, j) not in support:
-                        return None
-        return basis, arr
+    def finalize(grid: list[list[Elt]]) -> tuple[Array2D, Array2D] | None:
+        """(grid, error array), or None when the error array has more than
+        max_errors nonzero cells or one outside the support."""
+        ext = Array2D(q, grid)
+        err = idft2(f, ext)
+        weight = 0
+        for i, row in enumerate(err.data):
+            for j, v in enumerate(row):
+                if v == ZERO:
+                    continue
+                weight += 1
+                if weight > max_errors or (support is not None and (i, j) not in support):
+                    return None
+        return ext, err
 
-    def try_certificate() -> tuple[GroebnerBasis, Array2D] | None:
+    def try_certificate() -> tuple[Array2D, Array2D] | None:
         # seed with every known syndrome, including ones not yet reached
         # by the processing enumeration
         values = dict(known)

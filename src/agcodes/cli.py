@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import codec
-from .bms import GroebnerBasis, PartialArray, bms_with_voting
+from .bms import GroebnerBasis, PartialArray, bms_with_voting, vanishing_ideal_basis
 from .errors import (
     AgcodesError,
     DecodingFailure,
@@ -36,7 +36,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import ZERO, field_new
-from .geometry import curve_spec
+from .geometry import Point, curve_spec
 
 _MASK = (1 << 64) - 1
 
@@ -255,7 +255,7 @@ def cmd_encode(args) -> int:
     if out_trailer:
         sv = codec.lengthened_syndromes(spec, word)
     else:
-        sv, _ = codec.syndromes(spec, word)
+        sv = codec.syndromes(spec, word)
     with open(args.out + ".check", "w") as fh:
         fh.write(" ".join(str(v) for v in sv) + "\n")
     print(f"wrote {args.out} and {args.out}.check")
@@ -378,7 +378,7 @@ def cmd_groebner(args) -> int:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"syndrome file must be a {n}x{n} array")
         known = {c: rows[c[0]][c[1]] for c in spec.phi}
-        basis, _ = bms_with_voting(
+        _, err = bms_with_voting(
             spec.field,
             PartialArray.from_values(spec.field.q, known),
             spec.order,
@@ -386,7 +386,8 @@ def cmd_groebner(args) -> int:
             ambient=spec.basis_all,
             support=spec.point_cells(),
         )
-        _print_basis(basis)
+        located = [Point(i, j) for i in range(n) for j in range(n) if err[(i, j)] != ZERO]
+        _print_basis(vanishing_ideal_basis(located, spec.order, spec.field))
     return 0
 
 

@@ -55,7 +55,7 @@ from .geometry import (
     eval_poly,
     hermitian_curve,
 )
-from .transform import Array2D, dft1, dft2, idft1, idft2
+from .transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
 
 Word = list  # list[Elt], one value per code location
 Info = list  # list[Elt], one value per information position
@@ -275,30 +275,32 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
     return [_monomials(f, p, spec.phi) for p in spec.points + spec.zero_points]
 
 
-def syndromes(spec: CodeSpec, word: Word):
-    """(values on the defining set, full DFT) of a word.
+def _point_array(spec: CodeSpec, word: Word) -> Array2D:
+    """The word at its point cells, zero elsewhere."""
+    arr = Array2D.zeros(spec.field.q)
+    for p, v in zip(spec.points, word):
+        arr[(p.x, p.y)] = v
+    return arr
 
-    For 2-D kinds the word is embedded at its point cells (zero
-    elsewhere) and the full Array2D of r(alpha^i, alpha^j) is returned;
-    for rs the full length-(q-1) DFT vector is returned.
+
+def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
+    """The word's transform on the defining set, one value per cell of phi.
+
+    For 2-D kinds r(alpha^i, alpha^j) of the word embedded at its point
+    cells is evaluated at the defining-set cells only (dft2_cells); for
+    rs these are the first r entries of its DFT.
     """
     f = spec.field
     _check_symbols(f, word, "word")
     if spec.kind == "rs":
-        full = dft1(f, list(word))
-        return full[: spec.r], full
+        return dft1(f, list(word))[: spec.r]
     if len(word) != spec.n:
         raise ValueError(f"word must have length {spec.n}")
-    arr = Array2D.zeros(f.q)
-    for p, v in zip(spec.points, word):
-        arr[(p.x, p.y)] = v
-    full = dft2(f, arr)
-    return [full[c] for c in spec.phi], full
+    return dft2_cells(f, _point_array(spec, word), list(spec.phi))
 
 
 def _is_codeword(spec: CodeSpec, word: Word) -> bool:
-    phi_vals, _ = syndromes(spec, word)
-    return all(v == ZERO for v in phi_vals)
+    return all(v == ZERO for v in syndromes(spec, word))
 
 
 # ---------------------------------------------------------------------------
@@ -390,32 +392,31 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
 
 def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     """Information verbatim at the information points, redundancy generated
-    by the recurrence of the redundant-point ideal."""
+    by the recurrence of the redundant-point ideal.
+
+    The syndromes of the information word (zero at the redundant points)
+    are extended by the redundant-point basis; the inverse transform of
+    the extension is the array red supported on the redundant points with
+    those syndromes, and the codeword carries -red there.
+    """
     if spec.kind == "rs":
         return rs_encode_euclid(spec.field, spec.r, info)
     f = spec.field
     _check_symbols(f, info, "info")
     if len(info) != spec.k:
         raise ValueError(f"info must have length {spec.k}")
-    arr = Array2D.zeros(f.q)
-    for p, v in zip(spec.wp_prime, info):
-        arr[(p.x, p.y)] = v
-    tilde = dft2(f, arr)
-    known = {c: tilde[c] for c in spec.phi}
-    breve = extend(PartialArray.from_values(f.q, known), spec.basis_wp, f)
-    sub_t = f.sub_table
-    diff = Array2D(
-        f.q,
-        [
-            [sub_t[a][b] for a, b in zip(trow, brow)]
-            for trow, brow in zip(tilde.data, breve.data)
-        ],
-    )
-    cw = idft2(f, diff)
-    word = [cw[(p.x, p.y)] for p in spec.points]
-    for p, v in zip(spec.wp_prime, info):
-        if cw[(p.x, p.y)] != v:
+    word = [ZERO] * spec.n
+    for h, v in zip(spec.info_positions(), info):
+        word[h] = v
+    known = dict(zip(spec.phi, syndromes(spec, word)))
+    red = idft2(f, extend(PartialArray.from_values(f.q, known), spec.basis_wp, f))
+    for p in spec.wp_prime:
+        if red[(p.x, p.y)] != ZERO:
             raise AssertionError("systematic position does not carry its symbol")
+    neg = f.sub_table[ZERO]
+    for h in spec.parity_positions():
+        p = spec.points[h]
+        word[h] = neg[red[(p.x, p.y)]]
     if not _is_codeword(spec, word):
         raise AssertionError("systematic encoder produced a parity violation")
     return word
@@ -529,9 +530,12 @@ def decode(
     """Correct a received word and return (codeword, information).
 
     mode selects how the information is read back: "systematic" from the
-    information points, "nonsystematic" from the free staircase cells of
-    the recovered extension.  The corrected word always re-passes the
-    parity check before it is returned.  When a dict is passed as stats
+    information points, "nonsystematic" from the corrected word's
+    transform at the free staircase cells.  The syndromes are the
+    received word's transform on the defining set only, and the error
+    array comes from the voting pass, so a decode makes one full inverse
+    transform.  The corrected word always re-passes the parity check
+    before it is returned.  When a dict is passed as stats
     it reports how many syndrome cells actually needed a vote
     ("voted_cells") and whether an early certificate completed the rest
     ("early_certificate").
@@ -546,9 +550,8 @@ def decode(
         )
     if len(received) != spec.n:
         raise ValueError(f"received word must have length {spec.n}")
-    _, full = syndromes(spec, received)
-    known = {c: full[c] for c in spec.phi}
-    basis, ext = bms_with_voting(
+    known = dict(zip(spec.phi, syndromes(spec, received)))
+    _, err = bms_with_voting(
         f,
         PartialArray.from_values(f.q, known),
         spec.order,
@@ -557,17 +560,15 @@ def decode(
         support=spec.point_cells(),
         stats=stats,
     )
-    err = idft2(f, ext)
     sub_t = f.sub_table
     corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
-    chk, _ = syndromes(spec, corrected)
-    if any(v != ZERO for v in chk):
+    if not _is_codeword(spec, corrected):
         raise DecodingFailure("corrected word fails the parity check")
     if mode == "systematic":
         wpp_idx = spec.info_positions()
         info = [corrected[h] for h in wpp_idx]
     elif mode == "nonsystematic":
-        info = [sub_t[full[c]][ext[c]] for c in spec.info_cells()]
+        info = dft2_cells(f, _point_array(spec, corrected), spec.info_cells())
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return corrected, info
@@ -766,6 +767,9 @@ def save_spec(spec: CodeSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> CodeSpec:
+    """Read a spec file written by save_spec; ValueError names the file
+    and the key or section of anything malformed, off the curve, or a
+    stored basis that is not the Groebner basis of its points."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -795,54 +799,106 @@ def load_spec(path: str) -> CodeSpec:
             raise ValueError(f"{path}: missing section [{name}]")
         return "\n".join(sections[name])
 
-    p, m_deg, *poly = value("field").split()
-    f = field_new(int(p), int(m_deg), [int(c) for c in poly])
+    def ints(key: str, tok: str, what: str, count: int = 1) -> list[int]:
+        """The count comma-separated integers of one token of a key."""
+        parts = tok.split(",")
+        try:
+            if len(parts) == count:
+                return [int(v) for v in parts]
+        except ValueError:
+            pass
+        raise ValueError(f"{path}: {key} token {tok!r} must be {what}")
+
+    def num(key: str, tok: str) -> int:
+        return ints(key, tok, "an integer")[0]
+
+    field_nums = [num("field", tok) for tok in value("field").split()]
+    if len(field_nums) < 2:
+        raise ValueError(f"{path}: field needs p, m and the polynomial coefficients")
+    f = field_new(field_nums[0], field_nums[1], field_nums[2:])
     kind = value("kind")
     if kind not in ("curve", "hcrs", "rs"):
         raise ValueError(f"{path}: unknown kind {kind!r}")
     if kind == "rs":
-        return make_rs_code(f, int(value("r")))
-    m = int(value("m"))
+        return make_rs_code(f, num("r", value("r")))
+    m = num("m", value("m"))
 
-    def parse_points(text: str) -> tuple[Point, ...]:
+    def parse_points(key: str, text: str) -> tuple[Point, ...]:
         pts = []
         for tok in text.split():
-            xy = [int(v) for v in tok.split(",")]
-            if len(xy) != 2:
-                raise ValueError(f"{path}: point {tok!r} needs two coordinates")
+            xy = ints(key, tok, "two coordinates x,y", 2)
             _check_symbols(f, xy, f"{path}: point")
             pts.append(Point(*xy))
+        if len(set(pts)) != len(pts):
+            raise ValueError(f"{path}: {key} are not distinct")
         return tuple(pts)
 
-    points = parse_points(value("points"))
-    zero_points = parse_points(fields.get("zero_points", ""))
-    wp_idx = [int(v) for v in value("wp").split()]
+    points = parse_points("points", value("points"))
+    zero_points = parse_points("zero_points", fields.get("zero_points", ""))
+    if any(p.x == ZERO or p.y == ZERO for p in points):
+        raise ValueError(f"{path}: points need nonzero coordinates")
+    if any(p.x != ZERO and p.y != ZERO for p in zero_points):
+        raise ValueError(f"{path}: zero_points need a zero coordinate")
+    wp_idx = [num("wp", tok) for tok in value("wp").split()]
     if len(set(wp_idx)) != len(wp_idx) or not all(0 <= h < len(points) for h in wp_idx):
         raise ValueError(
             f"{path}: wp indices must be distinct and in [0, {len(points) - 1}]"
         )
     if kind == "curve":
-        a, b, *terms = value("curve").split()
+        toks = value("curve").split()
+        if len(toks) < 2:
+            raise ValueError(f"{path}: curve needs a, b and the polynomial terms")
         poly_terms = {}
-        for tok in terms:
-            i, j, c = (int(v) for v in tok.split(","))
+        for tok in toks[2:]:
+            i, j, c = ints("curve", tok, "three integers i,j,c", 3)
             _check_symbols(f, [c], f"{path}: curve coefficient")
             poly_terms[(i, j)] = c
-        curve = curve_spec(int(a), int(b), poly_terms)
+        try:
+            curve = curve_spec(num("curve", toks[0]), num("curve", toks[1]), poly_terms)
+        except ValueError as e:
+            raise ValueError(f"{path}: curve: {e}") from None
+        for p in points + zero_points:
+            if eval_poly(f, poly_terms, p.x, p.y) != ZERO:
+                raise ValueError(f"{path}: point {p.x},{p.y} is not on the curve")
         order: MonomialOrder = WeightedCurveOrder(curve.a, curve.b)
         genus = curve.genus
     else:
         curve = None
         order = HyperbolicOrder()
         genus = 0
-    basis_wp = parse_basis(section("basis_wp"), order)
-    basis_all = parse_basis(section("basis_all"), order)
     phi = defining_set(order, m, f)
     wpset = {points[h] for h in wp_idx}
     wp = tuple(p for p in points if p in wpset)
     wpp = tuple(p for p in points if p not in wpset)
     if len(wp) != len(phi):
-        raise ValueError("redundant-point count does not match the defining set")
+        raise ValueError(f"{path}: redundant-point count does not match the defining set")
+
+    def point_basis(name: str, pts: tuple[Point, ...]) -> GroebnerBasis:
+        """The section's basis, checked to be the Groebner basis of the
+        ideal of pts: its elements vanish at every point, and its finite
+        staircase has one cell per point, so it spans no smaller ideal."""
+        text = section(name)
+        try:
+            basis = parse_basis(text, order)
+        except ValueError as e:
+            raise ValueError(f"{path}: [{name}]: {e}") from None
+        for poly in basis.elements:
+            for p in pts:
+                if poly.evaluate(f, p.x, p.y) != ZERO:
+                    raise ValueError(
+                        f"{path}: [{name}] element led by {poly.lt} "
+                        f"does not vanish at point {p.x},{p.y}"
+                    )
+        lts = [poly.lt for poly in basis.elements]
+        finite = any(j == 0 for _, j in lts) and any(i == 0 for i, _ in lts)
+        if not finite or len(basis.delta) != len(pts):
+            raise ValueError(f"{path}: [{name}] staircase does not have one cell per point")
+        return basis
+
+    basis_wp = point_basis("basis_wp", wp)
+    basis_all = point_basis("basis_all", points)
+    if set(basis_wp.delta) != set(phi):
+        raise ValueError(f"{path}: [basis_wp] staircase is not the defining set")
     return CodeSpec(
         field=f,
         kind=kind,

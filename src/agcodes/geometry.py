@@ -206,13 +206,20 @@ def is_downward_closed(cells: Iterable[Cell]) -> bool:
 
 def minimal_outside(cells: Iterable[Cell], bound: int) -> list[Cell]:
     """Minimal elements (under componentwise <=) of the complement of a
-    downward-closed set, searched within [0, bound]^2."""
-    s = set(cells)
+    downward-closed set, searched within [0, bound]^2, by ascending i.
+
+    Column i of the set is (i, 0), ..., (i, h_i - 1), and h is
+    non-increasing, so column i has a corner (i, h_i) exactly when its
+    height drops below the previous column's.
+    """
+    height = [0] * (bound + 1)
+    for i, j in cells:
+        if i <= bound and j >= height[i]:
+            height[i] = j + 1
     out = []
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if (i, j) in s:
-                continue
-            if (i == 0 or (i - 1, j) in s) and (j == 0 or (i, j - 1) in s):
-                out.append((i, j))
+    prev = bound + 1
+    for i, h in enumerate(height):
+        if h < prev and h <= bound:
+            out.append((i, h))
+        prev = h
     return out

@@ -16,8 +16,9 @@ The 1-D inverse carries the single normalization factor
 This is the only place a sign convention enters.
 
 Transforms are computed by row-column decomposition into 1-D transforms,
-each evaluated by Horner's rule.  All functions are pure and return
-fresh arrays.
+each evaluated by Horner's rule.  dft2_cells evaluates dft2 only at a
+list of cells, for the syndromes on a defining set.  All functions are
+pure and return fresh arrays.
 """
 
 from __future__ import annotations
@@ -123,3 +124,35 @@ def dft2(f: Field, a: Array2D) -> Array2D:
 def idft2(f: Field, a: Array2D) -> Array2D:
     """out[r][s] = sum a[i][j] * alpha^(-ri-sj); exact inverse of dft2."""
     return _transform2(f, a, -1)
+
+
+def dft2_cells(f: Field, a: Array2D, cells: list[tuple[int, int]]) -> list[Elt]:
+    """[dft2(f, a)[c] for c in cells], without the rest of the transform.
+
+    A row pass evaluates every row at alpha^j for the distinct j of the
+    cells, then one Horner column per cell evaluates the results at
+    alpha^i: n^2*|J| + n*|cells| steps against 2n^3 for a full dft2.
+    """
+    if a.q != f.q:
+        raise DimensionMismatch("array built for a different field size")
+    add_t, mul_t = f.add_table, f.mul_table
+    # Horner form of a vector: its last entry, then the rest reversed
+    rows = [(row[-1], row[-2::-1]) for row in a.data]
+    cols = {}  # j -> Horner form of [row r of a at alpha^j for every r]
+    for j in {c[1] for c in cells}:
+        mw = mul_t[j]
+        col = []
+        for top, rest in rows:
+            acc = top
+            for v in rest:
+                acc = add_t[mw[acc]][v]
+            col.append(acc)
+        cols[j] = (col[-1], col[-2::-1])
+    out = []
+    for i, j in cells:
+        mw = mul_t[i]
+        acc, rest = cols[j]
+        for v in rest:
+            acc = add_t[mw[acc]][v]
+        out.append(acc)
+    return out

@@ -9,6 +9,7 @@ from agcodes.bms import (
     _Echelon,
     _GradedOrder,
     _leq,
+    _synthesize_full,
     bms,
     bms_with_voting,
     extend,
@@ -292,12 +293,19 @@ def _syndromes_of(err_cells, phi):
     return u, PartialArray.from_values(9, {c: u[c] for c in phi})
 
 
+def _locator(err, order):
+    """The locator basis: the vanishing ideal of the error array's support."""
+    support = [Point(i, j) for i in range(8) for j in range(8) if err[(i, j)] != ZERO]
+    return vanishing_ideal_basis(support, order, F9)
+
+
 def test_voting_zero_syndromes(basis_all):
     phi = defining_set(WORDER, 11, F9)
     _, pa = _syndromes_of({}, phi)
-    basis, ext = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all)
+    ext, err = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all)
     assert ext == Array2D.zeros(9)
-    assert basis.delta == ()
+    assert err == Array2D.zeros(9)
+    assert _locator(err, WORDER).delta == ()
 
 
 def test_voting_single_error_closed_form(basis_all):
@@ -305,9 +313,10 @@ def test_voting_single_error_closed_form(basis_all):
     p = HERM_POINTS[5]
     u, pa = _syndromes_of({(p.x, p.y): 3}, phi)
     support = {(pt.x, pt.y) for pt in HERM_POINTS}
-    basis, ext = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
+    ext, err = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
     assert ext == u  # full array equals alpha^3 * dft2(point indicator)
-    assert len(basis.delta) == 1
+    assert [(c, err[c]) for c in all_cells() if err[c] != ZERO] == [((p.x, p.y), 3)]
+    assert len(_locator(err, WORDER).delta) == 1
     for i in range(8):
         for j in range(8):
             assert ext[(i, j)] == (3 + p.x * i + p.y * j) % 8
@@ -321,11 +330,12 @@ def test_voting_three_errors_matches_truth(basis_all):
         pts = rng.sample(HERM_POINTS, 3)
         errs = {(p.x, p.y): rng.randrange(0, 8) for p in pts}
         u, pa = _syndromes_of(errs, phi)
-        basis, ext = bms_with_voting(
+        ext, err = bms_with_voting(
             F9, pa, WORDER, 3, ambient=basis_all, support=support
         )
         assert ext == u
-        for poly in basis.elements:
+        assert {c: err[c] for c in all_cells() if err[c] != ZERO} == errs
+        for poly in _locator(err, WORDER).elements:
             for p in pts:
                 assert poly.evaluate(F9, p.x, p.y) == ZERO
 
@@ -389,6 +399,35 @@ def test_sakata_never_skips_a_test_within_radius(monkeypatch, name):
             assert codec.decode(spec, received)[0] == sent
 
 
+@pytest.mark.parametrize("name", ["hermitian-q9", "hcrs-q9", "hermitian-q16"])
+def test_error_support_locator_equals_full_synthesis(name):
+    # The locator is the vanishing ideal of the error array's support;
+    # it is the reduced basis the full synthesis of the completed array
+    # gives, whose staircase has one cell per error point.
+    spec = _hermitian_q16() if name == "hermitian-q16" else codec.preset(name)
+    f = spec.field
+    rng = random.Random(53)
+    for weight in range(spec.t_capability + 1):
+        for _ in range(4):
+            word = [ZERO] * spec.n
+            for pos in rng.sample(range(spec.n), weight):
+                word[pos] = rng.randrange(f.q - 1)
+            known = dict(zip(spec.phi, codec.syndromes(spec, word)))
+            ext, err = bms_with_voting(
+                f,
+                PartialArray.from_values(f.q, known),
+                spec.order,
+                spec.t_capability,
+                ambient=spec.basis_all,
+                support=spec.point_cells(),
+            )
+            assert [err[(p.x, p.y)] for p in spec.points] == word
+            located = [Point(*c) for c in grid_cells(f.q, spec.order) if err[c] != ZERO]
+            assert len(located) == weight
+            locator = vanishing_ideal_basis(located, spec.order, f).serialize()
+            assert locator == _synthesize_full(f, ext.data, spec.order).serialize()
+
+
 def test_sakata_refuses_hyperbolic_order():
     with pytest.raises(ValueError, match="translation-invariant"):
         SakataState(F9, HORDER)
@@ -414,5 +453,5 @@ def test_voting_collinear_errors(basis_all):
     line = next(pts for pts in x_lines.values() if len(pts) == 3)
     errs = {(p.x, p.y): v for p, v in zip(line, (1, 2, 7))}
     u, pa = _syndromes_of(errs, phi)
-    _, ext = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
+    ext, _ = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
     assert ext == u

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from agcodes import codec
+from agcodes.bms import vanishing_ideal_basis
 from agcodes.cli import (
     Xorshift64Star,
     main,
@@ -11,6 +12,7 @@ from agcodes.cli import (
     write_array_file,
 )
 from agcodes.galois import ZERO, gf9
+from agcodes.transform import Array2D, dft2
 
 F9 = gf9()
 
@@ -139,6 +141,25 @@ def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
         ("curve", lambda v: "2 4" + v[3:], "gcd"),
         ("curve", lambda v: v.replace("0,3,0 ", ""), "y^3"),
         ("curve", lambda v: v.replace("0,1,0", "0,1,9"), "element log"),
+        ("curve", lambda v: v + " 0,1", "curve token '0,1'"),
+        ("curve", lambda v: v + " 0,x,1", "curve token '0,x,1'"),
+        ("curve", lambda v: "3", "curve needs"),
+        ("field", lambda v: "3 z" + v[3:], "field token 'z'"),
+        ("field", lambda v: "3", "field needs"),
+        ("m", lambda v: "11.5", "m token '11.5'"),
+        ("points", lambda v: "0,y" + v[3:], "points token '0,y'"),
+        ("zero_points", lambda v: "a,-1" + v[5:], "zero_points token 'a,-1'"),
+        ("wp", lambda v: v + " x", "wp token 'x'"),
+        ("points", lambda v: "0,0" + v[3:], "point 0,0 is not on the curve"),
+        ("points", lambda v: "1,0 " + v, "points are not distinct"),
+        ("points", lambda v: "-1,-1" + v[3:], "points need nonzero coordinates"),
+        ("zero_points", lambda v: "0,4" + v[5:], "zero_points need a zero coordinate"),
+        ("zero_points", lambda v: "-1,0" + v[5:], "point -1,0 is not on the curve"),
+        ("[basis_wp]", lambda v: _bump_tail_coefficient(v), "does not vanish"),
+        ("[basis_all]", lambda v: _bump_tail_coefficient(v), "does not vanish"),
+        ("[basis_wp]", lambda v: _drop_last_poly(v), "one cell per point"),
+        ("[basis_all]", lambda v: _drop_last_poly(v), "one cell per point"),
+        ("[basis_wp]", lambda v: v.replace("4 0 0", "4 0 0 7", 1), "[basis_wp]: "),
     ],
     ids=[
         "wp-past-end",
@@ -150,21 +171,94 @@ def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
         "curve-not-coprime",
         "curve-no-leading-term",
         "curve-coefficient-above-range",
+        "curve-term-two-numbers",
+        "curve-term-not-a-number",
+        "curve-no-terms",
+        "field-not-a-number",
+        "field-too-short",
+        "m-not-a-number",
+        "point-not-a-number",
+        "zero-point-not-a-number",
+        "wp-not-a-number",
+        "point-off-curve",
+        "point-repeated",
+        "point-zero-coordinate",
+        "zero-point-nonzero-coordinates",
+        "zero-point-off-curve",
+        "basis-wp-wrong-coefficient",
+        "basis-all-wrong-coefficient",
+        "basis-wp-staircase-too-large",
+        "basis-all-staircase-too-large",
+        "basis-wp-malformed-term",
     ],
 )
 def test_spec_malformed_value(tmp_path, capsys, key, edit, message):
     spec_path = tmp_path / "s.spec"
     codec.save_spec(codec.preset("hermitian-q9"), str(spec_path))
     lines = spec_path.read_text().splitlines()
-    for k, line in enumerate(lines):
-        head, _, rest = line.partition(" ")
-        if head == key:
-            lines[k] = f"{key} {edit(rest)}"
+    if key.startswith("["):
+        start = lines.index(key) + 1
+        end = next(
+            (k for k in range(start, len(lines)) if lines[k].startswith("[")),
+            len(lines),
+        )
+        lines[start:end] = edit("\n".join(lines[start:end])).splitlines()
+    else:
+        for k, line in enumerate(lines):
+            head, _, rest = line.partition(" ")
+            if head == key:
+                lines[k] = f"{key} {edit(rest)}"
     spec_path.write_text("\n".join(lines) + "\n")
     code, _, err = run(["info", "--spec", str(spec_path)], capsys)
     assert code == 2
     assert err.startswith("ValueError")
     assert message in err
+    assert str(spec_path) in err
+
+
+def _bump_tail_coefficient(section):
+    """Change the coefficient of the second term of the first polynomial."""
+    lines = section.splitlines()
+    k = lines.index("poly") + 2
+    i, j, c = lines[k].split()
+    lines[k] = f"{i} {j} {(int(c) + 1) % 8}"
+    return "\n".join(lines)
+
+
+def _drop_last_poly(section):
+    lines = section.splitlines()
+    return "\n".join(lines[: len(lines) - 1 - lines[::-1].index("poly")])
+
+
+def test_spec_nongeneric_redundant_points(tmp_path, capsys):
+    # points 0..8 lie on three x-lines; their point ideal's staircase is
+    # not the defining set, so the stored basis_wp cannot serve as one
+    spec = codec.preset("hermitian-q9")
+    wp = spec.points[:9]
+    basis = vanishing_ideal_basis(wp, spec.order, F9)
+    assert set(basis.delta) != set(spec.phi)
+    spec_path = tmp_path / "s.spec"
+    codec.save_spec(spec, str(spec_path))
+    lines = spec_path.read_text().splitlines()
+    start, end = lines.index("[basis_wp]") + 1, lines.index("[basis_all]")
+    lines[start:end] = basis.serialize().splitlines()
+    lines[lines.index("wp 0 1 2 3 4 5 6 7 9")] = "wp 0 1 2 3 4 5 6 7 8"
+    spec_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["info", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert err.startswith("ValueError")
+    assert "staircase is not the defining set" in err and str(spec_path) in err
+
+
+def test_rs_spec_malformed_r(tmp_path, capsys):
+    spec_path = tmp_path / "s.spec"
+    codec.save_spec(codec.preset("rs-q9"), str(spec_path))
+    text = spec_path.read_text().replace("r 4", "r four")
+    spec_path.write_text(text)
+    code, _, err = run(["info", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert err.startswith("ValueError")
+    assert "r token 'four'" in err and str(spec_path) in err
 
 
 def test_encode_decode_roundtrip(tmp_path, capsys):
@@ -260,7 +354,7 @@ def test_decode_failure_exit_code(tmp_path, capsys):
             assert code == 0
             rows, _ = read_array_file(str(tmp_path / "d.arr"), 9)
             got = [rows[p.x][p.y] for p in spec.points]
-            sv, _ = codec.syndromes(spec, got)
+            sv = codec.syndromes(spec, got)
             assert all(v == ZERO for v in sv)
     assert seen4
 
@@ -358,7 +452,10 @@ def test_groebner_errors(tmp_path, capsys):
     for p in err_points:
         h = spec.points.index(p)
         rx[h] = F9.add(rx[h], 3)
-    _, full = codec.syndromes(spec, rx)
+    arr = Array2D.zeros(9)
+    for p, v in zip(spec.points, rx):
+        arr[(p.x, p.y)] = v
+    full = dft2(F9, arr)
     synfile = tmp_path / "syn.arr"
     write_array_file(str(synfile), 9, [row[:] for row in full.data])
     code, out, _ = run(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from agcodes import codec
+from agcodes import bms, codec
 from agcodes.errors import (
     BadRedundancy,
     DecodingFailure,
@@ -130,7 +130,7 @@ def test_oracle_parity_random(herm):
     rng = random.Random(1)
     for _ in range(200):
         word = codec.encode_matrix_oracle(herm, rand_info(rng, herm.k))
-        sv, _ = codec.syndromes(herm, word)
+        sv = codec.syndromes(herm, word)
         assert all(v == ZERO for v in sv)
 
 
@@ -145,7 +145,7 @@ def test_nonsystematic_parity_and_injectivity(herm):
     for _ in range(100):
         info = rand_info(rng, herm.k)
         word = codec.encode_nonsystematic(herm, info)
-        sv, _ = codec.syndromes(herm, word)
+        sv = codec.syndromes(herm, word)
         assert all(v == ZERO for v in sv)
         if any(v != ZERO for v in info):
             assert any(v != ZERO for v in word)
@@ -184,6 +184,32 @@ def test_encoder_linearity(herm):
         assert wc == [f.add(x, f.mul(lam, y)) for x, y in zip(wa, wb)]
 
 
+# -- transform count ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["hermitian-q9", "hcrs-q9"])
+def test_one_inverse_transform_per_encode_and_decode(monkeypatch, name):
+    # Syndromes are evaluated on the defining set only, and the decoder
+    # takes its error array from the voting pass: a systematic encode and
+    # a clean decode each make exactly one full transform, an inverse one.
+    spec = codec.preset(name)
+    calls = {"dft2": 0, "idft2": 0}
+    for module in (codec, bms):
+        for fname in calls:
+
+            def counted(*args, _fn=getattr(module, fname), _name=fname):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, fname, counted)
+    info = [v % 9 - 1 for v in range(spec.k)]
+    word = codec.encode_systematic(spec, info)
+    assert calls == {"dft2": 0, "idft2": 1}
+    calls.update(dft2=0, idft2=0)
+    assert codec.decode(spec, word) == (word, info)
+    assert calls == {"dft2": 0, "idft2": 1}
+
+
 # -- syndromes ---------------------------------------------------------------
 
 
@@ -192,7 +218,7 @@ def test_syndromes_single_error_closed_form(herm):
     h = 7
     word[h] = 3
     p = herm.points[h]
-    sv, full = codec.syndromes(herm, word)
+    sv = codec.syndromes(herm, word)
     for (i, j), v in zip(herm.phi, sv):
         assert v == (3 + p.x * i + p.y * j) % 8
 
@@ -203,7 +229,7 @@ def test_syndromes_match_check_matrix_all_families(herm, hcrs, rs4):
         h = codec.check_matrix(spec)[: spec.n]
         for _ in range(100):
             word = [rng.randrange(-1, 8) for _ in range(spec.n)]
-            sv, _ = codec.syndromes(spec, word)
+            sv = codec.syndromes(spec, word)
             for l in range(len(spec.phi)):
                 acc = ZERO
                 for pos in range(spec.n):
@@ -314,7 +340,7 @@ def test_decode_never_returns_unparityed(herm):
             got, _ = codec.decode(herm, rx)
         except DecodingFailure:
             continue
-        sv, _ = codec.syndromes(herm, got)
+        sv = codec.syndromes(herm, got)
         assert all(v == ZERO for v in sv)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from agcodes.errors import DimensionMismatch
 from agcodes.galois import ZERO, field_new, gf9
-from agcodes.transform import Array2D, dft1, dft2, idft1, idft2
+from agcodes.geometry import HyperbolicOrder, WeightedCurveOrder, defining_set
+from agcodes.transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +195,35 @@ def test_transforms_larger_field(name):
     check_dft1_roundtrip(f)
 
 
+# (order, m) of each benchmarked 2-D code on the field; every field also
+# gets the rs-q9 defining set (i, 0), i < 4
+PHI_PARAMS = {
+    "GF(9)": [(WeightedCurveOrder(3, 4), 11), (HyperbolicOrder(), 9)],
+    "GF(16)": [(WeightedCurveOrder(4, 5), 20), (HyperbolicOrder(), 12)],
+    "GF(25)": [(WeightedCurveOrder(5, 6), 30)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_PARAMS))
+def test_dft2_cells_matches_dft2(name):
+    f = gf9() if name == "GF(9)" else field_new(*LARGER_FIELDS[name])
+    n = f.q - 1
+    rng = random.Random(19)
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    cell_lists = [defining_set(order, m, f) for order, m in PHI_PARAMS[name]]
+    cell_lists += [[(i, 0) for i in range(4)], [], grid]
+    for _ in range(4):
+        a = random_array(f, rng)
+        full = dft2(f, a)
+        subset = rng.sample(grid, rng.randrange(1, len(grid)))
+        for cells in cell_lists + [subset]:
+            assert dft2_cells(f, a, cells) == [full[c] for c in cells]
+
+
 def test_dimension_mismatch(f9):
     with pytest.raises(DimensionMismatch):
         dft1(f9, [0, 0, 0])
     with pytest.raises(DimensionMismatch):
         Array2D(9, [[ZERO] * 7 for _ in range(8)])
+    with pytest.raises(DimensionMismatch):
+        dft2_cells(f9, Array2D.zeros(16), [(0, 0)])
