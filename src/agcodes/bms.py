@@ -13,13 +13,15 @@ Three synthesis entry points:
   of the ideal of all cyclically valid recurrences, computed by linear
   algebra on shift functionals (Buchberger-Moeller style).  For the DFT
   of a point indicator this ideal is the vanishing ideal of the points.
+  It is full-array only and raises ValueError unless every cell is known.
 
-* bms() on an order-prefix of an array runs Sakata's incremental
-  two-dimensional Berlekamp-Massey update (Sakata 1988), which needs a
-  translation-invariant order.  A polynomial failing at cell c and moved
-  to a new corner t2 is kept as it is when t2 is not <= c, and otherwise
-  corrected by a failure recorded before c.  A test that needs a cell
-  outside the grid is skipped.
+* SakataState is the entry point for an order prefix: cells fed to
+  process() in the enumeration of a translation-invariant order run
+  Sakata's incremental two-dimensional Berlekamp-Massey update (Sakata
+  1988).  A polynomial failing at cell c and moved to a new corner t2 is
+  kept as it is when t2 is not <= c, and otherwise corrected by a
+  failure recorded before c.  A test that needs a cell outside the grid
+  is skipped.
 
 * bms_with_voting() completes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
@@ -32,7 +34,11 @@ Three synthesis entry points:
   transform.
 
 extend() fills a partially known array using the recurrences of a basis,
-with both cyclic index wrap and schedule independence.
+with both cyclic index wrap and schedule independence.  Partial arrays
+are dicts from cell to value; a grid (a list of rows, None where the
+value is unknown) is the working store.  One kernel, _forced(), applies
+solved recurrences to it: extend() runs it to a fixpoint, and the voting
+pass calls it once per cell on the ambient recurrences.
 """
 
 from __future__ import annotations
@@ -128,21 +134,6 @@ def parse_basis(text: str, order: MonomialOrder) -> GroebnerBasis:
     ]
     delta.sort(key=order.key)
     return GroebnerBasis(tuple(polys), tuple(delta), order)
-
-
-@dataclass
-class PartialArray:
-    """An Array2D together with the set of cells whose values are known."""
-
-    arr: Array2D
-    known: list[Cell]
-
-    @classmethod
-    def from_values(cls, q: int, values: dict[Cell, Elt]) -> "PartialArray":
-        arr = Array2D.zeros(q)
-        for cell, v in values.items():
-            arr[cell] = v
-        return cls(arr, sorted(values))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,9 @@ class _Record:
 class SakataState:
     """Minimal polynomial set F and auxiliary failures G, updated per cell.
 
-    Cells arrive in the order's enumeration.  The order must be
+    This is the entry point for an order prefix of an array (bms() takes
+    full arrays only).  Cells arrive in the order's enumeration, and their
+    values are kept in grid (None until processed).  The order must be
     translation invariant (s < t implies s+d < t+d), so the hyperbolic one
     is refused.  Each element of F is monic at its leading cell, and the
     leading cells are the corners of the staircase delta.  A test that
@@ -302,7 +295,14 @@ class SakataState:
 
     * t2 not <= c: f is kept as it is; no test led by t2 reaches c yet.
     * t2 <= c: a failure g recorded before c whose span covers c - t2 is
-      shifted and scaled so that its discrepancy cancels f's at c.
+      shifted and scaled so that its discrepancy cancels f's at c; the
+      one with the largest span is taken.
+
+    G keeps only its span frontier (pairwise incomparable spans), as
+    Sakata keeps one record per staircase corner.  That takes the same
+    record as keeping every failure: a span covered by another is never
+    the largest key among the records covering a target, and of equal
+    spans the older record, with the smaller leading cell, is kept.
     """
 
     def __init__(self, f: Field, order: MonomialOrder):
@@ -311,7 +311,7 @@ class SakataState:
         self.f = f
         self.order = order
         self.n = f.q - 1
-        self.assigned: dict[Cell, Elt] = {}
+        self.grid: list[list[Elt | None]] = [[None] * self.n for _ in range(self.n)]
         self.delta: set[Cell] = set()
         # F as (lt, coeffs) pairs, kept sorted by order key of lt
         self.F: list[tuple[Cell, dict[Cell, Elt]]] = [((0, 0), {(0, 0): ONE})]
@@ -321,13 +321,17 @@ class SakataState:
     # -- discrepancies ----------------------------------------------------
 
     def _test(self, lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
-        """Recurrence sum of the polynomial at shift w, None if untestable."""
+        """Recurrence sum of the polynomial at shift w (at or above lt),
+        None if untestable."""
         add_t, mul_t = self.f.add_table, self.f.mul_table
-        assigned = self.assigned
+        grid, n = self.grid, self.n
         d0, d1 = w[0] - lt[0], w[1] - lt[1]
         acc = ZERO
         for (s0, s1), c in coeffs.items():
-            v = assigned.get((s0 + d0, s1 + d1))
+            i, j = s0 + d0, s1 + d1
+            if i >= n or j >= n:
+                return None
+            v = grid[i][j]
             if v is None:
                 return None
             acc = add_t[acc][mul_t[c][v]]
@@ -336,7 +340,7 @@ class SakataState:
     # -- the update -------------------------------------------------------
 
     def process(self, c: Cell, value: Elt) -> None:
-        self.assigned[c] = value
+        self.grid[c[0]][c[1]] = value
         fails: list[tuple[Cell, dict[Cell, Elt], Elt]] = []
         for lt, coeffs in self.F:
             if lt[0] <= c[0] and lt[1] <= c[1]:
@@ -359,7 +363,10 @@ class SakataState:
         self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners]
         self.F.sort(key=lambda e: self.order.key(e[0]))
         # only failures at cells before c may correct a failure at c
-        self.G.extend(records)
+        for r in records:
+            if not any(_leq(r.span, g.span) for g in self.G):
+                self.G = [g for g in self.G if not _leq(g.span, r.span)]
+                self.G.append(r)
 
     def _poly_for_corner(
         self,
@@ -391,8 +398,8 @@ class SakataState:
             # Measured, that happens only beyond the decoding radius, where
             # the decoder's final checks reject the result.
             return h
-        # largest span first, then smallest leading cell
-        r = min(recs, key=lambda r: (tuple(-x for x in key(r.span)), key(r.lt)))
+        # the spans are distinct, so the largest one decides
+        r = max(recs, key=lambda r: key(r.span))
         # x^e g with e = span - (c - t2): its test at c is g's recorded
         # failing test, and its leading cell r.lt + r.span - (c - t2) lies
         # below t2, since g failed before c and the order is translation
@@ -413,24 +420,18 @@ class SakataState:
         return GroebnerBasis(elems, delta, order)
 
 
-def bms(f: Field, known: PartialArray, order: MonomialOrder) -> GroebnerBasis:
-    """Minimal recurrence set for the known cells of an array.
+def bms(f: Field, values: dict[Cell, Elt], order: MonomialOrder) -> GroebnerBasis:
+    """Reduced Groebner basis of the recurrences of a fully known array.
 
-    A fully known array gets the exact cyclic synthesis; a proper prefix
-    (in the order's enumeration) is processed by Sakata's update.
+    ValueError unless every grid cell has a value; an order prefix is fed
+    to SakataState.process() instead.
     """
-    q = known.arr.q
-    cells = grid_cells(q, order)
-    kset = set(known.known)
-    if len(kset) == (q - 1) ** 2:
-        return _synthesize_full(f, known.arr.data, order)
-    prefix = cells[: len(kset)]
-    if set(prefix) != kset:
-        raise ValueError("known cells must form a prefix of the order enumeration")
-    state = SakataState(f, order)
-    for c in prefix:
-        state.process(c, known.arr[c])
-    return state.basis()
+    n = f.q - 1
+    try:
+        data = [[values[(i, j)] for j in range(n)] for i in range(n)]
+    except KeyError as e:
+        raise ValueError(f"bms needs every grid cell; {e.args[0]} is unknown") from None
+    return _synthesize_full(f, data, order)
 
 
 # ---------------------------------------------------------------------------
@@ -459,46 +460,55 @@ def _solved_rules(
     return rules
 
 
+def _forced(
+    add_t: list[list[Elt]],
+    rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
+    grid: list[list[Elt | None]],
+    w: Cell,
+) -> Elt | None:
+    """The value the first rule led at or below w forces there, reading
+    the grid cyclically; None when no such rule has all its cells known."""
+    n = len(grid)
+    w0, w1 = w
+    for (l0, l1), tail in rules:
+        if l0 > w0 or l1 > w1:
+            continue
+        acc = ZERO
+        for e0, e1, row in tail:
+            v = grid[(w0 + e0) % n][(w1 + e1) % n]
+            if v is None:
+                break
+            acc = add_t[acc][row[v]]
+        else:
+            return acc
+    return None
+
+
 def _fill_by_recurrences(
     f: Field,
-    q: int,
-    values: dict[Cell, Elt],
+    grid: list[list[Elt | None]],
     elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
     schedule: list[Cell],
-) -> list[list[Elt]] | None:
-    """Fill unknown grid cells using the recurrences, cyclic indexing.
-
-    Returns the completed grid (grid[i][j] is cell (i, j)), or None if
-    some cell stays unreachable.  Repeats passes over the schedule until a
-    fixpoint, so schedule order cannot change reachability.
-    """
-    n = q - 1
+) -> bool:
+    """Fill the unknown (None) cells of the grid in place by the
+    recurrences; False if some cell stays unreachable.  Repeats passes
+    over the schedule until a fixpoint, so schedule order cannot change
+    reachability."""
     add_t = f.add_table
-    rules = [tail for _, tail in _solved_rules(f, elems)]
-    grid: list[list] = [[None] * n for _ in range(n)]
-    for (i, j), v in values.items():
-        grid[i][j] = v
+    rules = _solved_rules(f, elems)
     missing = [w for w in schedule if grid[w[0]][w[1]] is None]
     while missing:
         still: list[Cell] = []
         for w in missing:
-            w0, w1 = w
-            for tail in rules:
-                acc = ZERO
-                for e0, e1, row in tail:
-                    v = grid[(w0 + e0) % n][(w1 + e1) % n]
-                    if v is None:
-                        break
-                    acc = add_t[acc][row[v]]
-                else:
-                    grid[w0][w1] = acc
-                    break
-            else:
+            v = _forced(add_t, rules, grid, w)
+            if v is None:
                 still.append(w)
+            else:
+                grid[w[0]][w[1]] = v
         if len(still) == len(missing):
-            return None
+            return False
         missing = still
-    return grid
+    return True
 
 
 def _verify_recurrences(
@@ -526,27 +536,30 @@ def _verify_recurrences(
 
 
 def extend(
-    partial: PartialArray,
+    values: dict[Cell, Elt],
     basis: GroebnerBasis,
     f: Field,
     schedule: str = "order",
 ) -> Array2D:
-    """Complete a partial array so every basis recurrence holds cyclically.
+    """Complete an array known at the cells of values so every basis
+    recurrence holds cyclically.
 
     Known values are never changed.  schedule is "order" (the basis
     order's enumeration) or "rowmajor"; the result is independent of it.
     """
-    q = partial.arr.q
-    values = {cell: partial.arr[cell] for cell in partial.known}
+    q = f.q
+    n = q - 1
     if schedule == "order":
         cells = grid_cells(q, basis.order)
     elif schedule == "rowmajor":
-        cells = [(i, j) for i in range(q - 1) for j in range(q - 1)]
+        cells = [(i, j) for i in range(n) for j in range(n)]
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
+    grid: list[list[Elt | None]] = [[None] * n for _ in range(n)]
+    for (i, j), v in values.items():
+        grid[i][j] = v
     elems = [(p.lt, p.coeffs) for p in basis.elements]
-    grid = _fill_by_recurrences(f, q, values, elems, cells)
-    if grid is None:
+    if not _fill_by_recurrences(f, grid, elems, cells):
         raise IncompleteCover("some cells are not reachable by any recurrence")
     if not _verify_recurrences(f, q, grid, elems):
         raise InconsistentKnownValues("known values violate a basis recurrence")
@@ -579,7 +592,7 @@ class _GradedOrder:
 
 def bms_with_voting(
     f: Field,
-    syndromes: PartialArray,
+    known: dict[Cell, Elt],
     order: MonomialOrder,
     max_errors: int,
     ambient: GroebnerBasis | None = None,
@@ -606,16 +619,19 @@ def bms_with_voting(
     """
     q = f.q
     n = q - 1
-    known = dict(zip(syndromes.known, (syndromes.arr[c] for c in syndromes.known)))
+    amb_rules = (
+        _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
+        if ambient is not None
+        else []
+    )
     # the known cells must cover an enumeration prefix, except for gaps an
     # ambient recurrence can fill (e.g. off-strip cells under the curve)
-    amb_lts = [p.lt for p in ambient.elements] if ambient is not None else []
     if known:
         maxkey = max(order.key(c) for c in known)
         for cell in grid_cells(q, order):
             if order.key(cell) > maxkey:
                 break
-            if cell in known or any(_leq(lt, cell) for lt in amb_lts):
+            if cell in known or any(_leq(lt, cell) for lt, _ in amb_rules):
                 continue
             raise ValueError("syndromes must cover a prefix of the order enumeration")
     proc_order = order if isinstance(order, WeightedCurveOrder) else _GradedOrder()
@@ -624,33 +640,12 @@ def bms_with_voting(
     state = SakataState(f, proc_order)
     add_t, mul_t = f.add_table, f.mul_table
     neg = f.sub_table[ZERO]
-    amb_rules = (
-        _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
-        if ambient is not None
-        else []
-    )
-    assigned = state.assigned  # shared view; process() writes it
+    grid = state.grid  # shared view; process() writes it
 
-    def derive(cell: Cell) -> Elt | None:
-        """Value forced by an ambient recurrence, None if not available."""
-        c0, c1 = cell
-        for lt, tail in amb_rules:
-            if not _leq(lt, cell):
-                continue
-            acc = ZERO
-            for e0, e1, row in tail:
-                v = assigned.get(((c0 + e0) % n, (c1 + e1) % n))
-                if v is None:
-                    break
-                acc = add_t[acc][row[v]]
-            else:
-                return acc
-        return None
-
-    def finalize(grid: list[list[Elt]]) -> tuple[Array2D, Array2D] | None:
-        """(grid, error array), or None when the error array has more than
-        max_errors nonzero cells or one outside the support."""
-        ext = Array2D(q, grid)
+    def finalize(full: list[list[Elt]]) -> tuple[Array2D, Array2D] | None:
+        """(full array, error array), or None when the error array has more
+        than max_errors nonzero cells or one outside the support."""
+        ext = Array2D(q, full)
         err = idft2(f, ext)
         weight = 0
         for i, row in enumerate(err.data):
@@ -665,19 +660,22 @@ def bms_with_voting(
     def try_certificate() -> tuple[Array2D, Array2D] | None:
         # seed with every known syndrome, including ones not yet reached
         # by the processing enumeration
-        values = dict(known)
-        values.update(assigned)
-        grid = _fill_by_recurrences(f, q, values, state.F, cells)
-        if grid is None or not _verify_recurrences(f, q, grid, state.F):
+        trial = [row[:] for row in grid]
+        for (i, j), v in known.items():
+            trial[i][j] = v
+        if not _fill_by_recurrences(f, trial, state.F, cells):
             return None
-        return finalize(grid)
+        if not _verify_recurrences(f, q, trial, state.F):
+            return None
+        return finalize(trial)
 
     def vote(c: Cell) -> Elt:
         # symbolic cell values A + B*X where X is the unknown u[c]
         sym_memo: dict[Cell, tuple[Elt, Elt] | None] = {}
 
         def sym(cell: Cell) -> tuple[Elt, Elt] | None:
-            v = assigned.get(cell)
+            c0, c1 = cell
+            v = grid[c0][c1] if c0 < n and c1 < n else None
             if v is not None:
                 return (v, ZERO)
             if cell == c:
@@ -686,7 +684,6 @@ def bms_with_voting(
                 return sym_memo[cell]
             sym_memo[cell] = None  # cycle guard
             result = None
-            c0, c1 = cell
             for lt, tail in amb_rules:
                 if not _leq(lt, cell):
                     continue
@@ -737,7 +734,7 @@ def bms_with_voting(
         wc = proc_order.weight(c)
         tally: dict[Elt, int] = {}
         for w in cells:
-            if w in assigned or proc_order.weight(w) != wc:
+            if grid[w[0]][w[1]] is not None or proc_order.weight(w) != wc:
                 continue
             if sym(w) is None:
                 continue
@@ -770,7 +767,7 @@ def bms_with_voting(
         if c in known:
             state.process(c, known[c])
             continue
-        v = derive(c)
+        v = _forced(add_t, amb_rules, grid, c)
         if v is not None:
             state.process(c, v)
             continue
@@ -786,7 +783,8 @@ def bms_with_voting(
         if stats is not None:
             stats["voted_cells"] = voted
 
-    res = finalize([[assigned.get((i, j), ZERO) for j in range(n)] for i in range(n)])
+    # every cell of the enumeration is processed, so the grid is full
+    res = finalize(grid)
     if res is None:
         raise DecodingFailure("completed syndrome array fails the final checks")
     return res

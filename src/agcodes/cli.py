@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import codec
-from .bms import GroebnerBasis, PartialArray, bms_with_voting, vanishing_ideal_basis
+from .bms import GroebnerBasis, bms_with_voting, vanishing_ideal_basis
 from .errors import (
     AgcodesError,
     DecodingFailure,
@@ -380,7 +380,7 @@ def cmd_groebner(args) -> int:
         known = {c: rows[c[0]][c[1]] for c in spec.phi}
         _, err = bms_with_voting(
             spec.field,
-            PartialArray.from_values(spec.field.q, known),
+            known,
             spec.order,
             spec.t_capability,
             ambient=spec.basis_all,

@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .bms import (
     GroebnerBasis,
-    PartialArray,
     _Echelon,
     bms_with_voting,
     extend,
@@ -55,6 +54,7 @@ from .geometry import (
     eval_poly,
     hermitian_curve,
 )
+# dft2 stays bound here: perfbench/tracer.py and the transform-count test rebind it
 from .transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
 
 Word = list  # list[Elt], one value per code location
@@ -379,7 +379,7 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
         raise ValueError(f"info must have length {len(cells)}")
     values = {c: ZERO for c in spec.phi}
     values.update(zip(cells, info))
-    full = extend(PartialArray.from_values(f.q, values), spec.basis_all, f)
+    full = extend(values, spec.basis_all, f)
     cw = idft2(f, full)
     ptcells = spec.point_cells()
     n_side = f.q - 1
@@ -409,7 +409,7 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     for h, v in zip(spec.info_positions(), info):
         word[h] = v
     known = dict(zip(spec.phi, syndromes(spec, word)))
-    red = idft2(f, extend(PartialArray.from_values(f.q, known), spec.basis_wp, f))
+    red = idft2(f, extend(known, spec.basis_wp, f))
     for p in spec.wp_prime:
         if red[(p.x, p.y)] != ZERO:
             raise AssertionError("systematic position does not carry its symbol")
@@ -454,7 +454,12 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     """Systematic encoding of the code lengthened by the zero-coordinate
     points.  info carries the information-point symbols followed by one
     symbol per zero point; the output word is the n point values followed
-    by the zero-point values."""
+    by the zero-point values.
+
+    As in encode_systematic, the lengthened syndromes of the word with
+    zeros at the redundant points are extended by the redundant-point
+    basis, and -idft2 of the extension goes to the redundant points.
+    """
     f = spec.field
     _check_symbols(f, info, "info")
     if not spec.zero_points:
@@ -462,37 +467,22 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     nz = len(spec.zero_points)
     if len(info) != spec.k + nz:
         raise ValueError(f"info must have length {spec.k + nz}")
-    base, zvals = info[: spec.k], info[spec.k :]
-
-    arr = Array2D.zeros(f.q)
-    for p, v in zip(spec.wp_prime, base):
-        arr[(p.x, p.y)] = v
-    y_arr = dft2(f, arr)
-    n_side = f.q - 1
-    add_t = f.add_table
-    for zp, v in zip(spec.zero_points, zvals):
-        if v == ZERO:
-            continue
-        a = analogue_dft(spec, zp, v)
-        for yrow, arow in zip(y_arr.data, a.data):
-            yrow[:] = [add_t[y][x] for y, x in zip(yrow, arow)]
-
-    known = {c: y_arr[c] for c in spec.phi}
-    z_arr = extend(PartialArray.from_values(f.q, known), spec.basis_wp, f)
-    neg = f.sub_table[ZERO]
-    neg_z = Array2D(f.q, [[neg[v] for v in row] for row in z_arr.data])
-    red = idft2(f, neg_z)
+    word = [ZERO] * spec.n
+    for h, v in zip(spec.info_positions(), info[: spec.k]):
+        word[h] = v
+    word += info[spec.k :]
+    known = dict(zip(spec.phi, lengthened_syndromes(spec, word)))
+    red = idft2(f, extend(known, spec.basis_wp, f))
     wpcells = {(p.x, p.y) for p in spec.wp}
+    n_side = f.q - 1
     for i in range(n_side):
         for j in range(n_side):
             if (i, j) not in wpcells and red.data[i][j] != ZERO:
                 raise AssertionError("redundancy array nonzero off the redundant points")
-
-    word = [ZERO] * spec.n
-    wpp_vals = dict(zip(spec.wp_prime, base))
-    for h, p in enumerate(spec.points):
-        word[h] = wpp_vals[p] if p in wpp_vals else red[(p.x, p.y)]
-    word += list(zvals)
+    neg = f.sub_table[ZERO]
+    for h in spec.parity_positions():
+        p = spec.points[h]
+        word[h] = neg[red[(p.x, p.y)]]
 
     if any(v != ZERO for v in lengthened_syndromes(spec, word)):
         raise AssertionError("lengthened parity check failed")
@@ -541,8 +531,8 @@ def decode(
     ("early_certificate").
     """
     f = spec.field
-    _check_symbols(f, received, "received")
     if spec.kind == "rs":
+        _check_symbols(f, received, "received")
         return _rs_decode(spec, list(received), mode)
     if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
         raise ExtendedDecodeUnsupported(
@@ -550,10 +540,11 @@ def decode(
         )
     if len(received) != spec.n:
         raise ValueError(f"received word must have length {spec.n}")
+    # syndromes() validates the symbols
     known = dict(zip(spec.phi, syndromes(spec, received)))
     _, err = bms_with_voting(
         f,
-        PartialArray.from_values(f.q, known),
+        known,
         spec.order,
         spec.t_capability,
         ambient=spec.basis_all,

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from agcodes import codec
-from agcodes.bms import PartialArray, extend, vanishing_ideal_basis
+from agcodes.bms import extend, vanishing_ideal_basis
 from agcodes.cli import run_simulation
 from agcodes.errors import MTooSmall
 from agcodes.galois import ZERO, gf9
@@ -83,7 +83,7 @@ def test_04_transform_image_on_points_and_injectivity():
         info = rand_info(rng, len(cells))
         values = {c: ZERO for c in HERM.phi}
         values.update(zip(cells, info))
-        full = extend(PartialArray.from_values(9, values), HERM.basis_all, F9)
+        full = extend(values, HERM.basis_all, F9)
         cw = idft2(F9, full)
         assert all(cw[c] == ZERO for c in off)
     # injectivity via linearity: nonzero info never maps to the zero word
@@ -116,9 +116,8 @@ def test_06_extension_order_independence():
     strip = [(i, j) for i in range(8) for j in range(3)]
     for _ in range(100):
         vals = {c: rng.randrange(-1, 8) for c in strip}
-        pa = PartialArray.from_values(9, vals)
-        a = extend(pa, HERM.basis_all, F9, schedule="order")
-        b = extend(pa, HERM.basis_all, F9, schedule="rowmajor")
+        a = extend(vals, HERM.basis_all, F9, schedule="order")
+        b = extend(vals, HERM.basis_all, F9, schedule="rowmajor")
         assert a == b
     ok(6, "extension identical under order and row-major fill schedules")
 

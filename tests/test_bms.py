@@ -4,7 +4,6 @@ import pytest
 
 from agcodes.bms import (
     GroebnerBasis,
-    PartialArray,
     SakataState,
     _Echelon,
     _GradedOrder,
@@ -45,6 +44,10 @@ STRIP = [(i, j) for i in range(8) for j in range(3)]
 
 def all_cells():
     return [(i, j) for i in range(8) for j in range(8)]
+
+
+def values_of(arr, cells):
+    return {c: arr[c] for c in cells}
 
 
 # Independent oracle: Buchberger-Moeller directly on point-evaluation
@@ -156,7 +159,7 @@ def test_bms_full_array_single_error():
     e = Array2D.zeros(9)
     e[(3, 5)] = 0  # value alpha^0 at point (alpha^3, alpha^5)
     u = dft2(F9, e)
-    basis = bms(F9, PartialArray(u, all_cells()), WORDER)
+    basis = bms(F9, values_of(u, all_cells()), WORDER)
     assert basis.delta == ((0, 0),)
     for poly in basis.elements:
         assert poly.evaluate(F9, 3, 5) == ZERO
@@ -166,23 +169,22 @@ def test_bms_full_array_single_error():
 
 def test_bms_empty_and_constant_prefixes():
     arr = Array2D.zeros(9)
-    basis = bms(F9, PartialArray(arr, []), WORDER)
+    basis = SakataState(F9, WORDER).basis()
     assert basis.delta == ()
     # all-zero full array: no failures, trivial ideal (basis contains 1)
-    basis = bms(F9, PartialArray(arr, all_cells()), WORDER)
+    basis = bms(F9, values_of(arr, all_cells()), WORDER)
     assert basis.delta == ()
     assert any(p.lt == (0, 0) for p in basis.elements)
     # single known nonzero value must not crash
-    arr2 = Array2D.zeros(9)
-    arr2[(0, 0)] = 5
-    basis = bms(F9, PartialArray(arr2, [(0, 0)]), WORDER)
-    assert (0, 0) in basis.delta
+    state = SakataState(F9, WORDER)
+    state.process((0, 0), 5)
+    assert (0, 0) in state.basis().delta
 
 
 def test_bms_prefix_requires_enumeration_prefix():
     arr = Array2D.zeros(9)
     with pytest.raises(ValueError):
-        bms(F9, PartialArray(arr, [(5, 5)]), WORDER)
+        bms(F9, values_of(arr, [(5, 5)]), WORDER)
 
 
 def test_bms_three_error_prefix_locators():
@@ -195,7 +197,12 @@ def test_bms_three_error_prefix_locators():
         e[(p.x, p.y)] = v
     u = dft2(F9, e)
     phi = defining_set(WORDER, 11, F9)
-    basis = bms(F9, PartialArray(u, phi), WORDER)
+    prefix = grid_cells(9, WORDER)[: len(phi)]
+    assert set(prefix) == set(phi)
+    state = SakataState(F9, WORDER)
+    for c in prefix:
+        state.process(c, u[c])
+    basis = state.basis()
     assert len(basis.delta) == 3
     for poly in basis.elements:
         for p in err_pts:
@@ -227,15 +234,14 @@ def basis_all():
 
 
 def test_extend_all_zero(basis_all):
-    pa = PartialArray.from_values(9, {c: ZERO for c in STRIP})
-    out = extend(pa, basis_all, F9)
+    out = extend({c: ZERO for c in STRIP}, basis_all, F9)
     assert out == Array2D.zeros(9)
 
 
 def test_extend_hermitian_recurrence_identity(basis_all):
     rng = random.Random(23)
     vals = {c: rng.randrange(-1, 8) for c in STRIP}
-    arr = extend(PartialArray.from_values(9, vals), basis_all, F9)
+    arr = extend(vals, basis_all, F9)
     # cells with j >= 3 satisfy u[i][j] = u[(i+4) mod 8][j-3] - u[i][j-2]
     for i in range(8):
         for j in range(3, 8):
@@ -249,15 +255,14 @@ def test_extend_schedule_independence(basis_all):
     rng = random.Random(29)
     for _ in range(100):
         vals = {c: rng.randrange(-1, 8) for c in STRIP}
-        pa = PartialArray.from_values(9, vals)
-        assert extend(pa, basis_all, F9) == extend(pa, basis_all, F9, "rowmajor")
+        assert extend(vals, basis_all, F9) == extend(vals, basis_all, F9, "rowmajor")
 
 
 def test_extend_idempotent(basis_all):
     rng = random.Random(31)
     vals = {c: rng.randrange(-1, 8) for c in STRIP}
-    arr = extend(PartialArray.from_values(9, vals), basis_all, F9)
-    again = extend(PartialArray(arr, all_cells()), basis_all, F9)
+    arr = extend(vals, basis_all, F9)
+    again = extend(values_of(arr, all_cells()), basis_all, F9)
     assert again == arr
 
 
@@ -267,19 +272,18 @@ def test_extend_incomplete_cover():
     curve_only = GroebnerBasis(
         tuple(p for p in full.elements if p.lt == (0, 3)), full.delta, WORDER
     )
-    pa = PartialArray.from_values(9, {(0, 0): 3})
     with pytest.raises(IncompleteCover):
-        extend(pa, curve_only, F9)
+        extend({(0, 0): 3}, curve_only, F9)
 
 
 def test_extend_inconsistent_known_values(basis_all):
     rng = random.Random(37)
     vals = {c: rng.randrange(-1, 8) for c in STRIP}
-    arr = extend(PartialArray.from_values(9, vals), basis_all, F9)
+    arr = extend(vals, basis_all, F9)
     bad = arr.copy()
     bad[(0, 5)] = F9.add(bad[(0, 5)], 0)  # plus 1: breaks the recurrences
     with pytest.raises(InconsistentKnownValues):
-        extend(PartialArray(bad, all_cells()), basis_all, F9)
+        extend(values_of(bad, all_cells()), basis_all, F9)
 
 
 # -- voting ------------------------------------------------------------------
@@ -290,7 +294,7 @@ def _syndromes_of(err_cells, phi):
     for cell, v in err_cells.items():
         e[cell] = v
     u = dft2(F9, e)
-    return u, PartialArray.from_values(9, {c: u[c] for c in phi})
+    return u, values_of(u, phi)
 
 
 def _locator(err, order):
@@ -343,27 +347,32 @@ def test_voting_three_errors_matches_truth(basis_all):
 def test_voting_prefix_validation(basis_all):
     arr = Array2D.zeros(9)
     with pytest.raises(ValueError):
-        bms_with_voting(F9, PartialArray(arr, [(7, 7)]), WORDER, 3, ambient=basis_all)
+        bms_with_voting(F9, values_of(arr, [(7, 7)]), WORDER, 3, ambient=basis_all)
 
 
 @pytest.mark.parametrize("order", [WORDER, _GradedOrder()], ids=["weighted", "graded"])
 def test_sakata_validity_invariant_weighted_order(order):
     # For a translation-invariant order, every minimal polynomial must
     # pass every computable test at the cells processed so far, be monic
-    # at its leading cell, and lead at a corner of the staircase.
+    # at its leading cell, and lead at a corner of the staircase.  The
+    # failure records stay at their span frontier: the spans are pairwise
+    # incomparable, one record per span.
     rng = random.Random(43)
     cells = grid_cells(9, order)
     for _ in range(50):
         state = SakataState(F9, order)
         for c in cells[:20]:
             state.process(c, rng.randrange(-1, 8))
+            spans = [r.span for r in state.G]
+            for k, s in enumerate(spans):
+                assert not any(_leq(s, o) for o in spans[:k] + spans[k + 1 :]), spans
             corners = sorted(minimal_outside(state.delta, 8), key=order.key)
             assert [lt for lt, _ in state.F] == corners
             for lt, co in state.F:
                 assert co[lt] == ONE
                 assert all(order.key(s) < order.key(lt) for s in co if s != lt)
-                for w in state.assigned:
-                    if not _leq(lt, w):
+                for w in all_cells():
+                    if state.grid[w[0]][w[1]] is None or not _leq(lt, w):
                         continue
                     d = state._test(lt, co, w)
                     assert d is None or d == ZERO, (lt, w)
@@ -415,7 +424,7 @@ def test_error_support_locator_equals_full_synthesis(name):
             known = dict(zip(spec.phi, codec.syndromes(spec, word)))
             ext, err = bms_with_voting(
                 f,
-                PartialArray.from_values(f.q, known),
+                known,
                 spec.order,
                 spec.t_capability,
                 ambient=spec.basis_all,
@@ -435,9 +444,9 @@ def test_sakata_refuses_hyperbolic_order():
     e[(3, 5)] = 0
     u = dft2(F9, e)
     prefix = grid_cells(9, HORDER)[:10]
-    with pytest.raises(ValueError, match="translation-invariant"):
-        bms(F9, PartialArray(u, prefix), HORDER)
-    basis = bms(F9, PartialArray(u, all_cells()), HORDER)
+    with pytest.raises(ValueError, match="every grid cell"):
+        bms(F9, values_of(u, prefix), HORDER)
+    basis = bms(F9, values_of(u, all_cells()), HORDER)
     assert basis.delta == ((0, 0),)
     for poly in basis.elements:
         assert poly.evaluate(F9, 3, 5) == ZERO

@@ -10,7 +10,7 @@ from agcodes.errors import (
     NotAZeroPoint,
     RankDeficient,
 )
-from agcodes.galois import ZERO, gf9
+from agcodes.galois import ONE, ZERO, gf9
 from agcodes.geometry import Point
 from agcodes.transform import dft1
 
@@ -190,8 +190,9 @@ def test_encoder_linearity(herm):
 @pytest.mark.parametrize("name", ["hermitian-q9", "hcrs-q9"])
 def test_one_inverse_transform_per_encode_and_decode(monkeypatch, name):
     # Syndromes are evaluated on the defining set only, and the decoder
-    # takes its error array from the voting pass: a systematic encode and
-    # a clean decode each make exactly one full transform, an inverse one.
+    # takes its error array from the voting pass: a systematic encode (the
+    # lengthened one too) and a clean decode each make exactly one full
+    # transform, an inverse one.
     spec = codec.preset(name)
     calls = {"dft2": 0, "idft2": 0}
     for module in (codec, bms):
@@ -208,6 +209,10 @@ def test_one_inverse_transform_per_encode_and_decode(monkeypatch, name):
     calls.update(dft2=0, idft2=0)
     assert codec.decode(spec, word) == (word, info)
     assert calls == {"dft2": 0, "idft2": 1}
+    if spec.zero_points:
+        calls.update(dft2=0, idft2=0)
+        codec.encode_systematic_extended(spec, info + [ONE] * len(spec.zero_points))
+        assert calls == {"dft2": 0, "idft2": 1}
 
 
 # -- syndromes ---------------------------------------------------------------
