@@ -21,6 +21,7 @@ positions documented on each encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .bms import (
@@ -28,7 +29,6 @@ from .bms import (
     _Echelon,
     bms_with_voting,
     extend,
-    parse_basis,
     vanishing_ideal_basis,
 )
 from .errors import (
@@ -162,6 +162,7 @@ def make_curve_code(
     f: Field, curve: CurveSpec, m: int, include_zero_points: bool = True
 ) -> CodeSpec:
     """Code on the nonzero-coordinate points of the curve with parameter m."""
+    _check_symbols(f, [c for _, c in curve.defining_poly], "curve coefficient")
     order = WeightedCurveOrder(curve.a, curve.b)
     points = enumerate_points(curve, f, include_zero=False)
     zero_points = []
@@ -491,19 +492,17 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
 
 def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     """Defining-set syndromes of a lengthened word (the n point values
-    followed by the zero-point values), through the check matrix."""
+    followed by the zero-point values): the syndromes of the point values
+    plus v * x(Z)^i * y(Z)^j for each zero point Z with value v."""
     f = spec.field
     _check_symbols(f, word, "word")
     if len(word) != spec.n + len(spec.zero_points):
         raise ValueError(f"word must have length {spec.n + len(spec.zero_points)}")
     add_t, mul_t = f.add_table, f.mul_table
-    h = check_matrix(spec)
-    out = []
-    for l in range(len(spec.phi)):
-        acc = ZERO
-        for v, row in zip(word, h):
-            acc = add_t[acc][mul_t[v][row[l]]]
-        out.append(acc)
+    out = syndromes(spec, word[: spec.n])
+    for z, v in zip(spec.zero_points, word[spec.n :]):
+        mv = mul_t[v]
+        out = [add_t[acc][mv[e]] for acc, e in zip(out, _monomials(f, z, spec.phi))]
     return out
 
 
@@ -726,69 +725,80 @@ def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
 _SPEC_HEADER = "# agcodes-spec v1"
 
 
-def save_spec(spec: CodeSpec, path: str) -> None:
-    """Persist a CodeSpec as plain text (versioned header line)."""
+def _spec_lines(spec: CodeSpec) -> list[str]:
+    """The lines of the spec file of a code, header first."""
     f = spec.field
     lines = [_SPEC_HEADER]
     lines.append(f"field {f.p} {f.m} " + " ".join(map(str, f.primitive_poly)))
     lines.append(f"kind {spec.kind}")
     if spec.kind == "rs":
         lines.append(f"r {spec.r}")
-    else:
-        lines.append(f"m {spec.m}")
-        if spec.kind == "curve":
-            terms = " ".join(
-                f"{i},{j},{c}" for (i, j), c in spec.curve.defining_poly
-            )
-            lines.append(f"curve {spec.curve.a} {spec.curve.b} {terms}")
-        lines.append("points " + " ".join(f"{p.x},{p.y}" for p in spec.points))
-        if spec.zero_points:
-            lines.append(
-                "zero_points " + " ".join(f"{p.x},{p.y}" for p in spec.zero_points)
-            )
-        wpset = set(spec.wp)
-        idx = [str(h) for h, p in enumerate(spec.points) if p in wpset]
-        lines.append("wp " + " ".join(idx))
-        lines.append("[basis_wp]")
-        lines.append(spec.basis_wp.serialize().rstrip())
-        lines.append("[basis_all]")
-        lines.append(spec.basis_all.serialize().rstrip())
+        return lines
+    lines.append(f"m {spec.m}")
+    if spec.kind == "curve":
+        terms = " ".join(f"{i},{j},{c}" for (i, j), c in spec.curve.defining_poly)
+        lines.append(f"curve {spec.curve.a} {spec.curve.b} {terms}")
+    lines.append("points " + " ".join(f"{p.x},{p.y}" for p in spec.points))
+    if spec.zero_points:
+        lines.append("zero_points " + " ".join(f"{p.x},{p.y}" for p in spec.zero_points))
+    lines.append("wp " + " ".join(map(str, spec.parity_positions())))
+    lines.append("[basis_wp]")
+    lines += spec.basis_wp.serialize().splitlines()
+    lines.append("[basis_all]")
+    lines += spec.basis_all.serialize().splitlines()
+    return lines
+
+
+def save_spec(spec: CodeSpec, path: str) -> None:
+    """Persist a CodeSpec as plain text (versioned header line)."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_spec_lines(spec)) + "\n")
+
+
+def _spec_entries(path: str, lines: Sequence[str]) -> dict[str, list[str]]:
+    """The keys and [sections] of a spec file body.  A key maps to the
+    tokens of its line, a section to its nonblank lines with whitespace
+    collapsed."""
+    entries: dict[str, list[str]] = {}
+    in_section = False
+    for line in lines:
+        toks = line.split()
+        if not toks:
+            continue
+        if line.startswith("["):
+            name, value, in_section = line.strip(), [], True
+        elif in_section:
+            entries[name].append(" ".join(toks))
+            continue
+        else:
+            name, value = toks[0], toks[1:]
+        if name in entries:
+            raise ValueError(f"{path}: {name} appears twice")
+        entries[name] = value
+    return entries
 
 
 def load_spec(path: str) -> CodeSpec:
-    """Read a spec file written by save_spec; ValueError names the file
-    and the key or section of anything malformed, off the curve, or a
-    stored basis that is not the Groebner basis of its points."""
+    """Read a spec file written by save_spec.
+
+    The file names its construction: the code is rebuilt from field,
+    kind, m (r for rs), curve and whether zero_points is present, and
+    every key and section must then equal the rebuilt code's rendering.
+    Construction is deterministic and a reduced Groebner basis is unique,
+    so a file that matches holds exactly the constructed code, and
+    nothing in it is re-proved.  ValueError names the file and the first
+    key, section or token that is malformed, missing, extra or different.
+    """
     with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = fh.read().splitlines()
     if not lines or lines[0].strip() != _SPEC_HEADER:
         raise ValueError(f"{path}: not an agcodes spec file")
-    fields: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    for line in lines[1:]:
-        if line.startswith("["):
-            current = sections.setdefault(line.strip("[]"), [])
-            continue
-        if current is not None:
-            current.append(line)
-            continue
-        if line.strip():
-            key, _, rest = line.partition(" ")
-            fields[key] = rest.strip()
+    have = _spec_entries(path, lines[1:])
 
-    def value(key: str) -> str:
-        if key not in fields:
+    def value(key: str) -> list[str]:
+        if key not in have:
             raise ValueError(f"{path}: missing key {key!r}")
-        return fields[key]
-
-    def section(name: str) -> str:
-        if name not in sections:
-            raise ValueError(f"{path}: missing section [{name}]")
-        return "\n".join(sections[name])
+        return have[key]
 
     def ints(key: str, tok: str, what: str, count: int = 1) -> list[int]:
         """The count comma-separated integers of one token of a key."""
@@ -803,107 +813,49 @@ def load_spec(path: str) -> CodeSpec:
     def num(key: str, tok: str) -> int:
         return ints(key, tok, "an integer")[0]
 
-    field_nums = [num("field", tok) for tok in value("field").split()]
+    field_nums = [num("field", tok) for tok in value("field")]
     if len(field_nums) < 2:
         raise ValueError(f"{path}: field needs p, m and the polynomial coefficients")
-    f = field_new(field_nums[0], field_nums[1], field_nums[2:])
-    kind = value("kind")
+    kind = " ".join(value("kind"))
     if kind not in ("curve", "hcrs", "rs"):
         raise ValueError(f"{path}: unknown kind {kind!r}")
-    if kind == "rs":
-        return make_rs_code(f, num("r", value("r")))
-    m = num("m", value("m"))
-
-    def parse_points(key: str, text: str) -> tuple[Point, ...]:
-        pts = []
-        for tok in text.split():
-            xy = ints(key, tok, "two coordinates x,y", 2)
-            _check_symbols(f, xy, f"{path}: point")
-            pts.append(Point(*xy))
-        if len(set(pts)) != len(pts):
-            raise ValueError(f"{path}: {key} are not distinct")
-        return tuple(pts)
-
-    points = parse_points("points", value("points"))
-    zero_points = parse_points("zero_points", fields.get("zero_points", ""))
-    if any(p.x == ZERO or p.y == ZERO for p in points):
-        raise ValueError(f"{path}: points need nonzero coordinates")
-    if any(p.x != ZERO and p.y != ZERO for p in zero_points):
-        raise ValueError(f"{path}: zero_points need a zero coordinate")
-    wp_idx = [num("wp", tok) for tok in value("wp").split()]
-    if len(set(wp_idx)) != len(wp_idx) or not all(0 <= h < len(points) for h in wp_idx):
-        raise ValueError(
-            f"{path}: wp indices must be distinct and in [0, {len(points) - 1}]"
-        )
+    param = "r" if kind == "rs" else "m"
+    m = num(param, " ".join(value(param)))
     if kind == "curve":
-        toks = value("curve").split()
+        toks = value("curve")
         if len(toks) < 2:
             raise ValueError(f"{path}: curve needs a, b and the polynomial terms")
-        poly_terms = {}
+        terms = {}
         for tok in toks[2:]:
             i, j, c = ints("curve", tok, "three integers i,j,c", 3)
-            _check_symbols(f, [c], f"{path}: curve coefficient")
-            poly_terms[(i, j)] = c
+            terms[(i, j)] = c
         try:
-            curve = curve_spec(num("curve", toks[0]), num("curve", toks[1]), poly_terms)
+            curve = curve_spec(num("curve", toks[0]), num("curve", toks[1]), terms)
         except ValueError as e:
             raise ValueError(f"{path}: curve: {e}") from None
-        for p in points + zero_points:
-            if eval_poly(f, poly_terms, p.x, p.y) != ZERO:
-                raise ValueError(f"{path}: point {p.x},{p.y} is not on the curve")
-        order: MonomialOrder = WeightedCurveOrder(curve.a, curve.b)
-        genus = curve.genus
-    else:
-        curve = None
-        order = HyperbolicOrder()
-        genus = 0
-    phi = defining_set(order, m, f)
-    wpset = {points[h] for h in wp_idx}
-    wp = tuple(p for p in points if p in wpset)
-    wpp = tuple(p for p in points if p not in wpset)
-    if len(wp) != len(phi):
-        raise ValueError(f"{path}: redundant-point count does not match the defining set")
+    try:
+        f = field_new(field_nums[0], field_nums[1], field_nums[2:])
+        if kind == "rs":
+            spec = make_rs_code(f, m)
+        elif kind == "hcrs":
+            spec = make_hcrs_code(f, m)
+        else:
+            spec = make_curve_code(f, curve, m, include_zero_points="zero_points" in have)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
-    def point_basis(name: str, pts: tuple[Point, ...]) -> GroebnerBasis:
-        """The section's basis, checked to be the Groebner basis of the
-        ideal of pts: its elements vanish at every point, and its finite
-        staircase has one cell per point, so it spans no smaller ideal."""
-        text = section(name)
-        try:
-            basis = parse_basis(text, order)
-        except ValueError as e:
-            raise ValueError(f"{path}: [{name}]: {e}") from None
-        for poly in basis.elements:
-            for p in pts:
-                if poly.evaluate(f, p.x, p.y) != ZERO:
-                    raise ValueError(
-                        f"{path}: [{name}] element led by {poly.lt} "
-                        f"does not vanish at point {p.x},{p.y}"
-                    )
-        lts = [poly.lt for poly in basis.elements]
-        finite = any(j == 0 for _, j in lts) and any(i == 0 for i, _ in lts)
-        if not finite or len(basis.delta) != len(pts):
-            raise ValueError(f"{path}: [{name}] staircase does not have one cell per point")
-        return basis
-
-    basis_wp = point_basis("basis_wp", wp)
-    basis_all = point_basis("basis_all", points)
-    if set(basis_wp.delta) != set(phi):
-        raise ValueError(f"{path}: [basis_wp] staircase is not the defining set")
-    return CodeSpec(
-        field=f,
-        kind=kind,
-        order=order,
-        m=m,
-        curve=curve,
-        points=points,
-        zero_points=zero_points,
-        phi=tuple(phi),
-        wp=wp,
-        wp_prime=wpp,
-        basis_wp=basis_wp,
-        basis_all=basis_all,
-        n=len(points),
-        k=len(points) - len(phi),
-        t_capability=_capability(kind, m, genus),
-    )
+    want = _spec_entries(path, _spec_lines(spec)[1:])
+    for key, want_toks in want.items():
+        if key not in have:
+            what = f"section {key}" if key.startswith("[") else f"key {key!r}"
+            raise ValueError(f"{path}: missing {what}")
+        for k, (tok, w) in enumerate(zip_longest(have[key], want_toks)):
+            if tok != w:
+                raise ValueError(
+                    f"{path}: {key} token {tok!r} at position {k} differs from "
+                    f"{w!r} in the code rebuilt from field, kind, m and curve"
+                )
+    for key in have:
+        if key not in want:
+            raise ValueError(f"{path}: {key} is not part of this {kind} spec")
+    return spec

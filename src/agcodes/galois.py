@@ -66,6 +66,8 @@ class Field:
         primitive_poly lists the coefficients c_0..c_m of a monic degree-m
         polynomial over GF(p), ascending powers (c_m must be 1).
         """
+        if p < 2 or m < 1:
+            raise ValueError(f"need p >= 2 and a degree m >= 1, got p={p}, m={m}")
         poly = [c % p for c in primitive_poly]
         if len(poly) != m + 1 or poly[m] != 1:
             raise ValueError(f"primitive_poly must be monic of degree {m} over GF({p})")

@@ -113,12 +113,16 @@ class CurveSpec:
 
 
 def curve_spec(a: int, b: int, poly: PolyDict) -> CurveSpec:
-    """Validated constructor: checks coprimality and the leading form."""
+    """Validated constructor: checks coprimality, the exponents and the
+    leading form; the coefficients are checked against the field by the
+    code constructor."""
     if not (0 < a < b) or math.gcd(a, b) != 1:
         raise ValueError("need 0 < a < b with gcd(a, b) = 1")
     if poly.get((0, a), ZERO) == ZERO or poly.get((b, 0), ZERO) == ZERO:
         raise ValueError(f"defining polynomial must contain y^{a} and x^{b}")
     for (i, j), c in poly.items():
+        if i < 0 or j < 0:
+            raise ValueError(f"term x^{i} y^{j} has a negative exponent")
         if (i, j) in ((0, a), (b, 0)):
             continue
         if a * i + b * j >= a * b:

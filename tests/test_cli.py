@@ -94,6 +94,25 @@ def test_info_field_above_size_limit(capsys):
     assert err.startswith("ValueError") and "256" in err
 
 
+@pytest.mark.parametrize("field", ["3,0,1", "0,2,2,1,1"])
+def test_info_degenerate_field(capsys, field):
+    code, _, err = run(["info", "--field", field, "--kind", "rs", "--r", "4"], capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and "p >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [("0:3:0,0:1:0,4:0:44", "element log"), ("0:3:0,0:1:0,4:0:4,-1:0:0", "negative")],
+    ids=["coefficient-above-range", "negative-exponent"],
+)
+def test_info_curve_checked_against_field(capsys, terms, message):
+    argv = ["info", "--field", "3,2,2,1,1", "--kind", "curve", "--m", "11"]
+    code, _, err = run(argv + ["--curve", "3,4," + terms], capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and message in err
+
+
 def test_build_and_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "h.spec"
     code, _, _ = run(["build", "--preset", "hermitian-q9", "--out", str(spec_path)], capsys)
@@ -132,11 +151,11 @@ def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
 @pytest.mark.parametrize(
     "key, edit, message",
     [
-        ("wp", lambda v: v.rsplit(" ", 1)[0] + " 24", "wp indices"),
-        ("wp", lambda v: v + " 0", "wp indices"),
-        ("points", lambda v: "0,1,5" + v[3:], "two coordinates"),
-        ("points", lambda v: "0,8" + v[3:], "element log"),
-        ("zero_points", lambda v: "-2,-1" + v[5:], "element log"),
+        ("wp", lambda v: v.rsplit(" ", 1)[0] + " 24", "wp token '24' at position 8"),
+        ("wp", lambda v: v + " 0", "wp token '0' at position 9"),
+        ("points", lambda v: "0,1,5" + v[3:], "points token '0,1,5' at position 0"),
+        ("points", lambda v: "0,8" + v[3:], "points token '0,8' at position 0"),
+        ("zero_points", lambda v: "-2,-1" + v[5:], "zero_points token '-2,-1' at position 0"),
         ("kind", lambda v: "foo", "unknown kind"),
         ("curve", lambda v: "2 4" + v[3:], "gcd"),
         ("curve", lambda v: v.replace("0,3,0 ", ""), "y^3"),
@@ -150,16 +169,28 @@ def test_spec_missing_key_or_section(tmp_path, capsys, name, drop):
         ("points", lambda v: "0,y" + v[3:], "points token '0,y'"),
         ("zero_points", lambda v: "a,-1" + v[5:], "zero_points token 'a,-1'"),
         ("wp", lambda v: v + " x", "wp token 'x'"),
-        ("points", lambda v: "0,0" + v[3:], "point 0,0 is not on the curve"),
-        ("points", lambda v: "1,0 " + v, "points are not distinct"),
-        ("points", lambda v: "-1,-1" + v[3:], "points need nonzero coordinates"),
-        ("zero_points", lambda v: "0,4" + v[5:], "zero_points need a zero coordinate"),
-        ("zero_points", lambda v: "-1,0" + v[5:], "point -1,0 is not on the curve"),
-        ("[basis_wp]", lambda v: _bump_tail_coefficient(v), "does not vanish"),
-        ("[basis_all]", lambda v: _bump_tail_coefficient(v), "does not vanish"),
-        ("[basis_wp]", lambda v: _drop_last_poly(v), "one cell per point"),
-        ("[basis_all]", lambda v: _drop_last_poly(v), "one cell per point"),
-        ("[basis_wp]", lambda v: v.replace("4 0 0", "4 0 0 7", 1), "[basis_wp]: "),
+        ("points", lambda v: "0,0" + v[3:], "points token '0,0' at position 0"),
+        ("points", lambda v: "1,0 " + v, "points token '1,0' at position 0"),
+        ("points", lambda v: "-1,-1" + v[3:], "points token '-1,-1' at position 0"),
+        ("zero_points", lambda v: "0,4" + v[5:], "zero_points token '0,4' at position 0"),
+        ("zero_points", lambda v: "-1,0" + v[5:], "zero_points token '-1,0' at position 0"),
+        (
+            "[basis_wp]",
+            lambda v: _bump_tail_coefficient(v),
+            "[basis_wp] token '3 0 7' at position 3",
+        ),
+        (
+            "[basis_all]",
+            lambda v: _bump_tail_coefficient(v),
+            "[basis_all] token '4 0 5' at position 3",
+        ),
+        ("[basis_wp]", lambda v: _drop_last_poly(v), "[basis_wp] token None at position 23"),
+        ("[basis_all]", lambda v: _drop_last_poly(v), "[basis_all] token None at position 5"),
+        (
+            "[basis_wp]",
+            lambda v: v.replace("4 0 0", "4 0 0 7", 1),
+            "[basis_wp] token '4 0 0 7' at position 2",
+        ),
     ],
     ids=[
         "wp-past-end",
@@ -232,7 +263,8 @@ def _drop_last_poly(section):
 
 def test_spec_nongeneric_redundant_points(tmp_path, capsys):
     # points 0..8 lie on three x-lines; their point ideal's staircase is
-    # not the defining set, so the stored basis_wp cannot serve as one
+    # not the defining set, so they cannot be the redundant points, and
+    # the load rejects wp where it leaves the greedy choice of the rebuild
     spec = codec.preset("hermitian-q9")
     wp = spec.points[:9]
     basis = vanishing_ideal_basis(wp, spec.order, F9)
@@ -247,7 +279,18 @@ def test_spec_nongeneric_redundant_points(tmp_path, capsys):
     code, _, err = run(["info", "--spec", str(spec_path)], capsys)
     assert code == 2
     assert err.startswith("ValueError")
-    assert "staircase is not the defining set" in err and str(spec_path) in err
+    assert "wp token '8' at position 8" in err and str(spec_path) in err
+
+
+@pytest.mark.parametrize("field", ["3 0 1", "0 2 2 1 1"])
+def test_spec_degenerate_field(tmp_path, capsys, field):
+    spec_path = tmp_path / "s.spec"
+    codec.save_spec(codec.preset("rs-q9"), str(spec_path))
+    text = spec_path.read_text().replace("field 3 2 2 1 1", f"field {field}")
+    spec_path.write_text(text)
+    code, _, err = run(["info", "--spec", str(spec_path)], capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and "p >= 2" in err and str(spec_path) in err
 
 
 def test_rs_spec_malformed_r(tmp_path, capsys):

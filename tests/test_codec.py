@@ -231,15 +231,21 @@ def test_syndromes_single_error_closed_form(herm):
 def test_syndromes_match_check_matrix_all_families(herm, hcrs, rs4):
     rng = random.Random(6)
     for spec in (herm, hcrs, rs4):
-        h = codec.check_matrix(spec)[: spec.n]
+        h = codec.check_matrix(spec)
+        length = spec.n + len(spec.zero_points)
         for _ in range(100):
-            word = [rng.randrange(-1, 8) for _ in range(spec.n)]
-            sv = codec.syndromes(spec, word)
+            # the lengthened word's tail holds the zero-point values
+            word = [rng.randrange(-1, 8) for _ in range(length)]
+            sv = codec.syndromes(spec, word[: spec.n])
+            lsv = codec.lengthened_syndromes(spec, word)
             for l in range(len(spec.phi)):
                 acc = ZERO
                 for pos in range(spec.n):
                     acc = F9.add(acc, F9.mul(word[pos], h[pos][l]))
                 assert acc == sv[l]
+                for pos in range(spec.n, length):
+                    acc = F9.add(acc, F9.mul(word[pos], h[pos][l]))
+                assert acc == lsv[l]
 
 
 # -- decode ------------------------------------------------------------------
@@ -408,6 +414,16 @@ def test_extended_systematic_single_symbol(herm):
         for pos in range(27):
             acc = F9.add(acc, F9.mul(word[pos], h[pos][l]))
         assert acc == ZERO
+
+
+def test_extended_systematic_builds_no_check_matrix(herm, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("check_matrix called")
+
+    monkeypatch.setattr(codec, "check_matrix", refuse)
+    info = rand_info(random.Random(13), herm.k + len(herm.zero_points))
+    word = codec.encode_systematic_extended(herm, info)
+    assert codec.lengthened_syndromes(herm, word) == [ZERO] * len(herm.phi)
 
 
 def test_extended_systematic_random(herm):

@@ -59,6 +59,15 @@ def test_not_monic_rejected():
         field_new(3, 2, [2, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "p, m, poly", [(3, 0, [1]), (3, -1, []), (0, 2, [2, 1, 1]), (1, 2, [0, 0, 1])]
+)
+def test_degenerate_prime_or_degree_rejected(p, m, poly):
+    # at the parent (3, 0) raised IndexError and (0, 2) ZeroDivisionError
+    with pytest.raises(ValueError, match="p >= 2 and a degree m >= 1"):
+        field_new(p, m, poly)
+
+
 def test_neg_of_one_is_alpha4(f9):
     assert f9.neg(0) == 4
 
