@@ -26,15 +26,18 @@ Three synthesis entry points:
 * bms_with_voting() completes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
   Feng-Rao pair predictions drawn from the current minimal polynomial
-  set, then certified by re-extension and a count of the error support.
+  set, then certified by the error count: the inverse transform of the
+  completion must have at most t nonzero cells, all on code points.
   It returns the completed array and its inverse transform, the error
   array; the locator basis is vanishing_ideal_basis() of the error
   array's nonzero cells, since the staircase of a fully known array's
   recurrence ideal has exactly one cell per nonzero cell of its inverse
   transform.
 
-extend() fills a partially known array using the recurrences of a basis,
-with both cyclic index wrap and schedule independence.  Partial arrays
+extend() fills a partially known array from its values on the basis
+staircase, using the recurrences of the basis, with both cyclic index
+wrap and schedule independence; no recurrence is re-checked afterwards,
+since the staircase values determine the array.  Partial arrays
 are dicts from cell to value; a grid (a list of rows, None where the
 value is unknown) is the working store.  One kernel, _forced(), applies
 solved recurrences to it: extend() runs it to a fixpoint, and the voting
@@ -511,30 +514,6 @@ def _fill_by_recurrences(
     return True
 
 
-def _verify_recurrences(
-    f: Field,
-    q: int,
-    grid: list[list[Elt]],
-    elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
-) -> bool:
-    """True when every recurrence holds at every cyclic shift of the grid."""
-    n = q - 1
-    add_t, mul_t = f.add_table, f.mul_table
-    # rows repeated twice, and the grid too, so no index needs a modulo
-    wrapped = [row * 2 for row in grid] * 2
-    for lt, coeffs in elems:
-        terms = [(s0 % n, s1 % n, mul_t[cf]) for (s0, s1), cf in coeffs.items()]
-        for d0 in range(n):
-            rows = [(wrapped[s0 + d0], s1, mc) for s0, s1, mc in terms]
-            for d1 in range(n):
-                acc = ZERO
-                for row, s1, mc in rows:
-                    acc = add_t[acc][mc[row[s1 + d1]]]
-                if acc != ZERO:
-                    return False
-    return True
-
-
 def extend(
     values: dict[Cell, Elt],
     basis: GroebnerBasis,
@@ -543,6 +522,18 @@ def extend(
 ) -> Array2D:
     """Complete an array known at the cells of values so every basis
     recurrence holds cyclically.
+
+    The basis is taken to be the reduced Groebner basis of a point ideal
+    (nonzero coordinates), as every basis the constructions build is.
+    Its staircase is delta, the grid cells with no leading term at or
+    below them.  By Macaulay's basis theorem the monomials of delta are a
+    basis of K[x,y]/I, so each choice of values on delta extends to
+    exactly one array on which every recurrence holds, and the fill by
+    recurrences computes that array from the delta cells alone.  A known
+    cell outside delta is then compared with it.  Raises IncompleteCover
+    when some cell stays unreachable (a delta cell is not known), and
+    InconsistentKnownValues when a known cell outside delta differs from
+    the extension.
 
     Known values are never changed.  schedule is "order" (the basis
     order's enumeration) or "rowmajor"; the result is independent of it.
@@ -555,13 +546,17 @@ def extend(
         cells = [(i, j) for i in range(n) for j in range(n)]
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
-    grid: list[list[Elt | None]] = [[None] * n for _ in range(n)]
-    for (i, j), v in values.items():
-        grid[i][j] = v
     elems = [(p.lt, p.coeffs) for p in basis.elements]
+    grid: list[list[Elt | None]] = [[None] * n for _ in range(n)]
+    outside: list[tuple[Cell, Elt]] = []
+    for c, v in values.items():
+        if any(_leq(lt, c) for lt, _ in elems):
+            outside.append((c, v))
+        else:
+            grid[c[0]][c[1]] = v
     if not _fill_by_recurrences(f, grid, elems, cells):
         raise IncompleteCover("some cells are not reachable by any recurrence")
-    if not _verify_recurrences(f, q, grid, elems):
+    if any(grid[i][j] != v for (i, j), v in outside):
         raise InconsistentKnownValues("known values violate a basis recurrence")
     return Array2D(q, grid)
 
@@ -610,10 +605,11 @@ def bms_with_voting(
     contributes the value predicted by the minimal polynomial covering a.
     The plurality value is taken, ties fail.  Whenever the staircase is
     small enough the current polynomial set is tried as a full solution.
-    A completion is accepted only if it extends consistently, matches the
-    known syndromes, and its inverse transform (the error array) has at
-    most max_errors nonzero cells, all in `support` (when given) -- which
-    pins it to the unique error pattern within the decoding radius.  The
+    A completion is accepted only if it keeps the known syndromes and its
+    inverse transform (the error array) has at most max_errors nonzero
+    cells, all in `support` (when given).  Then the received word minus
+    the error array is a codeword within max_errors of it, and by the
+    Feng-Rao bound the only one, so no recurrence is re-checked.  The
     count equals the staircase size of the completion's recurrence ideal,
     which has one cell per error point, so no locator basis is built.
     """
@@ -664,8 +660,6 @@ def bms_with_voting(
         for (i, j), v in known.items():
             trial[i][j] = v
         if not _fill_by_recurrences(f, trial, state.F, cells):
-            return None
-        if not _verify_recurrences(f, q, trial, state.F):
             return None
         return finalize(trial)
 

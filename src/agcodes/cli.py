@@ -145,8 +145,12 @@ def _get_spec(args) -> codec.CodeSpec:
     if args.preset:
         return codec.preset(args.preset, m=args.m, r=args.r)
     if args.field and args.kind:
-        p, m, *coeffs = (int(tok) for tok in args.field.split(","))
-        f = field_new(p, m, list(coeffs))
+        nums = [codec.int_token("--field", t, "an integer")[0] for t in args.field.split(",")]
+        if len(nums) < 2:
+            raise ValueError(
+                f"--field {args.field!r} needs p, m and the polynomial coefficients"
+            )
+        f = field_new(nums[0], nums[1], nums[2:])
         if args.kind == "rs":
             if args.r is None:
                 raise ValueError("rs kind needs --r")
@@ -157,12 +161,15 @@ def _get_spec(args) -> codec.CodeSpec:
             return codec.make_hcrs_code(f, args.m)
         if not args.curve:
             raise ValueError("curve kind needs --curve a,b,i:j:c,...")
-        a, b, *terms = args.curve.split(",")
+        toks = args.curve.split(",")
+        if len(toks) < 2:
+            raise ValueError(f"--curve {args.curve!r} needs a, b and the polynomial terms")
+        a, b = (codec.int_token("--curve", tok, "an integer")[0] for tok in toks[:2])
         poly = {}
-        for term in terms:
-            i, j, c = term.split(":")
-            poly[(int(i), int(j))] = int(c)
-        curve = curve_spec(int(a), int(b), poly)
+        for tok in toks[2:]:
+            i, j, c = codec.int_token("--curve", tok, "three integers i:j:c", 3, ":")
+            poly[(i, j)] = c
+        curve = curve_spec(a, b, poly)
         return codec.make_curve_code(f, curve, args.m)
     raise ValueError("give --spec FILE, --preset NAME, or --field with --kind")
 

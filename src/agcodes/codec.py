@@ -778,6 +778,18 @@ def _spec_entries(path: str, lines: Sequence[str]) -> dict[str, list[str]]:
     return entries
 
 
+def int_token(where: str, tok: str, what: str, count: int = 1, sep: str = ",") -> list[int]:
+    """The count sep-separated integers of one token; ValueError naming
+    where the token came from (a spec file key, a command-line flag)."""
+    parts = tok.split(sep)
+    try:
+        if len(parts) == count:
+            return [int(v) for v in parts]
+    except ValueError:
+        pass
+    raise ValueError(f"{where} token {tok!r} must be {what}")
+
+
 def load_spec(path: str) -> CodeSpec:
     """Read a spec file written by save_spec.
 
@@ -800,18 +812,8 @@ def load_spec(path: str) -> CodeSpec:
             raise ValueError(f"{path}: missing key {key!r}")
         return have[key]
 
-    def ints(key: str, tok: str, what: str, count: int = 1) -> list[int]:
-        """The count comma-separated integers of one token of a key."""
-        parts = tok.split(",")
-        try:
-            if len(parts) == count:
-                return [int(v) for v in parts]
-        except ValueError:
-            pass
-        raise ValueError(f"{path}: {key} token {tok!r} must be {what}")
-
     def num(key: str, tok: str) -> int:
-        return ints(key, tok, "an integer")[0]
+        return int_token(f"{path}: {key}", tok, "an integer")[0]
 
     field_nums = [num("field", tok) for tok in value("field")]
     if len(field_nums) < 2:
@@ -827,7 +829,7 @@ def load_spec(path: str) -> CodeSpec:
             raise ValueError(f"{path}: curve needs a, b and the polynomial terms")
         terms = {}
         for tok in toks[2:]:
-            i, j, c = ints("curve", tok, "three integers i,j,c", 3)
+            i, j, c = int_token(f"{path}: curve", tok, "three integers i,j,c", 3)
             terms[(i, j)] = c
         try:
             curve = curve_spec(num("curve", toks[0]), num("curve", toks[1]), terms)

@@ -74,6 +74,9 @@ class Field:
         self.q = p ** m
         if self.q > MAX_Q:
             raise ValueError(f"GF({p}^{m}) exceeds the field size limit q <= {MAX_Q}")
+        # p <= MAX_Q here, so trial division is cheap
+        if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            raise ValueError(f"p={p} is not prime")
         self.p = p
         self.m = m
         self.primitive_poly = tuple(poly)

@@ -1,4 +1,5 @@
 import random
+from typing import Iterable
 
 import pytest
 
@@ -23,8 +24,9 @@ from agcodes.errors import (
     InconsistentKnownValues,
     ZeroCoordinatePoint,
 )
-from agcodes.galois import ONE, ZERO, field_new, gf9
+from agcodes.galois import ONE, ZERO, Elt, Field, field_new, gf9
 from agcodes.geometry import (
+    Cell,
     HyperbolicOrder,
     Point,
     WeightedCurveOrder,
@@ -284,6 +286,63 @@ def test_extend_inconsistent_known_values(basis_all):
     bad[(0, 5)] = F9.add(bad[(0, 5)], 0)  # plus 1: breaks the recurrences
     with pytest.raises(InconsistentKnownValues):
         extend(values_of(bad, all_cells()), basis_all, F9)
+
+
+# Independent oracle for extend: every recurrence checked at every
+# cyclic shift of a full grid.
+def _verify_recurrences(
+    f: Field,
+    q: int,
+    grid: list[list[Elt]],
+    elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
+) -> bool:
+    """True when every recurrence holds at every cyclic shift of the grid."""
+    n = q - 1
+    add_t, mul_t = f.add_table, f.mul_table
+    # rows repeated twice, and the grid too, so no index needs a modulo
+    wrapped = [row * 2 for row in grid] * 2
+    for lt, coeffs in elems:
+        terms = [(s0 % n, s1 % n, mul_t[cf]) for (s0, s1), cf in coeffs.items()]
+        for d0 in range(n):
+            rows = [(wrapped[s0 + d0], s1, mc) for s0, s1, mc in terms]
+            for d1 in range(n):
+                acc = ZERO
+                for row, s1, mc in rows:
+                    acc = add_t[acc][mc[row[s1 + d1]]]
+                if acc != ZERO:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("ideal", ["basis_all", "basis_wp"])
+@pytest.mark.parametrize("name", ["hermitian-q9", "hcrs-q9", "hermitian-q16"])
+def test_extend_agrees_with_cyclic_oracle(name, ideal):
+    # extend reads only the staircase cells and compares the others with
+    # the fill; the oracle re-checks every recurrence at every shift.
+    spec = _hermitian_q16() if name == "hermitian-q16" else codec.preset(name)
+    f, basis = spec.field, getattr(spec, ideal)
+    n = f.q - 1
+    elems = [(p.lt, p.coeffs) for p in basis.elements]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    rng = random.Random(f"{name}-{ideal}")
+    delta = list(basis.delta)
+    outside = [c for c in cells if c not in set(delta)]
+    for _ in range(4):
+        vals = {c: rng.randrange(-1, n) for c in delta}
+        arr = extend(vals, basis, f)
+        assert _verify_recurrences(f, f.q, arr.data, elems)
+        assert all(arr[c] == v for c, v in vals.items())
+        assert extend(values_of(arr, cells), basis, f) == arr
+        if outside:  # hcrs-q9 has a point on every cell: delta is the grid
+            bad = arr.copy()
+            c = rng.choice(outside)
+            bad[c] = f.add(bad[c], rng.randrange(0, n))
+            assert not _verify_recurrences(f, f.q, bad.data, elems)
+            with pytest.raises(InconsistentKnownValues):
+                extend(values_of(bad, cells), basis, f)
+        del vals[rng.choice(delta)]
+        with pytest.raises(IncompleteCover):
+            extend(vals, basis, f)
 
 
 # -- voting ------------------------------------------------------------------

@@ -101,6 +101,26 @@ def test_info_degenerate_field(capsys, field):
     assert err.startswith("ValueError") and "p >= 2" in err
 
 
+def test_info_composite_p(capsys):
+    # at the parent p = 4 failed as NonPrimitivePolynomial, exit 3
+    code, _, err = run(["info", "--field", "4,2,2,1,1", "--kind", "rs", "--r", "4"], capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and "p=4 is not prime" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, token",
+    [("--curve", "3", "'3'"), ("--curve", "3,4,0:3", "'0:3'"), ("--field", "3,2,x", "'x'")],
+    ids=["curve-too-short", "curve-term-two-numbers", "field-not-a-number"],
+)
+def test_info_malformed_flag_names_flag_and_token(capsys, flag, value, token):
+    # at the parent these surfaced as bare int() and unpacking errors
+    argv = ["info", "--field", "3,2,2,1,1", "--kind", "curve", "--m", "11", flag, value]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and flag in err and token in err
+
+
 @pytest.mark.parametrize(
     "terms, message",
     [("0:3:0,0:1:0,4:0:44", "element log"), ("0:3:0,0:1:0,4:0:4,-1:0:0", "negative")],
