@@ -326,7 +326,7 @@ def test_extend_agrees_with_cyclic_oracle(name, ideal):
     cells = [(i, j) for i in range(n) for j in range(n)]
     rng = random.Random(f"{name}-{ideal}")
     delta = list(basis.delta)
-    outside = [c for c in cells if c not in set(delta)]
+    outside = sorted(set(cells) - set(delta))
     for _ in range(4):
         vals = {c: rng.randrange(-1, n) for c in delta}
         arr = extend(vals, basis, f)

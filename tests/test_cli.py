@@ -102,7 +102,7 @@ def test_info_degenerate_field(capsys, field):
 
 
 def test_info_composite_p(capsys):
-    # at the parent p = 4 failed as NonPrimitivePolynomial, exit 3
+    # bad input (exit 2), not a construction failure (exit 3)
     code, _, err = run(["info", "--field", "4,2,2,1,1", "--kind", "rs", "--r", "4"], capsys)
     assert code == 2
     assert err.startswith("ValueError") and "p=4 is not prime" in err
@@ -114,7 +114,7 @@ def test_info_composite_p(capsys):
     ids=["curve-too-short", "curve-term-two-numbers", "field-not-a-number"],
 )
 def test_info_malformed_flag_names_flag_and_token(capsys, flag, value, token):
-    # at the parent these surfaced as bare int() and unpacking errors
+    # as a spec file does for its keys, the message names the flag and token
     argv = ["info", "--field", "3,2,2,1,1", "--kind", "curve", "--m", "11", flag, value]
     code, _, err = run(argv, capsys)
     assert code == 2

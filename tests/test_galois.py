@@ -70,7 +70,8 @@ def test_degenerate_prime_or_degree_rejected(p, m, poly):
 
 @pytest.mark.parametrize("p, m, poly", [(4, 2, [2, 1, 1]), (9, 1, [2, 1]), (15, 2, [7, 1, 1])])
 def test_composite_p_rejected(p, m, poly):
-    # at the parent p = 4 raised NonPrimitivePolynomial, naming no cause
+    # Z/p has zero divisors, so no polynomial could pass the primitivity
+    # check; the cause is named instead
     with pytest.raises(ValueError, match=f"p={p} is not prime"):
         field_new(p, m, poly)
 
