@@ -42,12 +42,23 @@ are dicts from cell to value; a grid (a list of rows, None where the
 value is unknown) is the working store.  One kernel, _forced(), applies
 solved recurrences to it: extend() runs it to a fixpoint, and the voting
 pass calls it once per cell on the ambient recurrences.
+
+The grid's enumeration under an order depends only on q and the order,
+never on a word, so grid_cells() memoizes it, keyed by the value of
+(q, order): one entry per (q, order) in use, filled on first use.  The
+entry also holds the enumeration's weight classes, which the vote
+scans.  At q = 256 (65,025 cells) an entry holds 4.7-6.5 MB, measured
+with tracemalloc, most of it the cell tuples.  Every cell a caller hands
+in must lie in the grid; extend() and bms_with_voting() reject any other
+with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DecodingFailure,
@@ -147,11 +158,41 @@ def _leq(a: Cell, b: Cell) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def grid_cells(q: int, order: MonomialOrder) -> list[Cell]:
+class _Enumeration(NamedTuple):
+    """The (q-1) x (q-1) grid in an order's enumeration, and its weight
+    classes: weight -> the cells of that weight, in enumeration order."""
+
+    cells: tuple[Cell, ...]
+    classes: Mapping[int, tuple[Cell, ...]]
+
+
+@lru_cache(maxsize=None)
+def _enumeration(q: int, order: MonomialOrder | _GradedOrder) -> _Enumeration:
     n = q - 1
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    cells.sort(key=order.key)
-    return cells
+    cells = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
+    classes: dict[int, list[Cell]] = {}
+    for c in cells:
+        classes.setdefault(order.weight(c), []).append(c)
+    return _Enumeration(
+        tuple(cells), MappingProxyType({w: tuple(cs) for w, cs in classes.items()})
+    )
+
+
+def grid_cells(q: int, order: MonomialOrder) -> tuple[Cell, ...]:
+    """Every grid cell, sorted by the order's key.
+
+    Memoized together with its weight classes, keyed by the value of
+    (q, order), one entry per (q, order) in use: an equal order built
+    elsewhere, say by load_spec, shares the entry, and every call returns
+    the same immutable tuple.
+    """
+    return _enumeration(q, order).cells
+
+
+def _check_in_grid(cells: Iterable[Cell], n: int) -> None:
+    for c in cells:
+        if not (0 <= c[0] < n and 0 <= c[1] < n):
+            raise ValueError(f"cell {c} lies outside the {n}x{n} grid")
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +587,7 @@ def extend(
         cells = [(i, j) for i in range(n) for j in range(n)]
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
+    _check_in_grid(values, n)
     elems = [(p.lt, p.coeffs) for p in basis.elements]
     grid: list[list[Elt | None]] = [[None] * n for _ in range(n)]
     outside: list[tuple[Cell, Elt]] = []
@@ -584,6 +626,12 @@ class _GradedOrder:
     def key(self, cell: Cell):
         return (cell[0] + cell[1], cell[1])
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _GradedOrder)
+
+    def __hash__(self) -> int:
+        return hash(_GradedOrder)
+
 
 def bms_with_voting(
     f: Field,
@@ -591,7 +639,7 @@ def bms_with_voting(
     order: MonomialOrder,
     max_errors: int,
     ambient: GroebnerBasis | None = None,
-    support: set[Cell] | None = None,
+    support: AbstractSet[Cell] | None = None,
     stats: dict | None = None,
 ) -> tuple[Array2D, Array2D]:
     """(full syndrome array, error array) from values on the defining set.
@@ -620,6 +668,7 @@ def bms_with_voting(
         if ambient is not None
         else []
     )
+    _check_in_grid(known, n)
     # the known cells must cover an enumeration prefix, except for gaps an
     # ambient recurrence can fill (e.g. off-strip cells under the curve)
     if known:
@@ -631,7 +680,7 @@ def bms_with_voting(
                 continue
             raise ValueError("syndromes must cover a prefix of the order enumeration")
     proc_order = order if isinstance(order, WeightedCurveOrder) else _GradedOrder()
-    cells = grid_cells(q, proc_order)
+    cells, classes = _enumeration(q, proc_order)
 
     state = SakataState(f, proc_order)
     add_t, mul_t = f.add_table, f.mul_table
@@ -725,10 +774,9 @@ def bms_with_voting(
         # both parts outside the staircase casts one vote.
         delta = state.delta
         F = state.F
-        wc = proc_order.weight(c)
         tally: dict[Elt, int] = {}
-        for w in cells:
-            if grid[w[0]][w[1]] is not None or proc_order.weight(w) != wc:
+        for w in classes[proc_order.weight(c)]:
+            if grid[w[0]][w[1]] is not None:
                 continue
             if sym(w) is None:
                 continue

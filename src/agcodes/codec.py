@@ -21,6 +21,7 @@ positions documented on each encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import zip_longest
 from typing import Sequence
 
@@ -91,16 +92,30 @@ class CodeSpec:
         phi = set(self.phi)
         return [c for c in self.basis_all.delta if c not in phi]
 
-    def point_cells(self) -> set[Cell]:
-        return {(p.x, p.y) for p in self.points}
+    def point_cells(self) -> frozenset[Cell]:
+        return self._point_cells
 
     def parity_positions(self) -> list[int]:
-        wpset = set(self.wp)
-        return [h for h, p in enumerate(self.points) if p in wpset]
+        return list(self._positions[0])
 
     def info_positions(self) -> list[int]:
+        return list(self._positions[1])
+
+    # computed on first use, once per spec; the methods above hand out
+    # immutable or copied views, so no caller can alter the shared sets
+
+    @cached_property
+    def _point_cells(self) -> frozenset[Cell]:
+        return frozenset((p.x, p.y) for p in self.points)
+
+    @cached_property
+    def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(parity, information) positions: indices of the points in wp,
+        and of the rest."""
         wpset = set(self.wp)
-        return [h for h, p in enumerate(self.points) if p not in wpset]
+        parity = tuple(h for h, p in enumerate(self.points) if p in wpset)
+        info = tuple(h for h, p in enumerate(self.points) if p not in wpset)
+        return parity, info
 
 
 def _check_symbols(f: Field, symbols: Sequence, what: str) -> None:
@@ -279,8 +294,9 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
 def _point_array(spec: CodeSpec, word: Word) -> Array2D:
     """The word at its point cells, zero elsewhere."""
     arr = Array2D.zeros(spec.field.q)
+    data = arr.data
     for p, v in zip(spec.points, word):
-        arr[(p.x, p.y)] = v
+        data[p.x][p.y] = v
     return arr
 
 

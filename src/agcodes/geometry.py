@@ -67,6 +67,9 @@ class WeightedCurveOrder:
             and (self.a, self.b) == (other.a, other.b)
         )
 
+    def __hash__(self) -> int:
+        return hash((WeightedCurveOrder, self.a, self.b))
+
 
 class HyperbolicOrder:
     """Total order by the product weight (i+1)(j+1), ties by smaller j."""
@@ -84,6 +87,9 @@ class HyperbolicOrder:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HyperbolicOrder)
+
+    def __hash__(self) -> int:
+        return hash(HyperbolicOrder)
 
 
 MonomialOrder = WeightedCurveOrder | HyperbolicOrder

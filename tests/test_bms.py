@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from typing import Iterable
 
 import pytest
@@ -8,6 +9,7 @@ from agcodes.bms import (
     SakataState,
     _Echelon,
     _GradedOrder,
+    _enumeration,
     _leq,
     _synthesize_full,
     bms,
@@ -523,3 +525,63 @@ def test_voting_collinear_errors(basis_all):
     u, pa = _syndromes_of(errs, phi)
     ext, _ = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
     assert ext == u
+
+
+# -- out-of-grid cells --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [(-1, 0), (8, 0), (0, 8)])
+def test_out_of_grid_cells_rejected(bad):
+    # a negative index would silently land in the last row, and one past
+    # the edge raised IndexError
+    spec = codec.preset("hermitian-q9")
+    values = {c: ZERO for c in spec.phi}
+    values[bad] = 3
+    msg = rf"cell \({bad[0]}, {bad[1]}\) lies outside the 8x8 grid"
+    with pytest.raises(ValueError, match=msg):
+        extend(values, spec.basis_wp, F9)
+    with pytest.raises(ValueError, match=msg):
+        bms_with_voting(
+            F9, values, spec.order, spec.t_capability,
+            ambient=spec.basis_all, support=spec.point_cells(),
+        )
+
+
+# -- the memoized enumeration ---------------------------------------------------
+
+# q -> constructors of the three order kinds; each is called twice to
+# build equal orders separately
+MEMO_ORDERS = {
+    q: (partial(WeightedCurveOrder, u, u + 1), HyperbolicOrder, _GradedOrder)
+    for q, u in ((9, 3), (16, 4), (25, 5))
+}
+
+
+@pytest.mark.parametrize("q", sorted(MEMO_ORDERS))
+def test_grid_cells_memo_matches_fresh_sort(q):
+    n = q - 1
+    for make in MEMO_ORDERS[q]:
+        order, twin = make(), make()
+        fresh = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
+        cells = grid_cells(q, order)
+        assert isinstance(cells, tuple)
+        assert list(cells) == fresh
+        # an equal order built separately reuses the same entry
+        assert twin == order and hash(twin) == hash(order)
+        assert grid_cells(q, order) is cells
+        assert grid_cells(q, twin) is cells
+        # the weight classes, in ascending weight, concatenate to the
+        # enumeration, and each holds exactly the cells of its weight
+        classes = _enumeration(q, order).classes
+        assert [c for w in sorted(classes) for c in classes[w]] == fresh
+        for w, members in classes.items():
+            assert all(order.weight(c) == w for c in members)
+        with pytest.raises(TypeError):
+            classes[-1] = ()
+
+
+def test_graded_order_equal_and_hashable():
+    a, b = _GradedOrder(), _GradedOrder()
+    assert a == b and hash(a) == hash(b)
+    assert a != WeightedCurveOrder(1, 1) and a != HyperbolicOrder()
+    assert {a: 1}[b] == 1

@@ -76,6 +76,24 @@ def test_redundant_positions_pinned(herm, hcrs):
     ]
 
 
+@pytest.mark.parametrize("name", codec.PRESETS)
+def test_spec_hashable_and_sets_not_shared_mutably(name):
+    spec = codec.preset(name)
+    assert hash(spec) == hash(spec)
+    assert {spec: name}[spec] == name
+    if spec.kind == "rs":
+        return  # rs carries its positions by index, not by points
+    parity, info = spec.parity_positions(), spec.info_positions()
+    assert sorted(parity + info) == list(range(spec.n))
+    parity.append(-1)
+    info.clear()
+    assert spec.parity_positions() == parity[:-1]
+    assert spec.info_positions() == sorted(set(range(spec.n)) - set(parity))
+    cells = spec.point_cells()
+    assert cells == {(p.x, p.y) for p in spec.points}
+    assert isinstance(cells, frozenset)
+
+
 # -- check matrix ------------------------------------------------------------
 
 

@@ -174,3 +174,13 @@ def test_minimal_outside_matches_scan():
             assert minimal_outside(cells, bound) == minimal_outside_scan(cells, bound)
     assert minimal_outside(set(), 8) == [(0, 0)]
     assert minimal_outside({(i, j) for i in range(9) for j in range(9)}, 8) == []
+
+
+def test_orders_hash_by_value():
+    assert WeightedCurveOrder(3, 4) == WeightedCurveOrder(3, 4)
+    assert hash(WeightedCurveOrder(3, 4)) == hash(WeightedCurveOrder(3, 4))
+    assert WeightedCurveOrder(3, 4) != WeightedCurveOrder(4, 5)
+    assert HyperbolicOrder() == HyperbolicOrder()
+    assert hash(HyperbolicOrder()) == hash(HyperbolicOrder())
+    assert WeightedCurveOrder(3, 4) != HyperbolicOrder()
+    assert len({WeightedCurveOrder(3, 4), WeightedCurveOrder(3, 4), HyperbolicOrder()}) == 2
