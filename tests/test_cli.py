@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -553,3 +554,89 @@ def test_array_file_value_range(tmp_path):
     path.write_text("9 0 0 0 0 0 0 0\n" + "\n".join(["-1 " * 7 + "-1"] * 7) + "\n")
     with pytest.raises(ValueError):
         read_array_file(str(path), 9)
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+
+def _cli_pinned_lines(name, rng, capsys):
+    """Exit code, stdout and stderr (the wall_time_s line left out) of a
+    fixed set of commands on one preset, run in the working directory so
+    that the printed file names are relative: info, build, groebner on
+    each ideal, simulate at 0..t+1 errors, encode in both modes (and with
+    a zero-point trailer where the code has zero points), and decode in
+    both modes at 0, t and t+1 errors."""
+    spec = codec.preset(name)
+    f, n_side, t = spec.field, spec.field.q - 1, spec.t_capability
+    lines = []
+
+    def cli(*argv):
+        code, out, err = run([argv[0], "--preset", name, *argv[1:]], capsys)
+        err = "".join(ln for ln in err.splitlines(True) if not ln.startswith("wall_time_s="))
+        lines.append(f"$ {' '.join(argv)} -> {code}\n{out}{err}")
+
+    cli("info")
+    cli("build", "--out", f"{name}.spec")
+    for ideal in ("wp", "all"):
+        cli("groebner", "--ideal", ideal)
+    for errors in range(t + 2):
+        cli("simulate", "--errors", str(errors), "--trials", "40", "--seed", "100")
+    def rand_info(k):
+        return [rng.randrange(-1, f.q - 1) for _ in range(k)]
+
+    if spec.kind == "rs":
+        cells = [(0, h) for h in range(spec.n)]
+    else:
+        cells = [(p.x, p.y) for p in spec.points]
+    for mode in ("systematic", "nonsystematic"):
+        if spec.kind == "rs":
+            rows = [rand_info(spec.k)]
+        else:
+            rows = [[ZERO] * n_side for _ in range(n_side)]
+            carriers = (
+                [(p.x, p.y) for p in spec.wp_prime]
+                if mode == "systematic"
+                else spec.info_cells()
+            )
+            for (i, j), v in zip(carriers, rand_info(len(carriers))):
+                rows[i][j] = v
+        write_array_file(f"{mode}.info", f.q, rows)
+        cli("encode", "--mode", mode, "--in", f"{mode}.info", "--out", f"{mode}.code")
+        sent, _ = read_array_file(f"{mode}.code", f.q)
+        for weight in (0, t, t + 1):
+            rx = [row[:] for row in sent]
+            for i, j in rng.sample(cells, weight):
+                rx[i][j] = f.add(rx[i][j], rng.randrange(f.q - 1))
+            stem = f"{mode}-{weight}"
+            write_array_file(f"{stem}.rx", f.q, rx)
+            cli(
+                "decode", "--mode", mode, "--in", f"{stem}.rx",
+                "--out", f"{stem}.dec", "--info-out", f"{stem}.back",
+            )
+            if weight == t and spec.kind != "rs":
+                write_array_file(f"{stem}.syn", f.q, dft2(f, Array2D(f.q, rx)).data)
+                cli("groebner", "--ideal", "errors", "--syndromes", f"{stem}.syn")
+    if spec.zero_points:
+        rows, _ = read_array_file("systematic.info", f.q)
+        trailer = [((p.x, p.y), v) for p, v in zip(spec.zero_points, rand_info(9))]
+        write_array_file("extended.info", f.q, rows, trailer)
+        cli("encode", "--in", "extended.info", "--out", "extended.code")
+    return lines
+
+
+def test_cli_outputs_pinned(tmp_path, monkeypatch, capsys):
+    # A digest of the CLI's exit codes, stdout, stderr and written files
+    # on the presets.  A change that is meant to keep every output
+    # byte-identical keeps this digest; a change that moves it says why.
+    h = hashlib.sha256()
+    for seed, name in enumerate(codec.PRESETS, start=8200):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for line in _cli_pinned_lines(name, random.Random(seed), capsys):
+            h.update(line.encode() + b"\n")
+        for path in sorted(work.iterdir()):
+            h.update(f"{path.name}:\n".encode() + path.read_bytes())
+    assert h.hexdigest() == (
+        "97d4b617c05161f8c348e6dc59c0e6d7567de1836fa3fffde57be09403bc788e"
+    )
