@@ -638,8 +638,8 @@ def bms_with_voting(
     known: dict[Cell, Elt],
     order: MonomialOrder,
     max_errors: int,
-    ambient: GroebnerBasis | None = None,
-    support: AbstractSet[Cell] | None = None,
+    ambient: GroebnerBasis,
+    support: AbstractSet[Cell],
     stats: dict | None = None,
 ) -> tuple[Array2D, Array2D]:
     """(full syndrome array, error array) from values on the defining set.
@@ -655,19 +655,16 @@ def bms_with_voting(
     small enough the current polynomial set is tried as a full solution.
     A completion is accepted only if it keeps the known syndromes and its
     inverse transform (the error array) has at most max_errors nonzero
-    cells, all in `support` (when given).  Then the received word minus
-    the error array is a codeword within max_errors of it, and by the
-    Feng-Rao bound the only one, so no recurrence is re-checked.  The
+    cells, all in `support` (the cells of the code points).  Then the
+    received word minus the error array is a codeword within max_errors
+    of it, and by the Feng-Rao bound the only one, so no recurrence is
+    re-checked.  The
     count equals the staircase size of the completion's recurrence ideal,
     which has one cell per error point, so no locator basis is built.
     """
     q = f.q
     n = q - 1
-    amb_rules = (
-        _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
-        if ambient is not None
-        else []
-    )
+    amb_rules = _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
     _check_in_grid(known, n)
     # the known cells must cover an enumeration prefix, except for gaps an
     # ambient recurrence can fill (e.g. off-strip cells under the curve)
@@ -698,7 +695,7 @@ def bms_with_voting(
                 if v == ZERO:
                     continue
                 weight += 1
-                if weight > max_errors or (support is not None and (i, j) not in support):
+                if weight > max_errors or (i, j) not in support:
                     return None
         return ext, err
 

@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import codec
-from .bms import GroebnerBasis, bms_with_voting, vanishing_ideal_basis
+from .bms import GroebnerBasis, vanishing_ideal_basis
 from .errors import (
     AgcodesError,
     DecodingFailure,
@@ -75,36 +75,36 @@ def write_array_file(path: str, q: int, rows: list[list[int]], trailer=()) -> No
 
 
 def read_array_file(path: str, q: int):
-    """Returns (rows, trailer) where trailer maps (xlog, ylog) -> vlog."""
+    """Returns (rows, trailer) where trailer maps (xlog, ylog) -> vlog.  A
+    ValueError names the file, line and token of a bad value or cell."""
     rows: list[list[int]] = []
     trailer: dict[tuple[int, int], int] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}: line {lineno}"
             if line.startswith("@zero"):
-                rest = line[len("@zero") :].strip()
-                coords, _, val = rest.partition(":")
-                x, y = coords.strip().lstrip("(").rstrip(")").split(",")
-                trailer[(int(x), int(y))] = int(val)
+                coords, _, val = line[len("@zero") :].partition(":")
+                coords = coords.strip().lstrip("(").rstrip(")")
+                x, y = codec.int_token(where, coords, "a cell (xlog, ylog)", 2)
+                if (x, y) in trailer:
+                    raise ValueError(f"{where}: @zero cell ({x}, {y}) appears twice")
+                trailer[(x, y)] = codec.int_token(where, val.strip(), "an integer")[0]
                 continue
-            rows.append([int(tok) for tok in line.split()])
-    n = q - 1
-    for row in rows:
-        for v in row:
-            if not -1 <= v <= n - 1:
-                raise ValueError(f"value {v} out of range for q={q}")
+            row = [codec.int_token(where, tok, "an integer")[0] for tok in line.split()]
+            for v in row:
+                if not -1 <= v <= q - 2:
+                    raise ValueError(f"{where}: value {v} out of range for q={q}")
+            rows.append(row)
     return rows, trailer
 
 
 def word_to_rows(spec, word):
     if spec.kind == "rs":
         return [list(word)]
-    arr = [[ZERO] * (spec.field.q - 1) for _ in range(spec.field.q - 1)]
-    for p, v in zip(spec.points, word):
-        arr[p.x][p.y] = v
-    return arr
+    return codec.point_array(spec, word).data
 
 
 def rows_to_word(spec, rows):
@@ -139,39 +139,59 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+# the flags each source of a code reads; giving any other is an error
+_SOURCE_FLAGS = {
+    "--spec": {"spec"},
+    "--preset": {"preset", "m", "r"},
+    "--kind rs": {"field", "kind", "r"},
+    "--kind hcrs": {"field", "kind", "m"},
+    "--kind curve": {"field", "kind", "m", "curve"},
+}
+
+
+def _only_flags_of(args, source: str) -> None:
+    """ValueError naming the first spec flag given that source does not read."""
+    for name in ("spec", "preset", "m", "r", "field", "kind", "curve"):
+        if getattr(args, name) is not None and name not in _SOURCE_FLAGS[source]:
+            raise ValueError(f"--{name} is not used with {source}")
+
+
 def _get_spec(args) -> codec.CodeSpec:
     if args.spec:
+        _only_flags_of(args, "--spec")
         return codec.load_spec(args.spec)
     if args.preset:
+        _only_flags_of(args, "--preset")
         return codec.preset(args.preset, m=args.m, r=args.r)
-    if args.field and args.kind:
-        nums = [codec.int_token("--field", t, "an integer")[0] for t in args.field.split(",")]
-        if len(nums) < 2:
-            raise ValueError(
-                f"--field {args.field!r} needs p, m and the polynomial coefficients"
-            )
-        f = field_new(nums[0], nums[1], nums[2:])
-        if args.kind == "rs":
-            if args.r is None:
-                raise ValueError("rs kind needs --r")
-            return codec.make_rs_code(f, args.r)
-        if args.m is None:
-            raise ValueError(f"{args.kind} kind needs --m")
-        if args.kind == "hcrs":
-            return codec.make_hcrs_code(f, args.m)
-        if not args.curve:
-            raise ValueError("curve kind needs --curve a,b,i:j:c,...")
-        toks = args.curve.split(",")
-        if len(toks) < 2:
-            raise ValueError(f"--curve {args.curve!r} needs a, b and the polynomial terms")
-        a, b = (codec.int_token("--curve", tok, "an integer")[0] for tok in toks[:2])
-        poly = {}
-        for tok in toks[2:]:
-            i, j, c = codec.int_token("--curve", tok, "three integers i:j:c", 3, ":")
-            poly[(i, j)] = c
-        curve = curve_spec(a, b, poly)
-        return codec.make_curve_code(f, curve, args.m)
-    raise ValueError("give --spec FILE, --preset NAME, or --field with --kind")
+    if not (args.field and args.kind):
+        raise ValueError("give --spec FILE, --preset NAME, or --field with --kind")
+    _only_flags_of(args, f"--kind {args.kind}")
+    nums = [codec.int_token("--field", t, "an integer")[0] for t in args.field.split(",")]
+    if len(nums) < 2:
+        raise ValueError(
+            f"--field {args.field!r} needs p, m and the polynomial coefficients"
+        )
+    f = field_new(nums[0], nums[1], nums[2:])
+    if args.kind == "rs":
+        if args.r is None:
+            raise ValueError("rs kind needs --r")
+        return codec.make_rs_code(f, args.r)
+    if args.m is None:
+        raise ValueError(f"{args.kind} kind needs --m")
+    if args.kind == "hcrs":
+        return codec.make_hcrs_code(f, args.m)
+    if not args.curve:
+        raise ValueError("curve kind needs --curve a,b,i:j:c,...")
+    toks = args.curve.split(",")
+    if len(toks) < 2:
+        raise ValueError(f"--curve {args.curve!r} needs a, b and the polynomial terms")
+    a, b = (codec.int_token("--curve", tok, "an integer")[0] for tok in toks[:2])
+    poly = {}
+    for tok in toks[2:]:
+        i, j, c = codec.int_token("--curve", tok, "three integers i:j:c", 3, ":")
+        poly[(i, j)] = c
+    curve = curve_spec(a, b, poly)
+    return codec.make_curve_code(f, curve, args.m)
 
 
 # -- commands ----------------------------------------------------------------
@@ -183,9 +203,7 @@ def cmd_info(args) -> int:
     print(f"capability t={spec.t_capability}")
     print(f"defining set ({len(spec.phi)} cells): " + " ".join(map(str, spec.phi)))
     if spec.kind != "rs":
-        wpset = set(spec.wp)
-        idx = [str(h) for h, p in enumerate(spec.points) if p in wpset]
-        print(f"redundant positions: {' '.join(idx)}")
+        print(f"redundant positions: {' '.join(map(str, spec.parity_positions()))}")
         print(
             "redundant-point basis leading terms: "
             + " ".join(str(p.lt) for p in spec.basis_wp.elements)
@@ -209,25 +227,17 @@ def cmd_build(args) -> int:
 
 def cmd_encode(args) -> int:
     spec = _get_spec(args)
-    rows, trailer = read_array_file(args.infile, spec.field.q)
+    q = spec.field.q
+    rows, trailer = read_array_file(args.infile, q)
     if spec.kind == "rs":
         if len(rows) != 1 or len(rows[0]) != spec.k:
             raise ValueError(f"rs info file must be one row of {spec.k} values")
         info = list(rows[0])
-        word = (
-            codec.rs_encode_euclid(spec.field, spec.r, info)
-            if args.mode == "systematic"
-            else codec.rs_encode_idft(spec.field, spec.r, info)
-        )
-        out_trailer = []
     else:
-        n = spec.field.q - 1
+        n = q - 1
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"info file must be a {n}x{n} array")
-        if args.mode == "systematic":
-            carriers = [(p.x, p.y) for p in spec.wp_prime]
-        else:
-            carriers = list(spec.info_cells())
+        carriers = spec.carrier_cells(args.mode)
         cset = set(carriers)
         for i in range(n):
             for j in range(n):
@@ -237,32 +247,27 @@ def cmd_encode(args) -> int:
                         f"mode {args.mode}; place symbols only on carriers"
                     )
         info = [rows[i][j] for (i, j) in carriers]
-        if trailer:
-            if args.mode != "systematic":
-                raise ValueError("zero-point symbols need systematic mode")
-            zvals = []
-            for p in spec.zero_points:
-                if (p.x, p.y) not in trailer:
-                    raise ValueError(f"missing zero-point symbol for ({p.x},{p.y})")
-                zvals.append(trailer[(p.x, p.y)])
-            word = codec.encode_systematic_extended(spec, info + zvals)
-            out_trailer = [
-                ((p.x, p.y), v) for p, v in zip(spec.zero_points, word[spec.n :])
-            ]
-        else:
-            word = (
-                codec.encode_systematic(spec, info)
-                if args.mode == "systematic"
-                else codec.encode_nonsystematic(spec, info)
-            )
-            out_trailer = []
-    write_array_file(
-        args.out, spec.field.q, word_to_rows(spec, word[: spec.n]), out_trailer
-    )
-    if out_trailer:
+    out_trailer = []
+    if trailer:
+        if args.mode != "systematic":
+            raise ValueError("zero-point symbols need systematic mode")
+        zero_cells = [(p.x, p.y) for p in spec.zero_points]
+        for cell in trailer:
+            if cell not in zero_cells:
+                raise ValueError(f"@zero cell {cell} is not a zero point of this code")
+        for x, y in zero_cells:
+            if (x, y) not in trailer:
+                raise ValueError(f"missing zero-point symbol for ({x},{y})")
+        word = codec.encode_systematic_extended(spec, info + [trailer[c] for c in zero_cells])
+        out_trailer = list(zip(zero_cells, word[spec.n :]))
         sv = codec.lengthened_syndromes(spec, word)
     else:
+        if args.mode == "systematic":
+            word = codec.encode_systematic(spec, info)
+        else:
+            word = codec.encode_nonsystematic(spec, info)
         sv = codec.syndromes(spec, word)
+    write_array_file(args.out, q, word_to_rows(spec, word[: spec.n]), out_trailer)
     with open(args.out + ".check", "w") as fh:
         fh.write(" ".join(str(v) for v in sv) + "\n")
     print(f"wrote {args.out} and {args.out}.check")
@@ -271,27 +276,22 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     spec = _get_spec(args)
-    rows, trailer = read_array_file(args.infile, spec.field.q)
+    q = spec.field.q
+    rows, trailer = read_array_file(args.infile, q)
     if trailer:
         raise ExtendedDecodeUnsupported(
             "decoding of words with zero-point values is not supported"
         )
     word = rows_to_word(spec, rows)
     corrected, info = codec.decode(spec, word, mode=args.mode)
-    write_array_file(args.out, spec.field.q, word_to_rows(spec, corrected))
+    write_array_file(args.out, q, word_to_rows(spec, corrected))
     if spec.kind == "rs":
-        write_array_file(args.info_out, spec.field.q, [info])
+        info_rows = [info]
     else:
-        n = spec.field.q - 1
-        grid = [[ZERO] * n for _ in range(n)]
-        carriers = (
-            [(p.x, p.y) for p in spec.wp_prime]
-            if args.mode == "systematic"
-            else list(spec.info_cells())
-        )
-        for (i, j), v in zip(carriers, info):
-            grid[i][j] = v
-        write_array_file(args.info_out, spec.field.q, grid)
+        info_rows = [[ZERO] * (q - 1) for _ in range(q - 1)]
+        for (i, j), v in zip(spec.carrier_cells(args.mode), info):
+            info_rows[i][j] = v
+    write_array_file(args.info_out, q, info_rows)
     print(f"wrote {args.out} and {args.info_out}")
     return 0
 
@@ -337,6 +337,8 @@ def cmd_simulate(args) -> int:
     spec = _get_spec(args)
     if not 0 <= args.errors <= spec.n:
         raise ValueError("error count out of range")
+    if args.trials < 0:
+        raise ValueError(f"--trials {args.trials} must be nonnegative")
     t0 = time.monotonic()
     success, failure, miscorrection, rows = run_simulation(
         spec, args.errors, args.trials, args.seed
@@ -384,15 +386,7 @@ def cmd_groebner(args) -> int:
         n = spec.field.q - 1
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"syndrome file must be a {n}x{n} array")
-        known = {c: rows[c[0]][c[1]] for c in spec.phi}
-        _, err = bms_with_voting(
-            spec.field,
-            known,
-            spec.order,
-            spec.t_capability,
-            ambient=spec.basis_all,
-            support=spec.point_cells(),
-        )
+        err = codec.error_array(spec, [rows[i][j] for (i, j) in spec.phi])
         located = [Point(i, j) for i in range(n) for j in range(n) if err[(i, j)] != ZERO]
         _print_basis(vanishing_ideal_basis(located, spec.order, spec.field))
     return 0

@@ -14,8 +14,14 @@ Families:
 * rs     - classical RS code of length q-1, one-dimensional.
 
 Codewords are lists of element logs, one per location (kind rs/curve/
-hcrs alike); information vectors are lists of logs bound to carrier
-positions documented on each encoder.
+hcrs alike); information vectors are lists of logs.  Where each symbol
+lives is decided here only.  Position h of a 2-D word is the point
+spec.points[h], at grid cell (log x, log y) in point_array().  A
+systematic word has its information at spec.info_positions() and its
+parity at spec.parity_positions() (rs: the first r positions).  In a 2-D
+information array the symbols sit on spec.carrier_cells(mode): the
+information points' cells (systematic) or the free staircase cells, the
+point-ideal staircase minus the defining set (nonsystematic).
 """
 
 from __future__ import annotations
@@ -92,6 +98,15 @@ class CodeSpec:
         phi = set(self.phi)
         return [c for c in self.basis_all.delta if c not in phi]
 
+    def carrier_cells(self, mode: str) -> list[Cell]:
+        """The cells of a 2-D code's information array that carry the
+        information symbols in mode, in information-vector order."""
+        if mode == "systematic":
+            return [(p.x, p.y) for p in self.wp_prime]
+        if mode == "nonsystematic":
+            return self.info_cells()
+        raise ValueError(f"unknown mode {mode!r}")
+
     def point_cells(self) -> frozenset[Cell]:
         return self._point_cells
 
@@ -109,9 +124,15 @@ class CodeSpec:
         return frozenset((p.x, p.y) for p in self.points)
 
     @cached_property
+    def _wp_cells(self) -> frozenset[Cell]:
+        return frozenset((p.x, p.y) for p in self.wp)
+
+    @cached_property
     def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(parity, information) positions: indices of the points in wp,
-        and of the rest."""
+        and of the rest; for rs the first r positions, and the rest."""
+        if self.kind == "rs":
+            return tuple(range(self.r)), tuple(range(self.r, self.n))
         wpset = set(self.wp)
         parity = tuple(h for h, p in enumerate(self.points) if p in wpset)
         info = tuple(h for h, p in enumerate(self.points) if p not in wpset)
@@ -173,20 +194,15 @@ def _capability(kind: str, m: int, genus: int) -> int:
     return m // 2  # rs: redundancy r corrects r//2
 
 
-def make_curve_code(
-    f: Field, curve: CurveSpec, m: int, include_zero_points: bool = True
-) -> CodeSpec:
-    """Code on the nonzero-coordinate points of the curve with parameter m."""
+def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
+    """Code on the nonzero-coordinate points of the curve with parameter m;
+    the points with a zero coordinate are kept apart for the lengthened
+    code."""
     _check_symbols(f, [c for _, c in curve.defining_poly], "curve coefficient")
     order = WeightedCurveOrder(curve.a, curve.b)
-    points = enumerate_points(curve, f, include_zero=False)
-    zero_points = []
-    if include_zero_points:
-        zero_points = [
-            p
-            for p in enumerate_points(curve, f, include_zero=True)
-            if p.x == ZERO or p.y == ZERO
-        ]
+    all_points = enumerate_points(curve, f, include_zero=True)
+    points = [p for p in all_points if p.x != ZERO and p.y != ZERO]
+    zero_points = [p for p in all_points if p.x == ZERO or p.y == ZERO]
     n, k = code_params(len(points), order, m, f, genus=curve.genus)
     phi = defining_set(order, m, f)
     basis_all = vanishing_ideal_basis(points, order, f)
@@ -267,14 +283,19 @@ PRESETS = ("hermitian-q9", "hcrs-q9", "rs-q9")
 
 
 def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
-    """Named code constructions over the canonical GF(9)."""
+    """Named code constructions over the canonical GF(9).  The rs preset
+    takes r only, the 2-D presets m only."""
     f = gf9()
+    if name == "rs-q9":
+        if m is not None:
+            raise ValueError("preset rs-q9 takes r, not m")
+        return make_rs_code(f, 4 if r is None else r)
+    if name in PRESETS and r is not None:
+        raise ValueError(f"preset {name} takes m, not r")
     if name == "hermitian-q9":
         return make_curve_code(f, hermitian_curve(f), 11 if m is None else m)
     if name == "hcrs-q9":
         return make_hcrs_code(f, 9 if m is None else m)
-    if name == "rs-q9":
-        return make_rs_code(f, 4 if r is None else r)
     raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESETS)}")
 
 
@@ -291,7 +312,7 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
     return [_monomials(f, p, spec.phi) for p in spec.points + spec.zero_points]
 
 
-def _point_array(spec: CodeSpec, word: Word) -> Array2D:
+def point_array(spec: CodeSpec, word: Word) -> Array2D:
     """The word at its point cells, zero elsewhere."""
     arr = Array2D.zeros(spec.field.q)
     data = arr.data
@@ -313,11 +334,7 @@ def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
         return dft1(f, list(word))[: spec.r]
     if len(word) != spec.n:
         raise ValueError(f"word must have length {spec.n}")
-    return dft2_cells(f, _point_array(spec, word), list(spec.phi))
-
-
-def _is_codeword(spec: CodeSpec, word: Word) -> bool:
-    return all(v == ZERO for v in syndromes(spec, word))
+    return dft2_cells(f, point_array(spec, word), list(spec.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +370,8 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
     """
     f = spec.field
     _check_symbols(f, info, "info")
-    if spec.kind == "rs":
-        parity_idx = list(range(spec.r))
-        info_idx = list(range(spec.r, spec.n))
-    else:
-        parity_idx = spec.parity_positions()
-        info_idx = spec.info_positions()
+    parity_idx = spec.parity_positions()
+    info_idx = spec.info_positions()
     if len(info) != len(info_idx):
         raise ValueError(f"info must have length {len(info_idx)}")
     h = check_matrix(spec)[: spec.n]
@@ -384,11 +397,20 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
 # transform-based encoders
 
 
+def _check_support(arr: Array2D, cells: frozenset[Cell], what: str) -> None:
+    """AssertionError naming what unless arr is zero off the given cells."""
+    for i, row in enumerate(arr.data):
+        for j, v in enumerate(row):
+            if v != ZERO and (i, j) not in cells:
+                raise AssertionError(what)
+
+
 def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     """Place information on the free staircase cells, extend by the point
-    ideal, inverse-transform, read off the point cells."""
+    ideal, inverse-transform, read off the point cells.  For rs codes this
+    is rs_encode_idft."""
     if spec.kind == "rs":
-        raise ValueError("use rs_encode_idft for rs codes")
+        return rs_encode_idft(spec.field, spec.r, info)
     f = spec.field
     _check_symbols(f, info, "info")
     cells = spec.info_cells()
@@ -396,47 +418,49 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
         raise ValueError(f"info must have length {len(cells)}")
     values = {c: ZERO for c in spec.phi}
     values.update(zip(cells, info))
-    full = extend(values, spec.basis_all, f)
-    cw = idft2(f, full)
-    ptcells = spec.point_cells()
-    n_side = f.q - 1
-    for i in range(n_side):
-        for j in range(n_side):
-            if (i, j) not in ptcells and cw.data[i][j] != ZERO:
-                raise AssertionError("inverse transform nonzero off the point cells")
+    cw = idft2(f, extend(values, spec.basis_all, f))
+    _check_support(cw, spec.point_cells(), "inverse transform nonzero off the point cells")
     return [cw[(p.x, p.y)] for p in spec.points]
 
 
-def encode_systematic(spec: CodeSpec, info: Info) -> Word:
-    """Information verbatim at the information points, redundancy generated
-    by the recurrence of the redundant-point ideal.
+def _encode_systematic(spec: CodeSpec, info: Info, syndromes_of) -> Word:
+    """The systematic encoder of a 2-D code, for syndromes_of = syndromes
+    or lengthened_syndromes.
 
-    The syndromes of the information word (zero at the redundant points)
-    are extended by the redundant-point basis; the inverse transform of
-    the extension is the array red supported on the redundant points with
-    those syndromes, and the codeword carries -red there.
+    info[:k] goes verbatim to the information positions and info[k:] (the
+    zero-point symbols of a lengthened word) after the n point values.
+    The syndromes of that word, zero at the redundant points, are extended
+    by the redundant-point basis; the inverse transform of the extension
+    is the array red supported on the redundant points with those
+    syndromes, and the codeword carries -red there.
     """
-    if spec.kind == "rs":
-        return rs_encode_euclid(spec.field, spec.r, info)
     f = spec.field
-    _check_symbols(f, info, "info")
-    if len(info) != spec.k:
-        raise ValueError(f"info must have length {spec.k}")
     word = [ZERO] * spec.n
     for h, v in zip(spec.info_positions(), info):
         word[h] = v
-    known = dict(zip(spec.phi, syndromes(spec, word)))
+    word += info[spec.k :]
+    known = dict(zip(spec.phi, syndromes_of(spec, word)))
     red = idft2(f, extend(known, spec.basis_wp, f))
-    for p in spec.wp_prime:
-        if red[(p.x, p.y)] != ZERO:
-            raise AssertionError("systematic position does not carry its symbol")
+    _check_support(red, spec._wp_cells, "redundancy array nonzero off the redundant points")
     neg = f.sub_table[ZERO]
     for h in spec.parity_positions():
         p = spec.points[h]
         word[h] = neg[red[(p.x, p.y)]]
-    if not _is_codeword(spec, word):
+    if any(v != ZERO for v in syndromes_of(spec, word)):
         raise AssertionError("systematic encoder produced a parity violation")
     return word
+
+
+def encode_systematic(spec: CodeSpec, info: Info) -> Word:
+    """Information verbatim at the information positions, redundancy
+    generated by the recurrence of the redundant-point ideal (for rs codes
+    this is rs_encode_euclid, the generator polynomial it generalizes)."""
+    if spec.kind == "rs":
+        return rs_encode_euclid(spec.field, spec.r, info)
+    _check_symbols(spec.field, info, "info")
+    if len(info) != spec.k:
+        raise ValueError(f"info must have length {spec.k}")
+    return _encode_systematic(spec, info, syndromes)
 
 
 # ---------------------------------------------------------------------------
@@ -469,41 +493,17 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
 
 def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     """Systematic encoding of the code lengthened by the zero-coordinate
-    points.  info carries the information-point symbols followed by one
-    symbol per zero point; the output word is the n point values followed
-    by the zero-point values.
-
-    As in encode_systematic, the lengthened syndromes of the word with
-    zeros at the redundant points are extended by the redundant-point
-    basis, and -idft2 of the extension goes to the redundant points.
-    """
-    f = spec.field
-    _check_symbols(f, info, "info")
+    points: encode_systematic with the lengthened syndromes.  info carries
+    the information-point symbols followed by one symbol per zero point;
+    the output word is the n point values followed by the zero-point
+    values."""
+    _check_symbols(spec.field, info, "info")
     if not spec.zero_points:
         raise ValueError("this code has no zero-coordinate points")
     nz = len(spec.zero_points)
     if len(info) != spec.k + nz:
         raise ValueError(f"info must have length {spec.k + nz}")
-    word = [ZERO] * spec.n
-    for h, v in zip(spec.info_positions(), info[: spec.k]):
-        word[h] = v
-    word += info[spec.k :]
-    known = dict(zip(spec.phi, lengthened_syndromes(spec, word)))
-    red = idft2(f, extend(known, spec.basis_wp, f))
-    wpcells = {(p.x, p.y) for p in spec.wp}
-    n_side = f.q - 1
-    for i in range(n_side):
-        for j in range(n_side):
-            if (i, j) not in wpcells and red.data[i][j] != ZERO:
-                raise AssertionError("redundancy array nonzero off the redundant points")
-    neg = f.sub_table[ZERO]
-    for h in spec.parity_positions():
-        p = spec.points[h]
-        word[h] = neg[red[(p.x, p.y)]]
-
-    if any(v != ZERO for v in lengthened_syndromes(spec, word)):
-        raise AssertionError("lengthened parity check failed")
-    return word
+    return _encode_systematic(spec, info, lengthened_syndromes)
 
 
 def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
@@ -526,6 +526,18 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
 # decoding
 
 
+def error_array(spec: CodeSpec, synd: Sequence[Elt], stats: dict | None = None) -> Array2D:
+    """The error array of a 2-D code from the syndromes on its defining set
+    (one value per cell of phi): the voting pass completes them under the
+    point ideal, accepting at most t error cells, all on code points.
+    stats is handed to bms_with_voting."""
+    _, err = bms_with_voting(
+        spec.field, dict(zip(spec.phi, synd)), spec.order, spec.t_capability,
+        ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
+    )
+    return err
+
+
 def decode(
     spec: CodeSpec,
     received: Word,
@@ -535,46 +547,41 @@ def decode(
     """Correct a received word and return (codeword, information).
 
     mode selects how the information is read back: "systematic" from the
-    information points, "nonsystematic" from the corrected word's
-    transform at the free staircase cells.  The syndromes are the
-    received word's transform on the defining set only, and the error
-    array comes from the voting pass, so a decode makes one full inverse
-    transform.  The corrected word always re-passes the parity check
-    before it is returned.  When a dict is passed as stats
-    it reports how many syndrome cells actually needed a vote
-    ("voted_cells") and whether an early certificate completed the rest
-    ("early_certificate").
+    information positions, "nonsystematic" from the corrected word's
+    transform at the free staircase cells (for rs, the negated transform
+    at r..n-1).  For 2-D codes the syndromes are the received word's
+    transform on the defining set only, and the error array comes from
+    the voting pass, so a decode makes one full inverse transform; rs
+    codes use 1-D Berlekamp-Massey.  The corrected word always re-passes
+    the parity check before it is returned.  When a dict is passed as
+    stats a 2-D decode reports how many syndrome cells actually needed a
+    vote ("voted_cells") and whether an early certificate completed the
+    rest ("early_certificate").
     """
     f = spec.field
     if spec.kind == "rs":
         _check_symbols(f, received, "received")
-        return _rs_decode(spec, list(received), mode)
-    if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
-        raise ExtendedDecodeUnsupported(
-            "decoding of words with zero-coordinate positions is not supported"
-        )
-    if len(received) != spec.n:
-        raise ValueError(f"received word must have length {spec.n}")
-    # syndromes() validates the symbols
-    known = dict(zip(spec.phi, syndromes(spec, received)))
-    _, err = bms_with_voting(
-        f,
-        known,
-        spec.order,
-        spec.t_capability,
-        ambient=spec.basis_all,
-        support=spec.point_cells(),
-        stats=stats,
-    )
-    sub_t = f.sub_table
-    corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
-    if not _is_codeword(spec, corrected):
+        corrected = _rs_decode(spec, list(received))
+    else:
+        if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
+            raise ExtendedDecodeUnsupported(
+                "decoding of words with zero-coordinate positions is not supported"
+            )
+        if len(received) != spec.n:
+            raise ValueError(f"received word must have length {spec.n}")
+        # syndromes() validates the symbols
+        err = error_array(spec, syndromes(spec, received), stats)
+        sub_t = f.sub_table
+        corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
+    if any(v != ZERO for v in syndromes(spec, corrected)):
         raise DecodingFailure("corrected word fails the parity check")
     if mode == "systematic":
-        wpp_idx = spec.info_positions()
-        info = [corrected[h] for h in wpp_idx]
+        info = [corrected[h] for h in spec.info_positions()]
+    elif mode == "nonsystematic" and spec.kind == "rs":
+        neg = f.sub_table[ZERO]
+        info = [neg[v] for v in dft1(f, corrected)[spec.r :]]
     elif mode == "nonsystematic":
-        info = dft2_cells(f, _point_array(spec, corrected), spec.info_cells())
+        info = dft2_cells(f, point_array(spec, corrected), spec.info_cells())
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return corrected, info
@@ -668,7 +675,8 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     return [sub_t[c][rv] for c, rv in zip(coeffs, rem)]
 
 
-def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
+def _rs_decode(spec: CodeSpec, received: Word) -> Word:
+    """The corrected word of a received rs word (1-D Berlekamp-Massey)."""
     f = spec.field
     add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
     neg = sub_t[ZERO]
@@ -676,63 +684,50 @@ def _rs_decode(spec: CodeSpec, received: Word, mode: str) -> tuple[Word, Info]:
     r = spec.r
     if len(received) != n:
         raise ValueError(f"received word must have length {n}")
-    s_full = dft1(f, received)
-    s = s_full[:r]
+    s = dft1(f, received)[:r]
     if all(v == ZERO for v in s):
-        corrected = list(received)
-    else:
-        # 1-D Berlekamp-Massey on the syndrome prefix
-        cpoly = {0: ONE}
-        bpoly = {0: ONE}
-        big_l, gap, bdisc = 0, 1, ONE
-        for i in range(r):
-            d = s[i]
-            for j in range(1, big_l + 1):
-                cj = cpoly.get(j, ZERO)
-                if cj != ZERO:
-                    d = add_t[d][mul_t[cj][s[i - j]]]
-            if d == ZERO:
-                gap += 1
-                continue
-            m_adj = mul_t[f.div(d, bdisc)]
-            updated = dict(cpoly)
-            for j, bj in bpoly.items():
-                updated[j + gap] = sub_t[updated.get(j + gap, ZERO)][m_adj[bj]]
-            if 2 * big_l <= i:
-                bpoly, bdisc, gap, big_l = cpoly, d, 1, i + 1 - big_l
-            else:
-                gap += 1
-            cpoly = updated
-        if big_l > spec.t_capability:
-            raise DecodingFailure(f"locator degree {big_l} exceeds capability")
-        taps = [mul_t[cpoly.get(j, ZERO)] for j in range(big_l + 1)]
-        ext = list(s)
-        for i in range(r, n):
-            acc = ZERO
-            for j in range(1, big_l + 1):
-                acc = add_t[acc][taps[j][ext[i - j]]]
-            ext.append(neg[acc])
-        for i in range(n):  # the recurrence must hold cyclically
-            acc = ZERO
-            for j in range(0, big_l + 1):
-                acc = add_t[acc][taps[j][ext[(i - j) % n]]]
-            if acc != ZERO:
-                raise DecodingFailure("syndrome extension is not cyclic")
-        err = idft1(f, ext)
-        if sum(1 for v in err if v != ZERO) > spec.t_capability:
-            raise DecodingFailure("error estimate exceeds capability")
-        corrected = [sub_t[v][e] for v, e in zip(received, err)]
-    chk = dft1(f, corrected)[:r]
-    if any(v != ZERO for v in chk):
-        raise DecodingFailure("corrected word fails the parity check")
-    if mode == "systematic":
-        info = corrected[r:]
-    elif mode == "nonsystematic":
-        full = dft1(f, corrected)
-        info = [neg[full[i]] for i in range(r, n)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return corrected, info
+        return list(received)
+    # 1-D Berlekamp-Massey on the syndrome prefix
+    cpoly = {0: ONE}
+    bpoly = {0: ONE}
+    big_l, gap, bdisc = 0, 1, ONE
+    for i in range(r):
+        d = s[i]
+        for j in range(1, big_l + 1):
+            cj = cpoly.get(j, ZERO)
+            if cj != ZERO:
+                d = add_t[d][mul_t[cj][s[i - j]]]
+        if d == ZERO:
+            gap += 1
+            continue
+        m_adj = mul_t[f.div(d, bdisc)]
+        updated = dict(cpoly)
+        for j, bj in bpoly.items():
+            updated[j + gap] = sub_t[updated.get(j + gap, ZERO)][m_adj[bj]]
+        if 2 * big_l <= i:
+            bpoly, bdisc, gap, big_l = cpoly, d, 1, i + 1 - big_l
+        else:
+            gap += 1
+        cpoly = updated
+    if big_l > spec.t_capability:
+        raise DecodingFailure(f"locator degree {big_l} exceeds capability")
+    taps = [mul_t[cpoly.get(j, ZERO)] for j in range(big_l + 1)]
+    ext = list(s)
+    for i in range(r, n):
+        acc = ZERO
+        for j in range(1, big_l + 1):
+            acc = add_t[acc][taps[j][ext[i - j]]]
+        ext.append(neg[acc])
+    for i in range(n):  # the recurrence must hold cyclically
+        acc = ZERO
+        for j in range(0, big_l + 1):
+            acc = add_t[acc][taps[j][ext[(i - j) % n]]]
+        if acc != ZERO:
+            raise DecodingFailure("syndrome extension is not cyclic")
+    err = idft1(f, ext)
+    if sum(1 for v in err if v != ZERO) > spec.t_capability:
+        raise DecodingFailure("error estimate exceeds capability")
+    return [sub_t[v][e] for v, e in zip(received, err)]
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +805,8 @@ def load_spec(path: str) -> CodeSpec:
     """Read a spec file written by save_spec.
 
     The file names its construction: the code is rebuilt from field,
-    kind, m (r for rs), curve and whether zero_points is present, and
-    every key and section must then equal the rebuilt code's rendering.
+    kind, m (r for rs) and curve, and every key and section must then
+    equal the rebuilt code's rendering.
     Construction is deterministic and a reduced Groebner basis is unique,
     so a file that matches holds exactly the constructed code, and
     nothing in it is re-proved.  ValueError names the file and the first
@@ -858,7 +853,7 @@ def load_spec(path: str) -> CodeSpec:
         elif kind == "hcrs":
             spec = make_hcrs_code(f, m)
         else:
-            spec = make_curve_code(f, curve, m, include_zero_points="zero_points" in have)
+            spec = make_curve_code(f, curve, m)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

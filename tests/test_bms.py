@@ -367,7 +367,9 @@ def _locator(err, order):
 def test_voting_zero_syndromes(basis_all):
     phi = defining_set(WORDER, 11, F9)
     _, pa = _syndromes_of({}, phi)
-    ext, err = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all)
+    ext, err = bms_with_voting(
+        F9, pa, WORDER, 3, ambient=basis_all, support={(p.x, p.y) for p in HERM_POINTS}
+    )
     assert ext == Array2D.zeros(9)
     assert err == Array2D.zeros(9)
     assert _locator(err, WORDER).delta == ()
@@ -408,7 +410,10 @@ def test_voting_three_errors_matches_truth(basis_all):
 def test_voting_prefix_validation(basis_all):
     arr = Array2D.zeros(9)
     with pytest.raises(ValueError):
-        bms_with_voting(F9, values_of(arr, [(7, 7)]), WORDER, 3, ambient=basis_all)
+        bms_with_voting(
+            F9, values_of(arr, [(7, 7)]), WORDER, 3,
+            ambient=basis_all, support={(p.x, p.y) for p in HERM_POINTS},
+        )
 
 
 @pytest.mark.parametrize("order", [WORDER, _GradedOrder()], ids=["weighted", "graded"])

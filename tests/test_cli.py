@@ -122,6 +122,42 @@ def test_info_malformed_flag_names_flag_and_token(capsys, flag, value, token):
     assert err.startswith("ValueError") and flag in err and token in err
 
 
+FIELD9 = ["--field", "3,2,2,1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["info", "--preset", "rs-q9", "--m", "5"], "m"),
+        (["info", "--preset", "hermitian-q9", "--r", "3"], "r"),
+        (["info", "--preset", "hcrs-q9", "--r", "3"], "r"),
+        (["info", "--preset", "hcrs-q9", *FIELD9], "--field"),
+        (["info", "--spec", "SPEC", "--m", "5"], "--m"),
+        (["info", "--spec", "SPEC", "--preset", "rs-q9"], "--preset"),
+        (["info", *FIELD9, "--kind", "hcrs", "--m", "9", "--curve", "3,4,0:3:0"], "--curve"),
+        (["info", *FIELD9, "--kind", "hcrs", "--m", "9", "--r", "4"], "--r"),
+        (["info", *FIELD9, "--kind", "rs", "--r", "4", "--m", "5"], "--m"),
+        (["info", *FIELD9, "--kind", "curve", "--m", "11", "--r", "4",
+          "--curve", "3,4,0:3:0,0:1:0,4:0:4"], "--r"),
+        (["simulate", "--preset", "rs-q9", "--errors", "1", "--trials", "-3"], "--trials"),
+    ],
+    ids=[
+        "rs-preset-m", "hermitian-preset-r", "hcrs-preset-r", "preset-field",
+        "spec-m", "spec-preset", "hcrs-curve", "hcrs-r", "rs-m", "curve-r",
+        "negative-trials",
+    ],
+)
+def test_flag_the_code_source_does_not_read_is_rejected(tmp_path, capsys, argv, flag):
+    # a flag that would be silently ignored is malformed input
+    spec_path = tmp_path / "rs.spec"
+    codec.save_spec(codec.preset("rs-q9"), str(spec_path))
+    argv = [str(spec_path) if a == "SPEC" else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ValueError") and flag in err
+
+
 @pytest.mark.parametrize(
     "terms, message",
     [("0:3:0,0:1:0,4:0:44", "element log"), ("0:3:0,0:1:0,4:0:4,-1:0:0", "negative")],
@@ -466,6 +502,54 @@ def test_encode_extended_trailer(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("ExtendedDecodeUnsupported")
+
+
+@pytest.mark.parametrize(
+    "name, trailer, cell",
+    [
+        ("rs-q9", [((0, 2), 3)], "(0, 2)"),
+        ("hcrs-q9", [((-1, 3), 3)], "(-1, 3)"),
+        ("hermitian-q9", [((-1, -1), 7), ((-1, 2), 5), ((-1, 6), 2), ((3, 4), 5)], "(3, 4)"),
+    ],
+    ids=["rs", "hcrs", "hermitian-extra-cell"],
+)
+def test_encode_rejects_trailer_cell_off_the_zero_points(tmp_path, capsys, name, trailer, cell):
+    # a trailer line the code cannot use is an error, not silently dropped
+    spec = codec.preset(name)
+    infofile = tmp_path / "info.arr"
+    if spec.kind == "rs":
+        write_array_file(str(infofile), 9, [[ZERO] * spec.k], trailer)
+    else:
+        write_info_file(infofile, spec, [ZERO] * spec.k, trailer)
+    argv = ["encode", "--preset", name, "--in", str(infofile), "--out", str(tmp_path / "c.arr")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and f"@zero cell {cell}" in err
+    assert not (tmp_path / "c.arr").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, line, token",
+    [
+        (["x"], 3, "'x'"),
+        (["@zero (1 2): 3"], 3, "'1 2'"),
+        (["@zero (-1, 2): z"], 3, "'z'"),
+        (["@zero (-1, 2): 3", "", "@zero (-1, 2): 4"], 5, "(-1, 2) appears twice"),
+        (["0 9"], 3, "value 9 out of range"),
+    ],
+    ids=["row-token", "zero-cell", "zero-value", "zero-cell-repeated", "value-above-range"],
+)
+def test_array_file_errors_name_file_line_and_token(tmp_path, capsys, lines, line, token):
+    path = tmp_path / "info.arr"
+    path.write_text("# header\n-1 -1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_array_file(str(path), 9)
+    assert f"{path}: line {line}" in str(exc.value) and token in str(exc.value)
+    # and through the command line, as malformed input
+    argv = ["encode", "--preset", "hermitian-q9", "--in", str(path), "--out", str(path) + ".c"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("ValueError") and f"{path}: line {line}" in err and token in err
 
 
 def test_simulate_zero_errors(capsys):

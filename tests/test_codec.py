@@ -583,6 +583,68 @@ def test_rs_decode_nonsystematic(rs4):
         assert ginfo == info
 
 
+def test_rs_layout_and_nonsystematic_dispatch(rs4):
+    # parity on the first r positions, as rs_encode_euclid places it
+    assert rs4.parity_positions() == [0, 1, 2, 3]
+    assert rs4.info_positions() == [4, 5, 6, 7]
+    rng = random.Random(21)
+    for _ in range(20):
+        info = rand_info(rng, rs4.k)
+        assert codec.encode_nonsystematic(rs4, info) == codec.rs_encode_idft(F9, 4, info)
+
+
+def test_carrier_cells(herm, hcrs):
+    for spec in (herm, hcrs):
+        assert spec.carrier_cells("systematic") == [(p.x, p.y) for p in spec.wp_prime]
+        assert spec.carrier_cells("nonsystematic") == spec.info_cells()
+        with pytest.raises(ValueError, match="unknown mode"):
+            spec.carrier_cells("other")
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, unused",
+    [("rs-q9", {"m": 5}, "m"), ("hermitian-q9", {"r": 3}, "r"), ("hcrs-q9", {"r": 3}, "r")],
+)
+def test_preset_rejects_parameter_its_family_does_not_take(name, kwargs, unused):
+    with pytest.raises(ValueError, match=f"not {unused}"):
+        codec.preset(name, **kwargs)
+
+
+def test_make_curve_code_enumerates_points_once(monkeypatch):
+    calls = []
+    real = codec.enumerate_points
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "enumerate_points", counted)
+    spec = codec.preset("hermitian-q9")
+    assert len(calls) == 1
+    assert len(spec.points) == 24 and len(spec.zero_points) == 3
+
+
+def test_encode_systematic_checks_full_support(herm, monkeypatch):
+    # the redundancy array must vanish off the redundant points, also at
+    # cells that are no code point at all (not only at information points)
+    off = next(
+        (i, j) for i in range(8) for j in range(8) if (i, j) not in herm.point_cells()
+    )
+    real = codec.idft2
+
+    def stray(f, arr):
+        out = real(f, arr)
+        out[off] = 0
+        return out
+
+    info = [ZERO] * herm.k
+    monkeypatch.setattr(codec, "idft2", stray)
+    with pytest.raises(AssertionError, match="off the redundant points"):
+        codec.encode_systematic(herm, info)
+    with pytest.raises(AssertionError, match="off the redundant points"):
+        codec.encode_systematic_extended(herm, info + [ZERO] * 3)
+
+
 # -- persistence ---------------------------------------------------------------
 
 
@@ -599,6 +661,16 @@ def test_spec_save_load_roundtrip(tmp_path, herm, hcrs, rs4):
         assert codec.encode_systematic(again, info) == codec.encode_systematic(
             spec, info
         )
+
+
+def test_curve_spec_without_zero_points_rejected(tmp_path, herm):
+    # the zero points belong to every curve code, so the file must list them
+    path = tmp_path / "h.spec"
+    codec.save_spec(herm, str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith("zero_points")) + "\n")
+    with pytest.raises(ValueError, match="missing key 'zero_points'"):
+        codec.load_spec(str(path))
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)
