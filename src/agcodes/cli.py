@@ -91,13 +91,14 @@ def read_array_file(path: str, q: int):
                 x, y = codec.int_token(where, coords, "a cell (xlog, ylog)", 2)
                 if (x, y) in trailer:
                     raise ValueError(f"{where}: @zero cell ({x}, {y}) appears twice")
-                trailer[(x, y)] = codec.int_token(where, val.strip(), "an integer")[0]
-                continue
-            row = [codec.int_token(where, tok, "an integer")[0] for tok in line.split()]
-            for v in row:
+                values = codec.int_token(where, val.strip(), "an integer")
+                trailer[(x, y)] = values[0]
+            else:
+                values = [codec.int_token(where, tok, "an integer")[0] for tok in line.split()]
+                rows.append(values)
+            for v in values:
                 if not -1 <= v <= q - 2:
                     raise ValueError(f"{where}: value {v} out of range for q={q}")
-            rows.append(row)
     return rows, trailer
 
 
@@ -149,7 +150,7 @@ _SOURCE_FLAGS = {
 }
 
 
-def _only_flags_of(args, source: str) -> None:
+def _reject_unread_flags(args, source: str) -> None:
     """ValueError naming the first spec flag given that source does not read."""
     for name in ("spec", "preset", "m", "r", "field", "kind", "curve"):
         if getattr(args, name) is not None and name not in _SOURCE_FLAGS[source]:
@@ -158,14 +159,14 @@ def _only_flags_of(args, source: str) -> None:
 
 def _get_spec(args) -> codec.CodeSpec:
     if args.spec:
-        _only_flags_of(args, "--spec")
+        _reject_unread_flags(args, "--spec")
         return codec.load_spec(args.spec)
     if args.preset:
-        _only_flags_of(args, "--preset")
+        _reject_unread_flags(args, "--preset")
         return codec.preset(args.preset, m=args.m, r=args.r)
     if not (args.field and args.kind):
         raise ValueError("give --spec FILE, --preset NAME, or --field with --kind")
-    _only_flags_of(args, f"--kind {args.kind}")
+    _reject_unread_flags(args, f"--kind {args.kind}")
     nums = [codec.int_token("--field", t, "an integer")[0] for t in args.field.split(",")]
     if len(nums) < 2:
         raise ValueError(

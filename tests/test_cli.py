@@ -536,8 +536,12 @@ def test_encode_rejects_trailer_cell_off_the_zero_points(tmp_path, capsys, name,
         (["@zero (-1, 2): z"], 3, "'z'"),
         (["@zero (-1, 2): 3", "", "@zero (-1, 2): 4"], 5, "(-1, 2) appears twice"),
         (["0 9"], 3, "value 9 out of range"),
+        (["@zero (-1, 2): 8"], 3, "value 8 out of range"),
     ],
-    ids=["row-token", "zero-cell", "zero-value", "zero-cell-repeated", "value-above-range"],
+    ids=[
+        "row-token", "zero-cell", "zero-value", "zero-cell-repeated", "value-above-range",
+        "zero-value-above-range",
+    ],
 )
 def test_array_file_errors_name_file_line_and_token(tmp_path, capsys, lines, line, token):
     path = tmp_path / "info.arr"
