@@ -1,5 +1,7 @@
 import hashlib
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -647,21 +649,25 @@ def test_array_file_value_range(tmp_path):
 # -- pinned outputs ------------------------------------------------------------
 
 
-def _cli_pinned_lines(name, rng, capsys):
-    """Exit code, stdout and stderr (the wall_time_s line left out) of a
-    fixed set of commands on one preset, run in the working directory so
-    that the printed file names are relative: info, build, groebner on
-    each ideal, simulate at 0..t+1 errors, encode in both modes (and with
-    a zero-point trailer where the code has zero points), and decode in
-    both modes at 0, t and t+1 errors."""
+def _cli_pinned_lines(name, rng):
+    """(exit code, text) of a fixed set of commands on one preset, the text
+    being the command, its exit code, stdout and stderr (the wall_time_s
+    line left out), run in the working directory so that the printed file
+    names are relative: info, build, groebner on each ideal, simulate at
+    0..t+1 errors, encode in both modes (and with a zero-point trailer
+    where the code has zero points), and decode in both modes at 0, t and
+    t+1 errors."""
     spec = codec.preset(name)
     f, n_side, t = spec.field, spec.field.q - 1, spec.t_capability
     lines = []
 
     def cli(*argv):
-        code, out, err = run([argv[0], "--preset", name, *argv[1:]], capsys)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([argv[0], "--preset", name, *argv[1:]])
+        out, err = out.getvalue(), err.getvalue()
         err = "".join(ln for ln in err.splitlines(True) if not ln.startswith("wall_time_s="))
-        lines.append(f"$ {' '.join(argv)} -> {code}\n{out}{err}")
+        lines.append((code, f"$ {' '.join(argv)} -> {code}\n{out}{err}"))
 
     cli("info")
     cli("build", "--out", f"{name}.spec")
@@ -712,19 +718,35 @@ def _cli_pinned_lines(name, rng, capsys):
     return lines
 
 
-def test_cli_outputs_pinned(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def cli_pinned_digests(tmp_path_factory):
+    """(successes, refusals): the digest of every command that did not exit
+    4 and of the files written, and the digest of the commands that did."""
+    successes, refusals = hashlib.sha256(), hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        for seed, name in enumerate(codec.PRESETS, start=8200):
+            work = tmp_path_factory.mktemp(name)
+            mp.chdir(work)
+            for code, text in _cli_pinned_lines(name, random.Random(seed)):
+                h = refusals if code == 4 else successes
+                h.update(text.encode() + b"\n")
+            for path in sorted(work.iterdir()):
+                successes.update(f"{path.name}:\n".encode() + path.read_bytes())
+    return successes.hexdigest(), refusals.hexdigest()
+
+
+def test_cli_outputs_pinned(cli_pinned_digests):
     # A digest of the CLI's exit codes, stdout, stderr and written files
-    # on the presets.  A change that is meant to keep every output
-    # byte-identical keeps this digest; a change that moves it says why.
-    h = hashlib.sha256()
-    for seed, name in enumerate(codec.PRESETS, start=8200):
-        work = tmp_path / name
-        work.mkdir()
-        monkeypatch.chdir(work)
-        for line in _cli_pinned_lines(name, random.Random(seed), capsys):
-            h.update(line.encode() + b"\n")
-        for path in sorted(work.iterdir()):
-            h.update(f"{path.name}:\n".encode() + path.read_bytes())
-    assert h.hexdigest() == (
-        "97d4b617c05161f8c348e6dc59c0e6d7567de1836fa3fffde57be09403bc788e"
+    # on the presets, the decoding failures left out.  A change that is
+    # meant to keep every output byte-identical keeps this digest; a
+    # change that moves it says why.
+    assert cli_pinned_digests[0] == (
+        "dd0805ced6c55404cf02dd023f1e31f1fd8a5fd02e191f2b56a1a8e77592565d"
+    )
+
+
+def test_cli_refusals_pinned(cli_pinned_digests):
+    # The commands of the same set that exit 4, with their stderr.
+    assert cli_pinned_digests[1] == (
+        "9ac044bf46b1ac6737c1bdf06dcbe81c4147f885c6443c4669d1258986ceb423"
     )
