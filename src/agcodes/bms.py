@@ -28,11 +28,12 @@ Three synthesis entry points:
   Feng-Rao pair predictions drawn from the current minimal polynomial
   set, then certified by the error count: the inverse transform of the
   completion must have at most t nonzero cells, all on code points.
-  It returns the completed array and its inverse transform, the error
-  array; the locator basis is vanishing_ideal_basis() of the error
-  array's nonzero cells, since the staircase of a fully known array's
+  It returns that inverse transform, the error array; the completed
+  array is its dft2, and the locator basis is vanishing_ideal_basis() of
+  its nonzero cells, since the staircase of a fully known array's
   recurrence ideal has exactly one cell per nonzero cell of its inverse
-  transform.
+  transform.  The hyperbolic order of hcrs codes is not translation
+  invariant, so their cells are processed in WeightedCurveOrder(1, 1).
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -120,36 +121,6 @@ class GroebnerBasis:
         return "\n".join(lines) + "\n"
 
 
-def parse_basis(text: str, order: MonomialOrder) -> GroebnerBasis:
-    """Inverse of GroebnerBasis.serialize (delta recomputed from LTs)."""
-    polys: list[BivariatePoly] = []
-    cur: dict[Cell, Elt] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("basis"):
-            continue
-        if line == "poly":
-            if cur:
-                polys.append(BivariatePoly(cur, order))
-            cur = {}
-            continue
-        i, j, c = line.split()
-        assert cur is not None
-        cur[(int(i), int(j))] = int(c)
-    if cur:
-        polys.append(BivariatePoly(cur, order))
-    lts = [p.lt for p in polys]
-    bound = max(max(t) for t in lts)
-    delta = [
-        (i, j)
-        for i in range(bound + 1)
-        for j in range(bound + 1)
-        if not any(t[0] <= i and t[1] <= j for t in lts)
-    ]
-    delta.sort(key=order.key)
-    return GroebnerBasis(tuple(polys), tuple(delta), order)
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 
@@ -167,7 +138,7 @@ class _Enumeration(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _enumeration(q: int, order: MonomialOrder | _GradedOrder) -> _Enumeration:
+def _enumeration(q: int, order: MonomialOrder) -> _Enumeration:
     n = q - 1
     cells = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
     classes: dict[int, list[Cell]] = {}
@@ -607,32 +578,6 @@ def extend(
 # decoding: majority voting for unknown syndromes
 
 
-class _GradedOrder:
-    """Total-degree order with ties by smaller j.
-
-    Translation invariant (s < t implies s+d < t+d), which the voting pass
-    needs: it guarantees that every cell a minimal polynomial's test
-    touches is already assigned, and that every componentwise split of a
-    cell is a valid prediction pair.  Orders that are not translation
-    invariant (the hyperbolic one) are swapped for this one while
-    processing; the caller's order still decides the syndrome prefix.
-    """
-
-    kind = "graded"
-
-    def weight(self, cell: Cell) -> int:
-        return cell[0] + cell[1]
-
-    def key(self, cell: Cell):
-        return (cell[0] + cell[1], cell[1])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _GradedOrder)
-
-    def __hash__(self) -> int:
-        return hash(_GradedOrder)
-
-
 def bms_with_voting(
     f: Field,
     known: dict[Cell, Elt],
@@ -641,26 +586,30 @@ def bms_with_voting(
     ambient: GroebnerBasis,
     support: AbstractSet[Cell],
     stats: dict | None = None,
-) -> tuple[Array2D, Array2D]:
-    """(full syndrome array, error array) from values on the defining set.
+) -> Array2D:
+    """The error array from syndrome values on the defining set.
 
-    Grid cells are processed in a translation-invariant enumeration (the
-    code's own order when it is one, a graded order otherwise).  Cells an
-    ambient recurrence (the ideal of all code locations, e.g. the curve
-    equation plus periodicity) determines are derived directly; the rest
-    are voted:  every componentwise split w = a + b of a cell in the
-    current weight class, with neither part in the staircase so far,
-    contributes the value predicted by the minimal polynomial covering a.
-    The plurality value is taken, ties fail.  Whenever the staircase is
-    small enough the current polynomial set is tried as a full solution.
-    A completion is accepted only if it keeps the known syndromes and its
-    inverse transform (the error array) has at most max_errors nonzero
-    cells, all in `support` (the cells of the code points).  Then the
-    received word minus the error array is a codeword within max_errors
-    of it, and by the Feng-Rao bound the only one, so no recurrence is
-    re-checked.  The
-    count equals the staircase size of the completion's recurrence ideal,
-    which has one cell per error point, so no locator basis is built.
+    Grid cells are processed in a translation-invariant enumeration, so
+    that every cell a minimal polynomial's test touches is already
+    assigned and every componentwise split of a cell is a valid prediction
+    pair: the code's own order when it is weighted, WeightedCurveOrder(1, 1)
+    (total degree, ties by smaller j) for the hyperbolic order of hcrs
+    codes.  Cells an ambient recurrence (the ideal of all code locations,
+    e.g. the curve equation plus periodicity) determines are derived
+    directly; the rest are voted: every componentwise split w = a + b of a
+    cell in the current weight class, with neither part in the staircase
+    so far, contributes the value predicted by the minimal polynomial
+    covering a.  The plurality value is taken, ties fail.
+
+    One certificate accepts, tried whenever the staircase is small enough
+    and once the grid is full: the grid completed by the current
+    polynomial set and the known syndromes must have an inverse transform
+    (the error array) with at most max_errors nonzero cells, all in
+    `support` (the cells of the code points).  That count is the staircase
+    size of the completion's recurrence ideal (Blahut's theorem), and by
+    the Feng-Rao bound the received word minus the error array is the only
+    codeword within max_errors of it, so no locator basis is built and no
+    recurrence re-checked.  The full syndrome array is dft2(f, error array).
     """
     q = f.q
     n = q - 1
@@ -676,38 +625,29 @@ def bms_with_voting(
             if cell in known or any(_leq(lt, cell) for lt, _ in amb_rules):
                 continue
             raise ValueError("syndromes must cover a prefix of the order enumeration")
-    proc_order = order if isinstance(order, WeightedCurveOrder) else _GradedOrder()
-    cells, classes = _enumeration(q, proc_order)
+    if not isinstance(order, WeightedCurveOrder):
+        order = WeightedCurveOrder(1, 1)
+    cells, classes = _enumeration(q, order)
 
-    state = SakataState(f, proc_order)
+    state = SakataState(f, order)
     add_t, mul_t = f.add_table, f.mul_table
     neg = f.sub_table[ZERO]
     grid = state.grid  # shared view; process() writes it
 
-    def finalize(full: list[list[Elt]]) -> tuple[Array2D, Array2D] | None:
-        """(full array, error array), or None when the error array has more
-        than max_errors nonzero cells or one outside the support."""
-        ext = Array2D(q, full)
-        err = idft2(f, ext)
-        weight = 0
-        for i, row in enumerate(err.data):
-            for j, v in enumerate(row):
-                if v == ZERO:
-                    continue
-                weight += 1
-                if weight > max_errors or (i, j) not in support:
-                    return None
-        return ext, err
-
-    def try_certificate() -> tuple[Array2D, Array2D] | None:
-        # seed with every known syndrome, including ones not yet reached
-        # by the processing enumeration
-        trial = [row[:] for row in grid]
+    def certificate() -> Array2D | None:
+        """The error array of the grid and every known syndrome, completed
+        by the recurrences of F; None when a cell stays unreachable or the
+        error array has more than max_errors nonzero cells or one off support."""
+        full = [row[:] for row in grid]
         for (i, j), v in known.items():
-            trial[i][j] = v
-        if not _fill_by_recurrences(f, trial, state.F, cells):
+            full[i][j] = v
+        if not _fill_by_recurrences(f, full, state.F, cells):
             return None
-        return finalize(trial)
+        err = idft2(f, Array2D(q, full))
+        hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
+        if len(hits) > max_errors or any(c not in support for c in hits):
+            return None
+        return err
 
     def vote(c: Cell) -> Elt:
         # symbolic cell values A + B*X where X is the unknown u[c]
@@ -772,7 +712,7 @@ def bms_with_voting(
         delta = state.delta
         F = state.F
         tally: dict[Elt, int] = {}
-        for w in classes[proc_order.weight(c)]:
+        for w in classes[order.weight(c)]:
             if grid[w[0]][w[1]] is not None:
                 continue
             if sym(w) is None:
@@ -812,18 +752,18 @@ def bms_with_voting(
             continue
         if len(state.delta) <= max_errors and state.version != last_attempt:
             last_attempt = state.version
-            res = try_certificate()
-            if res is not None:
+            err = certificate()
+            if err is not None:
                 if stats is not None:
                     stats.update(voted_cells=voted, early_certificate=True)
-                return res
+                return err
         state.process(c, vote(c))
         voted += 1
         if stats is not None:
             stats["voted_cells"] = voted
 
     # every cell of the enumeration is processed, so the grid is full
-    res = finalize(grid)
-    if res is None:
+    err = certificate()
+    if err is None:
         raise DecodingFailure("completed syndrome array fails the final checks")
-    return res
+    return err

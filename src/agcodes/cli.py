@@ -108,15 +108,34 @@ def word_to_rows(spec, word):
     return codec.point_array(spec, word).data
 
 
-def rows_to_word(spec, rows):
+def _check_shape(path: str, rows, height: int, width: int) -> None:
+    """ValueError naming the file, the expected and the found shape unless
+    the rows form a height x width array."""
+    widths = sorted({len(r) for r in rows}) or [0]
+    if len(rows) != height or widths != [width]:
+        found = f"{len(rows)} rows of {widths[0]} to {widths[-1]} values"
+        if len(widths) == 1:
+            found = f"{len(rows)}x{widths[0]}"
+        raise ValueError(f"{path}: expected a {height}x{width} array, found {found}")
+
+
+def _values_on(path: str, rows, cells, what: str) -> list:
+    """The values at cells of a checked array; ValueError naming the file
+    and the first other cell that is not -1, as a cell that is not what."""
+    cset = set(cells)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v != ZERO and (i, j) not in cset:
+                raise ValueError(f"{path}: cell ({i},{j}) holds {v} but is not {what}")
+    return [rows[i][j] for i, j in cells]
+
+
+def rows_to_word(path: str, spec, rows):
     if spec.kind == "rs":
-        if len(rows) != 1 or len(rows[0]) != spec.n:
-            raise ValueError(f"rs word file must be one row of {spec.n} values")
+        _check_shape(path, rows, 1, spec.n)
         return list(rows[0])
-    n = spec.field.q - 1
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"array file must be {n}x{n}")
-    return [rows[p.x][p.y] for p in spec.points]
+    _check_shape(path, rows, spec.field.q - 1, spec.field.q - 1)
+    return _values_on(path, rows, [(p.x, p.y) for p in spec.points], "a code point")
 
 
 # -- spec acquisition ----------------------------------------------------------
@@ -231,23 +250,12 @@ def cmd_encode(args) -> int:
     q = spec.field.q
     rows, trailer = read_array_file(args.infile, q)
     if spec.kind == "rs":
-        if len(rows) != 1 or len(rows[0]) != spec.k:
-            raise ValueError(f"rs info file must be one row of {spec.k} values")
+        _check_shape(args.infile, rows, 1, spec.k)
         info = list(rows[0])
     else:
-        n = q - 1
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"info file must be a {n}x{n} array")
-        carriers = spec.carrier_cells(args.mode)
-        cset = set(carriers)
-        for i in range(n):
-            for j in range(n):
-                if (i, j) not in cset and rows[i][j] != ZERO:
-                    raise ValueError(
-                        f"cell ({i},{j}) is not an information carrier for "
-                        f"mode {args.mode}; place symbols only on carriers"
-                    )
-        info = [rows[i][j] for (i, j) in carriers]
+        _check_shape(args.infile, rows, q - 1, q - 1)
+        what = f"an information carrier for mode {args.mode}"
+        info = _values_on(args.infile, rows, spec.carrier_cells(args.mode), what)
     out_trailer = []
     if trailer:
         if args.mode != "systematic":
@@ -283,7 +291,7 @@ def cmd_decode(args) -> int:
         raise ExtendedDecodeUnsupported(
             "decoding of words with zero-point values is not supported"
         )
-    word = rows_to_word(spec, rows)
+    word = rows_to_word(args.infile, spec, rows)
     corrected, info = codec.decode(spec, word, mode=args.mode)
     write_array_file(args.out, q, word_to_rows(spec, corrected))
     if spec.kind == "rs":
@@ -383,10 +391,11 @@ def cmd_groebner(args) -> int:
     else:
         if not args.syndromes:
             raise ValueError("--ideal errors needs --syndromes FILE")
-        rows, _ = read_array_file(args.syndromes, spec.field.q)
+        rows, trailer = read_array_file(args.syndromes, spec.field.q)
+        if trailer:
+            raise ValueError(f"{args.syndromes}: a syndrome file takes no @zero trailer")
         n = spec.field.q - 1
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError(f"syndrome file must be a {n}x{n} array")
+        _check_shape(args.syndromes, rows, n, n)
         err = codec.error_array(spec, [rows[i][j] for (i, j) in spec.phi])
         located = [Point(i, j) for i in range(n) for j in range(n) if err[(i, j)] != ZERO]
         _print_basis(vanishing_ideal_basis(located, spec.order, spec.field))

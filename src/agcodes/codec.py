@@ -531,11 +531,10 @@ def error_array(spec: CodeSpec, synd: Sequence[Elt], stats: dict | None = None) 
     (one value per cell of phi): the voting pass completes them under the
     point ideal, accepting at most t error cells, all on code points.
     stats is handed to bms_with_voting."""
-    _, err = bms_with_voting(
+    return bms_with_voting(
         spec.field, dict(zip(spec.phi, synd)), spec.order, spec.t_capability,
         ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
     )
-    return err
 
 
 def decode(
@@ -709,8 +708,8 @@ def _rs_decode(spec: CodeSpec, received: Word) -> Word:
         else:
             gap += 1
         cpoly = updated
-    if big_l > spec.t_capability:
-        raise DecodingFailure(f"locator degree {big_l} exceeds capability")
+    # an error of weight w <= t has a transform of linear complexity w, so
+    # L <= w, L + w <= r and this continuation is that transform
     taps = [mul_t[cpoly.get(j, ZERO)] for j in range(big_l + 1)]
     ext = list(s)
     for i in range(r, n):
@@ -718,12 +717,6 @@ def _rs_decode(spec: CodeSpec, received: Word) -> Word:
         for j in range(1, big_l + 1):
             acc = add_t[acc][taps[j][ext[i - j]]]
         ext.append(neg[acc])
-    for i in range(n):  # the recurrence must hold cyclically
-        acc = ZERO
-        for j in range(0, big_l + 1):
-            acc = add_t[acc][taps[j][ext[(i - j) % n]]]
-        if acc != ZERO:
-            raise DecodingFailure("syndrome extension is not cyclic")
     err = idft1(f, ext)
     if sum(1 for v in err if v != ZERO) > spec.t_capability:
         raise DecodingFailure("error estimate exceeds capability")

@@ -46,8 +46,6 @@ class WeightedCurveOrder:
     where it ranks y^a above x^b.
     """
 
-    kind = "weighted"
-
     def __init__(self, a: int, b: int):
         self.a = a
         self.b = b
@@ -73,8 +71,6 @@ class WeightedCurveOrder:
 
 class HyperbolicOrder:
     """Total order by the product weight (i+1)(j+1), ties by smaller j."""
-
-    kind = "hyperbolic"
 
     def weight(self, cell: Cell) -> int:
         return (cell[0] + 1) * (cell[1] + 1)

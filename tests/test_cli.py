@@ -15,6 +15,7 @@ from agcodes.cli import (
     write_array_file,
 )
 from agcodes.galois import ZERO, gf9
+from agcodes.geometry import eval_poly
 from agcodes.transform import Array2D, dft2
 
 F9 = gf9()
@@ -558,6 +559,58 @@ def test_array_file_errors_name_file_line_and_token(tmp_path, capsys, lines, lin
     assert err.startswith("ValueError") and f"{path}: line {line}" in err and token in err
 
 
+@pytest.mark.parametrize(
+    "name, command, rows, expected, found",
+    [
+        ("hermitian-q9", "encode", [[ZERO] * 8], "8x8", "1x8"),
+        ("rs-q9", "encode", [[ZERO] * 8], "1x4", "1x8"),
+        ("hermitian-q9", "decode", [[ZERO] * 8] * 7 + [[ZERO] * 7], "8x8", "8 rows of 7 to 8 values"),
+        ("rs-q9", "decode", [[ZERO] * 4] * 2, "1x8", "2x4"),
+        ("hermitian-q9", "groebner", [[ZERO] * 9] * 8, "8x8", "8x9"),
+    ],
+    ids=["encode", "encode-rs", "decode", "decode-rs", "groebner"],
+)
+def test_array_shape_errors_name_file_and_both_shapes(
+    tmp_path, capsys, name, command, rows, expected, found
+):
+    # one check owns the shape of every array file a command reads
+    path, out = tmp_path / "in.arr", str(tmp_path / "out.arr")
+    write_array_file(str(path), 9, rows)
+    argv = {
+        "encode": ["encode", "--in", str(path), "--out", out],
+        "decode": ["decode", "--in", str(path), "--out", out, "--info-out", out + ".i"],
+        "groebner": ["groebner", "--ideal", "errors", "--syndromes", str(path)],
+    }[command]
+    code, _, err = run(argv + ["--preset", name], capsys)
+    assert code == 2
+    assert err == f"ValueError: {path}: expected a {expected} array, found {found}\n"
+
+
+def test_decode_rejects_value_off_the_point_cells(tmp_path, capsys):
+    # a value the decoder would not read is an error, not silently dropped
+    spec = codec.preset("hermitian-q9")
+    assert (0, 0) not in spec.point_cells()
+    rows = codec.point_array(spec, codec.encode_systematic(spec, [ZERO] * spec.k)).data
+    rows[0][0] = 5
+    path = tmp_path / "rx.arr"
+    write_array_file(str(path), 9, rows)
+    out = str(tmp_path / "out.arr")
+    argv = ["decode", "--preset", "hermitian-q9", "--in", str(path), "--out", out]
+    code, _, err = run(argv + ["--info-out", out + ".i"], capsys)
+    assert code == 2
+    assert err == f"ValueError: {path}: cell (0,0) holds 5 but is not a code point\n"
+    assert not (tmp_path / "out.arr").exists()
+
+
+def test_groebner_rejects_zero_point_trailer(tmp_path, capsys):
+    path = tmp_path / "syn.arr"
+    write_array_file(str(path), 9, [[ZERO] * 8] * 8, [((-1, 2), 5)])
+    argv = ["groebner", "--preset", "hermitian-q9", "--ideal", "errors", "--syndromes", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ValueError: {path}: ") and "@zero trailer" in err
+
+
 def test_simulate_zero_errors(capsys):
     code, out, _ = run(
         ["simulate", "--preset", "rs-q9", "--errors", "0", "--trials", "5", "--seed", "9"],
@@ -620,23 +673,16 @@ def test_groebner_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    from agcodes.bms import parse_basis
-    from agcodes.geometry import WeightedCurveOrder
-
-    polys = [ln for ln in out.splitlines() if ln.startswith("poly lt=")]
+    polys = [ln.split(": ", 1)[1] for ln in out.splitlines() if ln.startswith("poly lt=")]
     assert polys
     # every printed locator vanishes at the planted error points
-    text = "\n".join(
-        "poly\n" + "\n".join(
-            f"{t.strip('()').split()[0]} {t.strip('()').split()[1]} {t.strip('()').split()[2]}"
-            for t in ln.split(": ", 1)[1].split(") (")
-        )
-        for ln in polys
-    )
-    basis = parse_basis(text, WeightedCurveOrder(3, 4))
-    for poly in basis.elements:
+    for poly in polys:
+        coeffs = {}
+        for triple in poly.strip("()").split(") ("):
+            i, j, c = map(int, triple.split())
+            coeffs[(i, j)] = c
         for p in err_points:
-            assert poly.evaluate(F9, p.x, p.y) == ZERO
+            assert eval_poly(F9, coeffs, p.x, p.y) == ZERO
 
 
 def test_array_file_value_range(tmp_path):
@@ -748,5 +794,5 @@ def test_cli_outputs_pinned(cli_pinned_digests):
 def test_cli_refusals_pinned(cli_pinned_digests):
     # The commands of the same set that exit 4, with their stderr.
     assert cli_pinned_digests[1] == (
-        "9ac044bf46b1ac6737c1bdf06dcbe81c4147f885c6443c4669d1258986ceb423"
+        "1b0ddb87deef190f81f8ce52357222a646682b66b4d77912959ff665bd7acbde"
     )

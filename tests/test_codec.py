@@ -12,7 +12,7 @@ from agcodes.errors import (
     NotAZeroPoint,
     RankDeficient,
 )
-from agcodes.galois import ONE, ZERO, gf9
+from agcodes.galois import ONE, ZERO, field_new, gf9
 from agcodes.geometry import Point
 from agcodes.transform import dft1
 
@@ -36,6 +36,10 @@ def rs4():
 
 def rand_info(rng, k):
     return [rng.randrange(-1, 8) for _ in range(k)]
+
+
+def rand_info_q(rng, q, k):
+    return [rng.randrange(-1, q - 1) for _ in range(k)]
 
 
 def add_errors(rng, f, word, t):
@@ -584,6 +588,77 @@ def test_rs_decode_nonsystematic(rs4):
         assert ginfo == info
 
 
+def _rs_weight_check_oracle(spec, received):
+    """The refusal an rs decode made before its error-weight check, or
+    None: "locator degree" when Berlekamp-Massey's L exceeds t, "not
+    cyclic" when the continuation of the syndromes by the locator fails
+    to hold cyclically.  The decoder no longer makes either check, since
+    an error of weight w <= t gives L <= w and a cyclic continuation."""
+    f = spec.field
+    n, r = f.q - 1, spec.r
+    s = codec.syndromes(spec, received)
+    cpoly, bpoly = {0: ONE}, {0: ONE}
+    big_l, gap, bdisc = 0, 1, ONE
+    for i in range(r):
+        d = s[i]
+        for j in range(1, big_l + 1):
+            d = f.add(d, f.mul(cpoly.get(j, ZERO), s[i - j]))
+        if d == ZERO:
+            gap += 1
+            continue
+        updated = dict(cpoly)
+        for j, bj in bpoly.items():
+            updated[j + gap] = f.sub(updated.get(j + gap, ZERO), f.mul(f.div(d, bdisc), bj))
+        if 2 * big_l <= i:
+            bpoly, bdisc, gap, big_l = cpoly, d, 1, i + 1 - big_l
+        else:
+            gap += 1
+        cpoly = updated
+    if big_l > spec.t_capability:
+        return "locator degree"
+    taps = [cpoly.get(j, ZERO) for j in range(big_l + 1)]
+    ext = list(s)
+    for i in range(r, n):
+        acc = ZERO
+        for j in range(1, big_l + 1):
+            acc = f.add(acc, f.mul(taps[j], ext[i - j]))
+        ext.append(f.neg(acc))
+    for i in range(n):
+        acc = ZERO
+        for j in range(big_l + 1):
+            acc = f.add(acc, f.mul(taps[j], ext[(i - j) % n]))
+        if acc != ZERO:
+            return "not cyclic"
+    return None
+
+
+def test_rs_decode_refuses_where_the_dropped_checks_fired():
+    # The locator-degree and cyclic checks are gone from the rs decoder:
+    # every word either of them refused is still refused, by the
+    # error-weight check.
+    fired = {"locator degree": 0, "not cyclic": 0}
+    for f, rs in ((F9, range(1, 8)), (field_new(2, 4, [1, 1, 0, 0, 1]), (2, 4, 6, 9))):
+        for r in rs:
+            spec = codec.make_rs_code(f, r)
+            rng = random.Random(100 * f.q + r)
+            for _ in range(20):
+                sent = codec.encode_systematic(spec, rand_info_q(rng, f.q, spec.k))
+                words = [rand_info_q(rng, f.q, spec.n)]
+                for weight in range(min(r + 3, spec.n) + 1):
+                    received = list(sent)
+                    for pos in rng.sample(range(spec.n), weight):
+                        received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+                    words.append(received)
+                for received in words:
+                    reason = _rs_weight_check_oracle(spec, received)
+                    if reason is None:
+                        continue
+                    fired[reason] += 1
+                    with pytest.raises(DecodingFailure, match="error estimate exceeds"):
+                        codec.decode(spec, received)
+    assert all(fired.values()), fired
+
+
 def test_rs_layout_and_nonsystematic_dispatch(rs4):
     # parity on the first r positions, as rs_encode_euclid places it
     assert rs4.parity_positions() == [0, 1, 2, 3]
@@ -783,5 +858,5 @@ def test_refusals_pinned():
     # The failure messages of the same fixed-seed decodes, pinned apart
     # from the successes so that a reworded refusal moves this digest only.
     assert _pinned_digests()[1] == (
-        "d19812e0f64e4df886c3be7893835974c99ceb640f1cbfc416cfb7dff2f3a4ba"
+        "7bcd419e226b71d6377c8ca4448b8edd7aff32b9a86c8e0ab80fd0f8647e0a74"
     )
