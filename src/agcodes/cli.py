@@ -120,8 +120,8 @@ def _check_shape(path: str, rows, height: int, width: int) -> None:
 
 
 def _values_on(path: str, rows, cells, what: str) -> list:
-    """The values at cells of a checked array; ValueError naming the file
-    and the first other cell that is not -1, as a cell that is not what."""
+    """The values at cells, in order; ValueError naming the file and the
+    first other cell holding a value, which is then not what."""
     cset = set(cells)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):

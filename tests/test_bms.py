@@ -5,9 +5,9 @@ from typing import Iterable
 import pytest
 
 from agcodes.bms import (
+    BivariatePoly,
     GroebnerBasis,
     SakataState,
-    BivariatePoly,
     _Echelon,
     _enumeration,
     _leq,
