@@ -23,17 +23,20 @@ Three synthesis entry points:
   failure recorded before c.  A test that needs a cell outside the grid
   is skipped.
 
-* bms_with_voting() completes syndrome arrays known only on the defining
+* bms_with_voting() decodes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
   Feng-Rao pair predictions drawn from the current minimal polynomial
-  set, then certified by the error count: the inverse transform of the
-  completion must have at most t nonzero cells, all on code points.
-  It returns that inverse transform, the error array; the completed
-  array is its dft2, and the locator basis is vanishing_ideal_basis() of
-  its nonzero cells, since the staircase of a fully known array's
-  recurrence ideal has exactly one cell per nonzero cell of its inverse
-  transform.  The hyperbolic order of hcrs codes is not translation
-  invariant, so their cells are processed in WeightedCurveOrder(1, 1).
+  set F, until F locates the errors.  A recurrence that holds on the
+  transform of an error array vanishes at its nonzero cells (the 2-D
+  locator ideal), so the certificate takes the code points where every
+  polynomial of F vanishes, at most t of them, and solves for the error
+  values there from the known syndromes with the one elimination kernel
+  (the 2-D Forney step of Sakata, Jensen and Hoeholdt).  It returns the
+  error array; no grid is completed and no inverse transform taken.  The
+  full syndrome array is its dft2, and the locator basis is
+  vanishing_ideal_basis() of its nonzero cells.  The hyperbolic order of
+  hcrs codes is not translation invariant, so their cells are processed
+  in WeightedCurveOrder(1, 1).
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -77,6 +80,8 @@ from .geometry import (
     eval_poly,
     minimal_outside,
 )
+# idft2 stays bound here although no bms path calls it: perfbench/tracer.py
+# and the transform-count test rebind it
 from .transform import Array2D, dft2, idft2
 
 # ---------------------------------------------------------------------------
@@ -578,6 +583,53 @@ def extend(
 # decoding: majority voting for unknown syndromes
 
 
+def _certificate(
+    state: SakataState,
+    known: Mapping[Cell, Elt],
+    support: AbstractSet[Cell],
+    max_errors: int,
+) -> Array2D | None:
+    """The error array located by F and solved on the known syndromes.
+
+    Z is the set of cells (x, y) of support at whose point (alpha^x,
+    alpha^y) every polynomial of F vanishes; each polynomial is evaluated
+    inline on the cells the ones before it left.  When |Z| <= max_errors,
+    the values e_z on Z are solved from sum_z e_z * alpha^(k.z) = u[k],
+    one equation per known cell k.  None when Z is larger or the system
+    is inconsistent.
+    """
+    f, n = state.f, state.n
+    add_t = f.add_table
+    zeros = list(support)
+    for _, coeffs in state.F:
+        terms = [(c, s0, s1) for (s0, s1), c in coeffs.items()]
+        kept = []
+        for x, y in zeros:
+            acc = ZERO
+            for c, s0, s1 in terms:
+                acc = add_t[acc][(c + s0 * x + s1 * y) % n]
+            if acc == ZERO:
+                kept.append((x, y))
+        zeros = kept
+    if len(zeros) > max_errors:
+        return None
+    kcells = list(known)
+    echelon = _Echelon(f)
+    for x, y in zeros:
+        echelon.add([(i * x + j * y) % n for i, j in kcells], (x, y))
+    # with the syndromes as the last column, a relation
+    # u + sum c_z * col_z = 0 gives e_z = -c_z
+    relation = echelon.add([known[k] for k in kcells], None)
+    if relation is None:
+        return None
+    neg = f.sub_table[ZERO]
+    err = Array2D.zeros(f.q)
+    for z, c in relation.items():
+        if z is not None:
+            err[z] = neg[c]
+    return err
+
+
 def bms_with_voting(
     f: Field,
     known: dict[Cell, Elt],
@@ -602,14 +654,15 @@ def bms_with_voting(
     covering a.  The plurality value is taken, ties fail.
 
     One certificate accepts, tried whenever the staircase is small enough
-    and once the grid is full: the grid completed by the current
-    polynomial set and the known syndromes must have an inverse transform
-    (the error array) with at most max_errors nonzero cells, all in
-    `support` (the cells of the code points).  That count is the staircase
-    size of the completion's recurrence ideal (Blahut's theorem), and by
-    the Feng-Rao bound the received word minus the error array is the only
-    codeword within max_errors of it, so no locator basis is built and no
-    recurrence re-checked.  The full syndrome array is dft2(f, error array).
+    and once the grid is full (_certificate): the cells of `support` (the
+    cells of the code points) at which every polynomial of the current
+    set vanishes are at most max_errors, and values on them reproduce
+    every known syndrome.  Such an error array has at most max_errors
+    nonzero cells, all on code points, and the received word's syndromes,
+    so by the Feng-Rao bound the received word minus it is the only
+    codeword within max_errors of it.  No grid is completed, no inverse
+    transform taken and no locator basis built.  The full syndrome array
+    is dft2(f, error array).
     """
     q = f.q
     n = q - 1
@@ -633,21 +686,6 @@ def bms_with_voting(
     add_t, mul_t = f.add_table, f.mul_table
     neg = f.sub_table[ZERO]
     grid = state.grid  # shared view; process() writes it
-
-    def certificate() -> Array2D | None:
-        """The error array of the grid and every known syndrome, completed
-        by the recurrences of F; None when a cell stays unreachable or the
-        error array has more than max_errors nonzero cells or one off support."""
-        full = [row[:] for row in grid]
-        for (i, j), v in known.items():
-            full[i][j] = v
-        if not _fill_by_recurrences(f, full, state.F, cells):
-            return None
-        err = idft2(f, Array2D(q, full))
-        hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
-        if len(hits) > max_errors or any(c not in support for c in hits):
-            return None
-        return err
 
     def vote(c: Cell) -> Elt:
         # symbolic cell values A + B*X where X is the unknown u[c]
@@ -752,7 +790,7 @@ def bms_with_voting(
             continue
         if len(state.delta) <= max_errors and state.version != last_attempt:
             last_attempt = state.version
-            err = certificate()
+            err = _certificate(state, known, support, max_errors)
             if err is not None:
                 if stats is not None:
                     stats.update(voted_cells=voted, early_certificate=True)
@@ -763,7 +801,7 @@ def bms_with_voting(
             stats["voted_cells"] = voted
 
     # every cell of the enumeration is processed, so the grid is full
-    err = certificate()
+    err = _certificate(state, known, support, max_errors)
     if err is None:
         raise DecodingFailure("completed syndrome array fails the final checks")
     return err

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .galois import ZERO, field_new
 from .geometry import Point, curve_spec
+from .transform import Array2D, idft2
 
 _MASK = (1 << 64) - 1
 
@@ -396,6 +397,11 @@ def cmd_groebner(args) -> int:
             raise ValueError(f"{args.syndromes}: a syndrome file takes no @zero trailer")
         n = spec.field.q - 1
         _check_shape(args.syndromes, rows, n, n)
+        # a syndrome file is the transform of a word on the code points:
+        # its inverse transform is zero off them
+        word = idft2(spec.field, Array2D(spec.field.q, rows)).data
+        where = f"{args.syndromes}: inverse transform"
+        _values_on(where, word, spec.point_cells(), "a code point")
         err = codec.error_array(spec, [rows[i][j] for (i, j) in spec.phi])
         located = [Point(i, j) for i in range(n) for j in range(n) if err[(i, j)] != ZERO]
         _print_basis(vanishing_ideal_basis(located, spec.order, spec.field))

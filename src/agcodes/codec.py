@@ -528,9 +528,10 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
 
 def error_array(spec: CodeSpec, synd: Sequence[Elt], stats: dict | None = None) -> Array2D:
     """The error array of a 2-D code from the syndromes on its defining set
-    (one value per cell of phi): the voting pass completes them under the
-    point ideal, accepting at most t error cells, all on code points.
-    stats is handed to bms_with_voting."""
+    (one value per cell of phi): the voting pass extends them under the
+    point ideal until Sakata's polynomials vanish together at no more than
+    t code points, and the error values there are solved from the
+    syndromes.  stats is handed to bms_with_voting."""
     return bms_with_voting(
         spec.field, dict(zip(spec.phi, synd)), spec.order, spec.t_capability,
         ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
@@ -549,13 +550,13 @@ def decode(
     information positions, "nonsystematic" from the corrected word's
     transform at the free staircase cells (for rs, the negated transform
     at r..n-1).  For 2-D codes the syndromes are the received word's
-    transform on the defining set only, and the error array comes from
-    the voting pass, so a decode makes one full inverse transform; rs
-    codes use 1-D Berlekamp-Massey.  The corrected word always re-passes
-    the parity check before it is returned.  When a dict is passed as
-    stats a 2-D decode reports how many syndrome cells actually needed a
-    vote ("voted_cells") and whether an early certificate completed the
-    rest ("early_certificate").
+    transform on the defining set only, and the voting pass locates the
+    errors and solves for their values, so a decode makes no full
+    transform; rs codes use 1-D Berlekamp-Massey.  The corrected word
+    always re-passes the parity check before it is returned.  When a dict
+    is passed as stats a 2-D decode reports how many syndrome cells
+    actually needed a vote ("voted_cells") and whether the certificate
+    accepted before every cell was processed ("early_certificate").
     """
     f = spec.field
     if spec.kind == "rs":

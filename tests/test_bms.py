@@ -4,12 +4,14 @@ from typing import Iterable
 
 import pytest
 
+from agcodes import bms as bms_module
 from agcodes.bms import (
     BivariatePoly,
     GroebnerBasis,
     SakataState,
     _Echelon,
     _enumeration,
+    _fill_by_recurrences,
     _leq,
     _synthesize_full,
     bms,
@@ -37,7 +39,7 @@ from agcodes.geometry import (
     hermitian_curve,
     minimal_outside,
 )
-from agcodes.transform import Array2D, dft2
+from agcodes.transform import Array2D, dft2, idft2
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
@@ -561,6 +563,79 @@ def test_voting_collinear_errors(basis_all):
     u, pa = _syndromes_of(errs, phi)
     err = bms_with_voting(F9, pa, WORDER, 3, ambient=basis_all, support=support)
     assert dft2(F9, err) == u
+
+
+# -- the fill-based certificate as an oracle -----------------------------------
+
+
+def _fill_certificate(state, known, support, max_errors):
+    """bms._certificate by completion instead of location: the grid and
+    every known syndrome, completed by the recurrences of F, must have an
+    inverse transform (the error array) with at most max_errors nonzero
+    cells, all in support; None when a cell stays unreachable or the
+    error array fails."""
+    f = state.f
+    full = [row[:] for row in state.grid]
+    for (i, j), v in known.items():
+        full[i][j] = v
+    if not _fill_by_recurrences(f, full, state.F, grid_cells(f.q, state.order)):
+        return None
+    err = idft2(f, Array2D(f.q, full))
+    hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
+    if len(hits) > max_errors or any(c not in support for c in hits):
+        return None
+    return err
+
+
+# the benchmark's scale codes: (p, m, primitive polynomial, family, degree)
+SCALE_CODES = {
+    "hermitian-q16": (2, 4, [1, 1, 0, 0, 1], "curve", 20),
+    "hcrs-q16": (2, 4, [1, 1, 0, 0, 1], "hcrs", 12),
+    "hermitian-q25": (5, 2, [2, 1, 1], "curve", 30),
+}
+
+
+def _code(name):
+    if name in codec.PRESETS:
+        return codec.preset(name)
+    p, m, poly, family, deg = SCALE_CODES[name]
+    f = field_new(p, m, poly)
+    if family == "hcrs":
+        return codec.make_hcrs_code(f, deg)
+    return codec.make_curve_code(f, hermitian_curve(f), deg)
+
+
+def _decode_outcome(spec, received):
+    """The corrected word, or the failure message."""
+    try:
+        return codec.decode(spec, received)[0]
+    except DecodingFailure as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", [*codec.PRESETS, *SCALE_CODES])
+def test_located_certificate_agrees_with_fill_oracle(monkeypatch, name):
+    # Locating the errors at the common zeros of F and solving on them
+    # accepts exactly the words the completion by F and its inverse
+    # transform accepted, with the same corrected word or failure message,
+    # at every weight 0..t+2.  An acceptance may come later: a polynomial
+    # set can complete the grid correctly before it vanishes at every
+    # error point, so only the voted-cell count may differ.
+    spec = _code(name)
+    f, t = spec.field, spec.t_capability
+    rng = random.Random(f"fill-oracle-{name}")
+    words = 10 if name in codec.PRESETS else 3
+    for weight in range(t + 3):
+        for _ in range(words):
+            info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
+            received = codec.encode_systematic(spec, info)
+            for pos in rng.sample(range(spec.n), weight):
+                received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+            located = _decode_outcome(spec, received)
+            with monkeypatch.context() as m:
+                m.setattr(bms_module, "_certificate", _fill_certificate)
+                filled = _decode_outcome(spec, received)
+            assert located == filled, (weight, located, filled)
 
 
 # -- out-of-grid cells --------------------------------------------------------

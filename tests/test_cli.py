@@ -611,6 +611,22 @@ def test_groebner_rejects_zero_point_trailer(tmp_path, capsys):
     assert err.startswith(f"ValueError: {path}: ") and "@zero trailer" in err
 
 
+def test_groebner_rejects_syndromes_of_no_word_on_the_points(tmp_path, capsys):
+    # A lone value at (7, 7) is the transform of an array that is nonzero
+    # on every cell, and (0, 0) is not a point of the curve: the file must
+    # be refused, not read at the defining-set cells only.
+    rows = [[ZERO] * 8 for _ in range(8)]
+    rows[7][7] = 5
+    path = tmp_path / "syn.arr"
+    write_array_file(str(path), 9, rows)
+    argv = ["groebner", "--preset", "hermitian-q9", "--ideal", "errors", "--syndromes", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"ValueError: {path}: inverse transform: cell (0,0) holds 5 but is not a code point\n"
+    )
+
+
 def test_simulate_zero_errors(capsys):
     code, out, _ = run(
         ["simulate", "--preset", "rs-q9", "--errors", "0", "--trials", "5", "--seed", "9"],
