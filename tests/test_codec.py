@@ -431,7 +431,7 @@ def test_non_preset_parameters_roundtrip():
 
 def test_hermitian_gf49_scale_point():
     # Hermitian over GF(49) from x^2 + x + 3, m = 56: n 336, k 300, t 7,
-    # with 7 zero-coordinate points.  Both encoders, decode at exactly t,
+    # with 7 zero-coordinate points.  Every encoder, decode at exactly t,
     # and the contract beyond it: a refusal or a codeword within t.
     from agcodes.geometry import hermitian_curve
 
@@ -454,6 +454,9 @@ def test_hermitian_gf49_scale_point():
         plain = codec.encode_nonsystematic(spec, info)
         assert codec.decode(spec, plain, mode="nonsystematic") == (plain, info)
         assert codec.decode(spec, corrupt(word, t)) == (word, info)
+    ext = info + [rng.randrange(-1, f.q - 1) for _ in spec.zero_points]
+    lengthened = codec.encode_systematic_extended(spec, ext)
+    assert codec.lengthened_syndromes(spec, lengthened) == [ZERO] * len(spec.phi)
     rx = corrupt(word, t + 1)
     try:
         got, _ = codec.decode(spec, rx)
