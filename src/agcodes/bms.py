@@ -34,9 +34,13 @@ Three synthesis entry points:
   (the 2-D Forney step of Sakata, Jensen and Hoeholdt).  It returns the
   error array; no grid is completed and no inverse transform taken.  The
   full syndrome array is its dft2, and the locator basis is
-  vanishing_ideal_basis() of its nonzero cells.  The hyperbolic order of
-  hcrs codes is not translation invariant, so their cells are processed
-  in WeightedCurveOrder(1, 1).
+  vanishing_ideal_basis() of its nonzero cells.  A decode is refused at
+  the first cell after which the staircase holds more than t cells: on a
+  word within t of a codeword every processed cell is a syndrome of its
+  error, and the staircase of such a prefix never outgrows the error
+  weight (Sakata's lower bound and Blahut's theorem).  The hyperbolic
+  order of hcrs codes is not translation invariant, so their cells are
+  processed in WeightedCurveOrder(1, 1).
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -415,8 +419,10 @@ class SakataState:
         if not recs:
             # Sakata's theorem puts c - t2 in the old staircase, which the
             # records' spans cover, unless a skipped test hid a failure.
-            # Measured, that happens only beyond the decoding radius, where
-            # the decoder's final checks reject the result.
+            # Measured, that happens only beyond the decoding radius and
+            # after the staircase has outgrown t, where the decoder has
+            # already refused: not once in 16,400 words at t+1..t+6 errors
+            # or uniformly random, on five 2-D codes over GF(9)-GF(25).
             return h
         # the spans are distinct, so the largest one decides
         r = max(recs, key=lambda r: key(r.span))
@@ -583,6 +589,23 @@ def extend(
 # decoding: majority voting for unknown syndromes
 
 
+def _refuse_beyond_radius(c: Cell) -> None:
+    """Refuse a decode whose staircase, after processing cell c, holds
+    more cells than max_errors.
+
+    Sound: if the word lies within max_errors of a codeword, with error
+    e, the known syndromes are those of e, the ambient-derived and the
+    voted cells are exact (Feng-Rao), so the processed cells are a prefix
+    of dft2(e).  Sakata's |delta| only grows and is a lower bound on the
+    linear complexity of every array agreeing with the prefix (Sakata
+    1988), which for dft2(e) is the weight of e (Blahut's theorem).  So
+    |delta| <= |e| <= max_errors, and the rule fires only on words
+    farther than max_errors from every codeword, which every decode
+    refuses anyway.
+    """
+    raise DecodingFailure(f"staircase exceeds t at cell {c}")
+
+
 def _certificate(
     state: SakataState,
     known: Mapping[Cell, Elt],
@@ -653,7 +676,15 @@ def bms_with_voting(
     so far, contributes the value predicted by the minimal polynomial
     covering a.  The plurality value is taken, ties fail.
 
-    One certificate accepts, tried whenever the staircase is small enough
+    After each processed cell, known, derived or voted, the decode is
+    refused ("staircase exceeds t at cell (i, j)") once the staircase
+    holds more than max_errors cells (_refuse_beyond_radius).  Within
+    max_errors of a codeword the known, derived and voted cells are all
+    syndromes of its error e, and the staircase of a prefix of dft2(e)
+    is at most the weight of e, so the refusal only ever meets words that
+    no decode could accept, and spares them the rest of the grid.
+
+    One certificate accepts, tried before a vote whenever F has changed
     and once the grid is full (_certificate): the cells of `support` (the
     cells of the code points) at which every polynomial of the current
     set vanishes are at most max_errors, and values on them reproduce
@@ -781,24 +812,26 @@ def bms_with_voting(
         stats.update(voted_cells=0, early_certificate=False)
     last_attempt = -1
     for c in cells:
-        if c in known:
-            state.process(c, known[c])
-            continue
-        v = _forced(add_t, amb_rules, grid, c)
-        if v is not None:
-            state.process(c, v)
-            continue
-        if len(state.delta) <= max_errors and state.version != last_attempt:
-            last_attempt = state.version
-            err = _certificate(state, known, support, max_errors)
-            if err is not None:
-                if stats is not None:
-                    stats.update(voted_cells=voted, early_certificate=True)
-                return err
-        state.process(c, vote(c))
-        voted += 1
-        if stats is not None:
-            stats["voted_cells"] = voted
+        v = known.get(c)
+        if v is None:
+            v = _forced(add_t, amb_rules, grid, c)
+        if v is None:
+            # try the certificate once per F; the refusal below keeps
+            # |delta| <= max_errors here
+            if state.version != last_attempt:
+                last_attempt = state.version
+                err = _certificate(state, known, support, max_errors)
+                if err is not None:
+                    if stats is not None:
+                        stats.update(voted_cells=voted, early_certificate=True)
+                    return err
+            v = vote(c)
+            voted += 1
+            if stats is not None:
+                stats["voted_cells"] = voted
+        state.process(c, v)
+        if len(state.delta) > max_errors:
+            _refuse_beyond_radius(c)
 
     # every cell of the enumeration is processed, so the grid is full
     err = _certificate(state, known, support, max_errors)

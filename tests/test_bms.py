@@ -605,6 +605,16 @@ def _code(name):
     return codec.make_curve_code(f, hermitian_curve(f), deg)
 
 
+def _received(spec, rng, weight):
+    """A systematic codeword and the same word with weight nonzero errors."""
+    f = spec.field
+    sent = codec.encode_systematic(spec, [rng.randrange(-1, f.q - 1) for _ in range(spec.k)])
+    received = list(sent)
+    for pos in rng.sample(range(spec.n), weight):
+        received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+    return sent, received
+
+
 def _decode_outcome(spec, received):
     """The corrected word, or the failure message."""
     try:
@@ -622,20 +632,73 @@ def test_located_certificate_agrees_with_fill_oracle(monkeypatch, name):
     # set can complete the grid correctly before it vanishes at every
     # error point, so only the voted-cell count may differ.
     spec = _code(name)
-    f, t = spec.field, spec.t_capability
+    t = spec.t_capability
     rng = random.Random(f"fill-oracle-{name}")
     words = 10 if name in codec.PRESETS else 3
     for weight in range(t + 3):
         for _ in range(words):
-            info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
-            received = codec.encode_systematic(spec, info)
-            for pos in rng.sample(range(spec.n), weight):
-                received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+            _, received = _received(spec, rng, weight)
             located = _decode_outcome(spec, received)
             with monkeypatch.context() as m:
                 m.setattr(bms_module, "_certificate", _fill_certificate)
                 filled = _decode_outcome(spec, received)
             assert located == filled, (weight, located, filled)
+
+
+# -- the refusal at |delta| > t -----------------------------------------------
+
+# rs-q9 decodes by 1-D Berlekamp-Massey and never reaches Sakata's update
+TWO_D_CODES = [name for name in (*codec.PRESETS, *SCALE_CODES) if name != "rs-q9"]
+
+
+@pytest.mark.parametrize("name", TWO_D_CODES)
+def test_staircase_never_exceeds_error_weight(monkeypatch, name):
+    # The lemma behind the refusal: on the prefix of dft2(e) that the
+    # decoder processes, Sakata's staircase never holds more cells than e
+    # has errors, so the refusal at |delta| > t never fires within t.
+    spec = _code(name)
+    sizes = []
+    process = SakataState.process
+
+    def recording(self, c, value):
+        process(self, c, value)
+        sizes.append(len(self.delta))
+
+    monkeypatch.setattr(SakataState, "process", recording)
+    rng = random.Random(f"staircase-lemma-{name}")
+    words = 10 if name in codec.PRESETS else 3
+    for weight in range(spec.t_capability + 1):
+        for _ in range(words):
+            sent, received = _received(spec, rng, weight)
+            sizes.clear()
+            assert codec.decode(spec, received)[0] == sent
+            assert max(sizes, default=0) <= weight, (weight, max(sizes))
+
+
+@pytest.mark.parametrize("name", TWO_D_CODES)
+def test_staircase_refusal_loses_no_success(monkeypatch, name):
+    # With the refusal switched off, every decode that succeeds (a
+    # miscorrection included) gives the same word with it on, and every
+    # word it refuses is refused without it too.  Weight t is in the
+    # sample because beyond it the 2-D decoders almost never succeed, so
+    # only there would a refusal that fires too early lose a success.
+    spec = _code(name)
+    t = spec.t_capability
+    rng = random.Random(f"no-success-lost-{name}")
+    words = 10 if name in codec.PRESETS else 3
+    fired = 0
+    for weight in range(t, t + 4):
+        for _ in range(words):
+            _, received = _received(spec, rng, weight)
+            with_rule = _decode_outcome(spec, received)
+            with monkeypatch.context() as m:
+                m.setattr(bms_module, "_refuse_beyond_radius", lambda c: None)
+                without = _decode_outcome(spec, received)
+            if isinstance(with_rule, str) and isinstance(without, str):
+                fired += with_rule.startswith("staircase exceeds t")
+            else:
+                assert with_rule == without, (weight, with_rule, without)
+    assert fired > 0
 
 
 # -- out-of-grid cells --------------------------------------------------------

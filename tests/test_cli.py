@@ -810,5 +810,5 @@ def test_cli_outputs_pinned(cli_pinned_digests):
 def test_cli_refusals_pinned(cli_pinned_digests):
     # The commands of the same set that exit 4, with their stderr.
     assert cli_pinned_digests[1] == (
-        "1b0ddb87deef190f81f8ce52357222a646682b66b4d77912959ff665bd7acbde"
+        "9bdba6ef1f067ede0796e3adcfa995c49c3578cb7d6e5e6df4146d793300b0a9"
     )

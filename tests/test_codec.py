@@ -921,5 +921,5 @@ def test_refusals_pinned():
     # The failure messages of the same fixed-seed decodes, pinned apart
     # from the successes so that a reworded refusal moves this digest only.
     assert _pinned_digests()[1] == (
-        "7bcd419e226b71d6377c8ca4448b8edd7aff32b9a86c8e0ab80fd0f8647e0a74"
+        "0d469b041fb48d946b969113779a82b4249290d2e36383639a73a9d6487c2295"
     )
