@@ -590,19 +590,8 @@ def extend(
 
 
 def _refuse_beyond_radius(c: Cell) -> None:
-    """Refuse a decode whose staircase, after processing cell c, holds
-    more cells than max_errors.
-
-    Sound: if the word lies within max_errors of a codeword, with error
-    e, the known syndromes are those of e, the ambient-derived and the
-    voted cells are exact (Feng-Rao), so the processed cells are a prefix
-    of dft2(e).  Sakata's |delta| only grows and is a lower bound on the
-    linear complexity of every array agreeing with the prefix (Sakata
-    1988), which for dft2(e) is the weight of e (Blahut's theorem).  So
-    |delta| <= |e| <= max_errors, and the rule fires only on words
-    farther than max_errors from every codeword, which every decode
-    refuses anyway.
-    """
+    """The refusal once the staircase, after processing cell c, holds more
+    than max_errors cells; bms_with_voting says why it is sound."""
     raise DecodingFailure(f"staircase exceeds t at cell {c}")
 
 
@@ -678,11 +667,15 @@ def bms_with_voting(
 
     After each processed cell, known, derived or voted, the decode is
     refused ("staircase exceeds t at cell (i, j)") once the staircase
-    holds more than max_errors cells (_refuse_beyond_radius).  Within
-    max_errors of a codeword the known, derived and voted cells are all
-    syndromes of its error e, and the staircase of a prefix of dft2(e)
-    is at most the weight of e, so the refusal only ever meets words that
-    no decode could accept, and spares them the rest of the grid.
+    holds more than max_errors cells (_refuse_beyond_radius).  It is
+    sound: within max_errors of a codeword, with error e, the known
+    syndromes are those of e and the derived and voted cells are exact
+    (Feng-Rao), so the processed cells are a prefix of dft2(e).  The
+    staircase only grows and is a lower bound on the linear complexity of
+    every array agreeing with the prefix (Sakata 1988), which for dft2(e)
+    is the weight of e (Blahut's theorem).  So the refusal only ever
+    meets words farther than max_errors from every codeword, which no
+    decode could accept, and spares them the rest of the grid.
 
     One certificate accepts, tried before a vote whenever F has changed
     and once the grid is full (_certificate): the cells of `support` (the
