@@ -36,11 +36,13 @@ Three synthesis entry points:
   full syndrome array is its dft2, and the locator basis is
   vanishing_ideal_basis() of its nonzero cells.  A decode is refused at
   the first cell after which the staircase holds more than t cells: on a
-  word within t of a codeword every processed cell is a syndrome of its
-  error, and the staircase of such a prefix never outgrows the error
-  weight (Sakata's lower bound and Blahut's theorem).  The hyperbolic
-  order of hcrs codes is not translation invariant, so their cells are
-  processed in WeightedCurveOrder(1, 1).
+  word within t of a codeword whose votes are exact every processed cell
+  is a syndrome of its error, and the staircase of such a prefix never
+  outgrows the error weight (Sakata's lower bound and Blahut's theorem).
+  Outside the preset parameters the votes are not always exact within t
+  (bms_with_voting says where).  The hyperbolic order of hcrs codes is
+  not translation invariant, so their cells are processed in
+  WeightedCurveOrder(1, 1).
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -419,10 +421,9 @@ class SakataState:
         if not recs:
             # Sakata's theorem puts c - t2 in the old staircase, which the
             # records' spans cover, unless a skipped test hid a failure.
-            # Measured, that happens only beyond the decoding radius and
-            # after the staircase has outgrown t, where the decoder has
-            # already refused: not once in 16,400 words at t+1..t+6 errors
-            # or uniformly random, on five 2-D codes over GF(9)-GF(25).
+            # Never seen on the five 2-D benchmark codes, but reached with
+            # the staircase refusal on at larger m (hermitian-q9 m >= 19,
+            # hcrs-q9 m >= 18), mostly beyond t.
             return h
         # the spans are distinct, so the largest one decides
         r = max(recs, key=lambda r: key(r.span))
@@ -676,6 +677,17 @@ def bms_with_voting(
     is the weight of e (Blahut's theorem).  So the refusal only ever
     meets words farther than max_errors from every codeword, which no
     decode could accept, and spares them the rest of the grid.
+
+    The argument assumes exact votes within max_errors, and outside the
+    preset parameters that can fail: hcrs-q9 at m = 12 refuses the zero
+    codeword plus 5 = t errors (cell: value) (0,3):0, (3,4):3, (5,1):6,
+    (6,0):1, (7,5):6 with a voting tie at (7, 1), and hermitian-q9 at
+    m = 21 refuses 8 = t errors (1,3):1, (2,4):0, (2,7):2, (3,0):3,
+    (5,0):1, (5,3):5, (6,5):4, (6,7):0 with "staircase exceeds t" at
+    (7, 1), and without the refusal with a tie at (7, 2).  Both fail on
+    the grid's last row.  Such words are lost with or without the
+    refusal: on 4,400 words at t-2..t+1 errors on hermitian-q9 (m = 19
+    to 29) and hcrs-q9 (m = 12 to 20) it changed no outcome.
 
     One certificate accepts, tried before a vote whenever F has changed
     and once the grid is full (_certificate): the cells of `support` (the

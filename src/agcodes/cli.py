@@ -36,7 +36,7 @@ from .errors import (
     RankDeficient,
 )
 from .galois import ZERO, field_new
-from .geometry import Point, curve_spec
+from .geometry import curve_spec
 from .transform import Array2D, idft2
 
 _MASK = (1 << 64) - 1
@@ -193,26 +193,24 @@ def _get_spec(args) -> codec.CodeSpec:
             f"--field {args.field!r} needs p, m and the polynomial coefficients"
         )
     f = field_new(nums[0], nums[1], nums[2:])
-    if args.kind == "rs":
-        if args.r is None:
-            raise ValueError("rs kind needs --r")
-        return codec.make_rs_code(f, args.r)
-    if args.m is None:
-        raise ValueError(f"{args.kind} kind needs --m")
-    if args.kind == "hcrs":
-        return codec.make_hcrs_code(f, args.m)
-    if not args.curve:
-        raise ValueError("curve kind needs --curve a,b,i:j:c,...")
-    toks = args.curve.split(",")
-    if len(toks) < 2:
-        raise ValueError(f"--curve {args.curve!r} needs a, b and the polynomial terms")
-    a, b = (codec.int_token("--curve", tok, "an integer")[0] for tok in toks[:2])
-    poly = {}
-    for tok in toks[2:]:
-        i, j, c = codec.int_token("--curve", tok, "three integers i:j:c", 3, ":")
-        poly[(i, j)] = c
-    curve = curve_spec(a, b, poly)
-    return codec.make_curve_code(f, curve, args.m)
+    flag = "r" if args.kind == "rs" else "m"
+    param = getattr(args, flag)
+    if param is None:
+        raise ValueError(f"{args.kind} kind needs --{flag}")
+    curve = None
+    if args.kind == "curve":
+        if not args.curve:
+            raise ValueError("curve kind needs --curve a,b,i:j:c,...")
+        toks = args.curve.split(",")
+        if len(toks) < 2:
+            raise ValueError(f"--curve {args.curve!r} needs a, b and the polynomial terms")
+        a, b = (codec.int_token("--curve", tok, "an integer")[0] for tok in toks[:2])
+        poly = {}
+        for tok in toks[2:]:
+            i, j, c = codec.int_token("--curve", tok, "three integers i:j:c", 3, ":")
+            poly[(i, j)] = c
+        curve = curve_spec(a, b, poly)
+    return codec.make_code(f, args.kind, param, curve)
 
 
 # -- commands ----------------------------------------------------------------
@@ -398,12 +396,12 @@ def cmd_groebner(args) -> int:
         n = spec.field.q - 1
         _check_shape(args.syndromes, rows, n, n)
         # a syndrome file is the transform of a word on the code points:
-        # its inverse transform is zero off them
+        # its inverse transform is zero off them, and is the received word
         word = idft2(spec.field, Array2D(spec.field.q, rows)).data
         where = f"{args.syndromes}: inverse transform"
-        _values_on(where, word, spec.point_cells(), "a code point")
-        err = codec.error_array(spec, [rows[i][j] for (i, j) in spec.phi])
-        located = [Point(i, j) for i in range(n) for j in range(n) if err[(i, j)] != ZERO]
+        received = _values_on(where, word, [(p.x, p.y) for p in spec.points], "a code point")
+        corrected, _ = codec.decode(spec, received)
+        located = [p for p, a, b in zip(spec.points, received, corrected) if a != b]
         _print_basis(vanishing_ideal_basis(located, spec.order, spec.field))
     return 0
 

@@ -147,6 +147,14 @@ def _check_symbols(f: Field, symbols: Sequence, what: str) -> None:
             raise ValueError(f"{what} symbol {v!r} is not an element log in [-1, {top}]")
 
 
+def _check_info(f: Field, info: Sequence, length: int) -> None:
+    """Raise ValueError unless info is length element logs; a bad symbol
+    is reported before a bad length."""
+    _check_symbols(f, info, "info")
+    if len(info) != length:
+        raise ValueError(f"info must have length {length}")
+
+
 def _monomials(f: Field, p: Point, phi: Sequence[Cell]) -> list[Elt]:
     """x(P)^i * y(P)^j for every cell (i, j) of phi, with 0^0 = 1."""
     mul_t = f.mul_table
@@ -186,12 +194,38 @@ def _select_redundant_points(
     return chosen, [p for p in points if p not in wpset], basis
 
 
-def _capability(kind: str, m: int, genus: int) -> int:
-    if kind == "curve":
-        return max((m - 2 * genus + 2 - 1) // 2, 0)
-    if kind == "hcrs":
-        return (m - 1) // 2
-    return m // 2  # rs: redundancy r corrects r//2
+def _make_2d_code(
+    f: Field,
+    kind: str,
+    order: MonomialOrder,
+    m: int,
+    curve: CurveSpec | None,
+    points: Sequence[Point],
+    zero_points: Sequence[Point],
+    phi: Sequence[Cell],
+    t: int,
+) -> CodeSpec:
+    """A 2-D code on points with defining set phi: both vanishing-ideal
+    bases and the redundant/information point split."""
+    basis_all = vanishing_ideal_basis(points, order, f)
+    wp, wpp, basis_wp = _select_redundant_points(f, points, phi, order)
+    return CodeSpec(
+        field=f,
+        kind=kind,
+        order=order,
+        m=m,
+        curve=curve,
+        points=tuple(points),
+        zero_points=tuple(zero_points),
+        phi=tuple(phi),
+        wp=tuple(wp),
+        wp_prime=tuple(wpp),
+        basis_wp=basis_wp,
+        basis_all=basis_all,
+        n=len(points),
+        k=len(points) - len(phi),
+        t_capability=t,
+    )
 
 
 def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
@@ -203,27 +237,10 @@ def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
     all_points = enumerate_points(curve, f, include_zero=True)
     points = [p for p in all_points if p.x != ZERO and p.y != ZERO]
     zero_points = [p for p in all_points if p.x == ZERO or p.y == ZERO]
-    n, k = code_params(len(points), order, m, f, genus=curve.genus)
+    code_params(len(points), order, m, f, genus=curve.genus)  # rejects a bad m
     phi = defining_set(order, m, f)
-    basis_all = vanishing_ideal_basis(points, order, f)
-    wp, wpp, basis_wp = _select_redundant_points(f, points, phi, order)
-    return CodeSpec(
-        field=f,
-        kind="curve",
-        order=order,
-        m=m,
-        curve=curve,
-        points=tuple(points),
-        zero_points=tuple(zero_points),
-        phi=tuple(phi),
-        wp=tuple(wp),
-        wp_prime=tuple(wpp),
-        basis_wp=basis_wp,
-        basis_all=basis_all,
-        n=n,
-        k=k,
-        t_capability=_capability("curve", m, curve.genus),
-    )
+    t = max((m - 2 * curve.genus + 1) // 2, 0)
+    return _make_2d_code(f, "curve", order, m, curve, points, zero_points, phi, t)
 
 
 def make_hcrs_code(f: Field, m: int) -> CodeSpec:
@@ -234,25 +251,7 @@ def make_hcrs_code(f: Field, m: int) -> CodeSpec:
     phi = defining_set(order, m, f)
     if not 0 < len(phi) < len(points):
         raise ValueError(f"m={m} gives a degenerate defining set")
-    basis_all = vanishing_ideal_basis(points, order, f)
-    wp, wpp, basis_wp = _select_redundant_points(f, points, phi, order)
-    return CodeSpec(
-        field=f,
-        kind="hcrs",
-        order=order,
-        m=m,
-        curve=None,
-        points=tuple(points),
-        zero_points=(),
-        phi=tuple(phi),
-        wp=tuple(wp),
-        wp_prime=tuple(wpp),
-        basis_wp=basis_wp,
-        basis_all=basis_all,
-        n=len(points),
-        k=len(points) - len(phi),
-        t_capability=_capability("hcrs", m, 0),
-    )
+    return _make_2d_code(f, "hcrs", order, m, None, points, (), phi, (m - 1) // 2)
 
 
 def make_rs_code(f: Field, r: int) -> CodeSpec:
@@ -275,28 +274,39 @@ def make_rs_code(f: Field, r: int) -> CodeSpec:
         basis_all=None,
         n=n,
         k=n - r,
-        t_capability=_capability("rs", r, 0),
+        t_capability=r // 2,
     )
 
 
-PRESETS = ("hermitian-q9", "hcrs-q9", "rs-q9")
+def make_code(f: Field, kind: str, param: int, curve: CurveSpec | None = None) -> CodeSpec:
+    """The code of a kind over f: param is m for curve and hcrs, the
+    redundancy r for rs; curve is the curve of the curve kind."""
+    if kind == "curve":
+        return make_curve_code(f, curve, param)
+    if kind == "hcrs":
+        return make_hcrs_code(f, param)
+    if kind == "rs":
+        return make_rs_code(f, param)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+# preset name -> (kind, default m, or r for rs), over the canonical GF(9)
+_PRESET_KINDS = {"hermitian-q9": ("curve", 11), "hcrs-q9": ("hcrs", 9), "rs-q9": ("rs", 4)}
+PRESETS = tuple(_PRESET_KINDS)
 
 
 def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
     """Named code constructions over the canonical GF(9).  The rs preset
     takes r only, the 2-D presets m only."""
+    if name not in _PRESET_KINDS:
+        raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESETS)}")
+    kind, default = _PRESET_KINDS[name]
+    param, other = (r, m) if kind == "rs" else (m, r)
+    if other is not None:
+        raise ValueError(f"preset {name} takes {'r, not m' if kind == 'rs' else 'm, not r'}")
     f = gf9()
-    if name == "rs-q9":
-        if m is not None:
-            raise ValueError("preset rs-q9 takes r, not m")
-        return make_rs_code(f, 4 if r is None else r)
-    if name in PRESETS and r is not None:
-        raise ValueError(f"preset {name} takes m, not r")
-    if name == "hermitian-q9":
-        return make_curve_code(f, hermitian_curve(f), 11 if m is None else m)
-    if name == "hcrs-q9":
-        return make_hcrs_code(f, 9 if m is None else m)
-    raise ValueError(f"unknown preset {name!r}; have {', '.join(PRESETS)}")
+    curve = hermitian_curve(f) if kind == "curve" else None
+    return make_code(f, kind, default if param is None else param, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +379,9 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
     is the independent reference for every other encoder.
     """
     f = spec.field
-    _check_symbols(f, info, "info")
     parity_idx = spec.parity_positions()
     info_idx = spec.info_positions()
-    if len(info) != len(info_idx):
-        raise ValueError(f"info must have length {len(info_idx)}")
+    _check_info(f, info, len(info_idx))
     h = check_matrix(spec)[: spec.n]
     nphi = len(spec.phi)
     add_t, mul_t, neg = f.add_table, f.mul_table, f.sub_table[ZERO]
@@ -412,10 +420,8 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     if spec.kind == "rs":
         return rs_encode_idft(spec.field, spec.r, info)
     f = spec.field
-    _check_symbols(f, info, "info")
     cells = spec.info_cells()
-    if len(info) != len(cells):
-        raise ValueError(f"info must have length {len(cells)}")
+    _check_info(f, info, len(cells))
     values = {c: ZERO for c in spec.phi}
     values.update(zip(cells, info))
     cw = idft2(f, extend(values, spec.basis_all, f))
@@ -457,9 +463,7 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     this is rs_encode_euclid, the generator polynomial it generalizes)."""
     if spec.kind == "rs":
         return rs_encode_euclid(spec.field, spec.r, info)
-    _check_symbols(spec.field, info, "info")
-    if len(info) != spec.k:
-        raise ValueError(f"info must have length {spec.k}")
+    _check_info(spec.field, info, spec.k)
     return _encode_systematic(spec, info, syndromes)
 
 
@@ -497,12 +501,10 @@ def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     the information-point symbols followed by one symbol per zero point;
     the output word is the n point values followed by the zero-point
     values."""
-    _check_symbols(spec.field, info, "info")
     if not spec.zero_points:
+        _check_symbols(spec.field, info, "info")  # a bad symbol is named first
         raise ValueError("this code has no zero-coordinate points")
-    nz = len(spec.zero_points)
-    if len(info) != spec.k + nz:
-        raise ValueError(f"info must have length {spec.k + nz}")
+    _check_info(spec.field, info, spec.k + len(spec.zero_points))
     return _encode_systematic(spec, info, lengthened_syndromes)
 
 
@@ -524,18 +526,6 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
 
 # ---------------------------------------------------------------------------
 # decoding
-
-
-def error_array(spec: CodeSpec, synd: Sequence[Elt], stats: dict | None = None) -> Array2D:
-    """The error array of a 2-D code from the syndromes on its defining set
-    (one value per cell of phi): the voting pass extends them under the
-    point ideal until Sakata's polynomials vanish together at no more than
-    t code points, and the error values there are solved from the
-    syndromes.  stats is handed to bms_with_voting."""
-    return bms_with_voting(
-        spec.field, dict(zip(spec.phi, synd)), spec.order, spec.t_capability,
-        ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
-    )
 
 
 def decode(
@@ -570,7 +560,11 @@ def decode(
         if len(received) != spec.n:
             raise ValueError(f"received word must have length {spec.n}")
         # syndromes() validates the symbols
-        err = error_array(spec, syndromes(spec, received), stats)
+        known = dict(zip(spec.phi, syndromes(spec, received)))
+        err = bms_with_voting(
+            f, known, spec.order, spec.t_capability,
+            ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
+        )
         sub_t = f.sub_table
         corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
     if any(v != ZERO for v in syndromes(spec, corrected)):
@@ -613,10 +607,8 @@ def rs_encode_euclid(f: Field, r: int, info: Info) -> Word:
 
     info occupies coefficients r..n-1; parity lands on 0..r-1.
     """
-    _check_symbols(f, info, "info")
     n = f.q - 1
-    if len(info) != n - r:
-        raise ValueError(f"info must have length {n - r}")
+    _check_info(f, info, n - r)
     g = rs_gen_poly(f, r)
     sub_t, mul_t = f.sub_table, f.mul_table
     # remainder of I(x) = sum info[t] x^(r+t) modulo monic g
@@ -635,10 +627,8 @@ def rs_encode_euclid(f: Field, r: int, info: Info) -> Word:
 def rs_encode_idft(f: Field, r: int, info: Info) -> Word:
     """Non-systematic RS encoding c_h = sum_i I_i alpha^(-ih) with the
     information on indices r..n-1."""
-    _check_symbols(f, info, "info")
     n = f.q - 1
-    if len(info) != n - r:
-        raise ValueError(f"info must have length {n - r}")
+    _check_info(f, info, n - r)
     coeffs = [ZERO] * r + list(info)
     neg = f.sub_table[ZERO]
     return [neg[v] for v in idft1(f, coeffs)]
@@ -651,10 +641,8 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     the generator coefficients; the inverse transform of (d_h) recovers
     the remainder R(x), and c = I - R.  Must match rs_encode_euclid.
     """
-    _check_symbols(f, info, "info")
     n = f.q - 1
-    if len(info) != n - r:
-        raise ValueError(f"info must have length {n - r}")
+    _check_info(f, info, n - r)
     g = rs_gen_poly(f, r)
     add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
     neg = sub_t[ZERO]
@@ -828,6 +816,7 @@ def load_spec(path: str) -> CodeSpec:
         raise ValueError(f"{path}: unknown kind {kind!r}")
     param = "r" if kind == "rs" else "m"
     m = num(param, " ".join(value(param)))
+    curve = None
     if kind == "curve":
         toks = value("curve")
         if len(toks) < 2:
@@ -842,12 +831,7 @@ def load_spec(path: str) -> CodeSpec:
             raise ValueError(f"{path}: curve: {e}") from None
     try:
         f = field_new(field_nums[0], field_nums[1], field_nums[2:])
-        if kind == "rs":
-            spec = make_rs_code(f, m)
-        elif kind == "hcrs":
-            spec = make_hcrs_code(f, m)
-        else:
-            spec = make_curve_code(f, curve, m)
+        spec = make_code(f, kind, m, curve)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -38,17 +38,18 @@ def eval_poly(f: Field, coeffs: PolyDict, x: Elt, y: Elt) -> Elt:
 # -- monomial orders -------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class WeightedCurveOrder:
     """Total order by curve weight a*i + b*j, ties broken by smaller j.
 
     On the strip j < a the weights are all distinct (gcd(a, b) = 1 forces
     equal weights to share j), so the tie-break only matters off-strip,
-    where it ranks y^a above x^b.
+    where it ranks y^a above x^b.  Orders are values: equal and equally
+    hashed when their fields are, as the memoized grid enumeration needs.
     """
 
-    def __init__(self, a: int, b: int):
-        self.a = a
-        self.b = b
+    a: int
+    b: int
 
     def weight(self, cell: Cell) -> int:
         return self.a * cell[0] + self.b * cell[1]
@@ -56,19 +57,8 @@ class WeightedCurveOrder:
     def key(self, cell: Cell):
         return (self.a * cell[0] + self.b * cell[1], cell[1])
 
-    def __repr__(self) -> str:
-        return f"WeightedCurveOrder(a={self.a}, b={self.b})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeightedCurveOrder)
-            and (self.a, self.b) == (other.a, other.b)
-        )
-
-    def __hash__(self) -> int:
-        return hash((WeightedCurveOrder, self.a, self.b))
-
-
+@dataclass(frozen=True)
 class HyperbolicOrder:
     """Total order by the product weight (i+1)(j+1), ties by smaller j."""
 
@@ -77,15 +67,6 @@ class HyperbolicOrder:
 
     def key(self, cell: Cell):
         return ((cell[0] + 1) * (cell[1] + 1), cell[1])
-
-    def __repr__(self) -> str:
-        return "HyperbolicOrder()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HyperbolicOrder)
-
-    def __hash__(self) -> int:
-        return hash(HyperbolicOrder)
 
 
 MonomialOrder = WeightedCurveOrder | HyperbolicOrder

@@ -13,7 +13,9 @@ The 2-D pair needs no normalization: the inversion constant (q-1)^2 is
 
 The 1-D inverse carries the single normalization factor
 (q-1)^(-1) = -1 inside idft1, so dft1(idft1(a)) = idft1(dft1(a)) = a.
-This is the only place a sign convention enters.
+The signs are fixed here.  Outside this module the dft2 kernel is also
+evaluated directly, with the same sign: by codec's parity-check rows
+(x(P)^i * y(P)^j) and by bms._certificate (alpha^(k.z)).
 
 Transforms are computed by row-column decomposition into 1-D transforms,
 each evaluated by Horner's rule.  dft2_cells evaluates dft2 only at a

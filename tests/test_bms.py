@@ -701,6 +701,58 @@ def test_staircase_refusal_loses_no_success(monkeypatch, name):
     assert fired > 0
 
 
+def test_end_of_grid_certificate_decides_when_nothing_is_voted():
+    # At m = 29 hermitian-q9 has k = 0: every cell outside the defining
+    # set is derived from the point ideal, so no cell is voted, no early
+    # certificate is tried, and only the certificate after the loop can
+    # accept.  The weights stop at 6: from 7 errors on some words are
+    # refused at this m (a known defect of the voting outside the preset
+    # parameters, see ROADMAP).
+    spec = codec.preset("hermitian-q9", m=29)
+    assert spec.k == 0
+    f = spec.field
+    rng = random.Random("end-of-grid")
+    for weight in range(7):
+        for _ in range(25):
+            received = [ZERO] * spec.n
+            for pos in rng.sample(range(spec.n), weight):
+                received[pos] = rng.randrange(f.q - 1)
+            stats = {}
+            assert codec.decode(spec, received, stats=stats)[0] == [ZERO] * spec.n
+            assert stats == {"voted_cells": 0, "early_certificate": False}
+
+
+@pytest.mark.parametrize("name, m", [("hermitian-q9", 21), ("hcrs-q9", 20)])
+def test_poly_for_corner_keeps_an_uncorrected_polynomial_when_no_record_covers(
+    monkeypatch, name, m
+):
+    # Sakata's theorem puts c - t2 in the old staircase, which the records'
+    # spans cover, unless a skipped test hid a failure.  With the staircase
+    # refusal on, that still happens beyond t at these larger m, so the
+    # branch of _poly_for_corner that returns the shifted polynomial
+    # uncorrected is live code.
+    covered = []
+    poly_for_corner = SakataState._poly_for_corner
+
+    def counting(self, t2, c, fails, kept):
+        target = (c[0] - t2[0], c[1] - t2[1])
+        if (
+            not any(_leq(lt, t2) for lt, _ in kept)
+            and min(target) >= 0
+            and not any(_leq(target, r.span) for r in self.G)
+        ):
+            covered.append((t2, c))
+        return poly_for_corner(self, t2, c, fails, kept)
+
+    monkeypatch.setattr(SakataState, "_poly_for_corner", counting)
+    spec = codec.preset(name, m=m)
+    rng = random.Random(f"no-record-{name}-{m}")
+    for _ in range(40):
+        _, received = _received(spec, rng, spec.t_capability + 1)
+        _decode_outcome(spec, received)
+    assert covered
+
+
 # -- out-of-grid cells --------------------------------------------------------
 
 

@@ -183,6 +183,24 @@ def test_build_and_spec_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, raw",
+    [
+        ("hermitian-q9", ["--kind", "curve", "--curve", "3,4,0:3:0,0:1:0,4:0:4", "--m", "11"]),
+        ("hcrs-q9", ["--kind", "hcrs", "--m", "9"]),
+        ("rs-q9", ["--kind", "rs", "--r", "4"]),
+    ],
+)
+def test_raw_build_equals_preset_build(tmp_path, capsys, name, raw):
+    # the raw flags and the preset reach the same constructor through
+    # codec.make_code, so the spec files agree byte for byte
+    raw_path, preset_path = tmp_path / "raw.spec", tmp_path / "preset.spec"
+    argv = ["build", "--field", "3,2,2,1,1", *raw, "--out", str(raw_path)]
+    assert run(argv, capsys)[0] == 0
+    assert run(["build", "--preset", name, "--out", str(preset_path)], capsys)[0] == 0
+    assert raw_path.read_bytes() == preset_path.read_bytes()
+
+
+@pytest.mark.parametrize(
     "name, drop",
     [("hermitian-q9", key) for key in ("field", "kind", "m", "points", "wp", "curve")]
     + [("rs-q9", "r")]
