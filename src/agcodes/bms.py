@@ -26,7 +26,9 @@ Three synthesis entry points:
 * bms_with_voting() decodes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
   Feng-Rao pair predictions drawn from the current minimal polynomial
-  set F, until F locates the errors.  A recurrence that holds on the
+  set F, until F locates the errors.  A vote (_vote) evaluates numbers:
+  the predictions are affine in the unknown cell, so the values 0 and 1
+  written there give them all.  A recurrence that holds on the
   transform of an error array vanishes at its nonzero cells (the 2-D
   locator ideal), so the certificate takes the code points where every
   polynomial of F vanishes, at most t of them, and solves for the error
@@ -50,8 +52,8 @@ wrap and schedule independence; no recurrence is re-checked afterwards,
 since the staircase values determine the array.  Partial arrays
 are dicts from cell to value; a grid (a list of rows, None where the
 value is unknown) is the working store.  One kernel, _forced(), applies
-solved recurrences to it: extend() runs it to a fixpoint, and the voting
-pass calls it once per cell on the ambient recurrences.
+solved recurrences to it: extend() runs it to a fixpoint, and the
+decoder derives with it every cell the ambient recurrences reach.
 
 The grid's enumeration under an order depends only on q and the order,
 never on a word, so grid_cells() memoizes it, keyed by the value of
@@ -643,6 +645,83 @@ def _certificate(
     return err
 
 
+def _vote(
+    state: SakataState,
+    amb_rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
+    cls: Sequence[Cell],
+    c: Cell,
+) -> Elt:
+    """The Feng-Rao majority vote for the value X of c, the first
+    unprocessed cell, over cls, c's weight class in the processing
+    enumeration.
+
+    Every lighter cell is assigned, so an open class cell (c or a class
+    cell after it) that the ambient rules reach depends only on lighter
+    cells and on the class cells before it: it is affine in X, and so is
+    the sum A + B*X of a polynomial of F tested at it.  The vote writes
+    X = 0 and then X = 1 at c, fills the other open class cells in
+    enumeration order with _forced, and takes at both the sum of every
+    polynomial of F led at or below each reached cell, reading a cell
+    past the grid through _forced as well.  Every componentwise split
+    w = a + b of a reached cell w, with neither part in the staircase,
+    votes -A/B from the first polynomial of F covering a whose sum at w
+    is defined with B != 0.  The plurality value wins; a tie or no vote
+    raises DecodingFailure.  On return or raise, c and the open class
+    cells hold None again.
+    """
+    f, grid, n, F, delta = state.f, state.grid, state.n, state.F, state.delta
+    add_t, mul_t, sub_t = f.add_table, f.mul_table, f.sub_table
+
+    def recurrence_sum(lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
+        d0, d1 = w[0] - lt[0], w[1] - lt[1]
+        acc = ZERO
+        for (s0, s1), cf in coeffs.items():
+            i, j = s0 + d0, s1 + d1
+            v = grid[i][j] if i < n and j < n else _forced(add_t, amb_rules, grid, (i, j))
+            if v is None:
+                return None
+            acc = add_t[acc][mul_t[cf][v]]
+        return acc
+
+    opened = [w for w in cls if grid[w[0]][w[1]] is None]
+    sums: list[dict[tuple[int, Cell], Elt | None]] = []  # at X = 0, X = 1
+    try:
+        for x in (ZERO, ONE):
+            grid[c[0]][c[1]] = x
+            for w0, w1 in opened[1:]:
+                grid[w0][w1] = _forced(add_t, amb_rules, grid, (w0, w1))
+            voters = [w for w in opened if grid[w[0]][w[1]] is not None]
+            sums.append({
+                (fi, w): recurrence_sum(lt, coeffs, w)
+                for w in voters
+                for fi, (lt, coeffs) in enumerate(F)
+                if _leq(lt, w)
+            })
+    finally:
+        for w0, w1 in opened:
+            grid[w0][w1] = None
+    tally: dict[Elt, int] = {}
+    for w in voters:
+        w0, w1 = w
+        for a0 in range(w0 + 1):
+            for a1 in range(w1 + 1):
+                if (a0, a1) in delta or (w0 - a0, w1 - a1) in delta:
+                    continue
+                for fi, (lt, _) in enumerate(F):
+                    if lt[0] <= a0 and lt[1] <= a1:
+                        v0, v1 = sums[0][fi, w], sums[1][fi, w]
+                        if v0 is not None and v1 != v0:
+                            value = f.div(v0, sub_t[v0][v1])  # -A/B
+                            tally[value] = tally.get(value, 0) + 1
+                            break
+    if not tally:
+        raise DecodingFailure(f"no votes for cell {c}")
+    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        raise DecodingFailure(f"voting tie at cell {c}")
+    return ranked[0][0]
+
+
 def bms_with_voting(
     f: Field,
     known: dict[Cell, Elt],
@@ -661,10 +740,8 @@ def bms_with_voting(
     (total degree, ties by smaller j) for the hyperbolic order of hcrs
     codes.  Cells an ambient recurrence (the ideal of all code locations,
     e.g. the curve equation plus periodicity) determines are derived
-    directly; the rest are voted: every componentwise split w = a + b of a
-    cell in the current weight class, with neither part in the staircase
-    so far, contributes the value predicted by the minimal polynomial
-    covering a.  The plurality value is taken, ties fail.
+    directly; the rest are voted by the Feng-Rao pair predictions over
+    the current weight class (_vote).
 
     After each processed cell, known, derived or voted, the decode is
     refused ("staircase exceeds t at cell (i, j)") once the staircase
@@ -719,99 +796,7 @@ def bms_with_voting(
     cells, classes = _enumeration(q, order)
 
     state = SakataState(f, order)
-    add_t, mul_t = f.add_table, f.mul_table
-    neg = f.sub_table[ZERO]
-    grid = state.grid  # shared view; process() writes it
-
-    def vote(c: Cell) -> Elt:
-        # symbolic cell values A + B*X where X is the unknown u[c]
-        sym_memo: dict[Cell, tuple[Elt, Elt] | None] = {}
-
-        def sym(cell: Cell) -> tuple[Elt, Elt] | None:
-            c0, c1 = cell
-            v = grid[c0][c1] if c0 < n and c1 < n else None
-            if v is not None:
-                return (v, ZERO)
-            if cell == c:
-                return (ZERO, ONE)
-            if cell in sym_memo:
-                return sym_memo[cell]
-            sym_memo[cell] = None  # cycle guard
-            result = None
-            for lt, tail in amb_rules:
-                if not _leq(lt, cell):
-                    continue
-                acc_a = acc_b = ZERO
-                for e0, e1, row in tail:
-                    child = sym(((c0 + e0) % n, (c1 + e1) % n))
-                    if child is None:
-                        break
-                    acc_a = add_t[acc_a][row[child[0]]]
-                    acc_b = add_t[acc_b][row[child[1]]]
-                else:
-                    result = (acc_a, acc_b)
-                    break
-            sym_memo[cell] = result
-            return result
-
-        # prediction of X from minimal polynomial index fi tested at w
-        pred_memo: dict[tuple[int, Cell], Elt | None] = {}
-
-        def predict(fi: int, w: Cell) -> Elt | None:
-            k = (fi, w)
-            if k in pred_memo:
-                return pred_memo[k]
-            lt, coeffs = state.F[fi]
-            acc_a = acc_b = ZERO
-            d0, d1 = w[0] - lt[0], w[1] - lt[1]
-            defined = True
-            for (s0, s1), cf in coeffs.items():
-                child = sym((s0 + d0, s1 + d1))
-                if child is None:
-                    defined = False
-                    break
-                mc = mul_t[cf]
-                acc_a = add_t[acc_a][mc[child[0]]]
-                acc_b = add_t[acc_b][mc[child[1]]]
-            result: Elt | None = None
-            if defined and acc_b != ZERO:
-                result = f.div(neg[acc_a], acc_b)
-            pred_memo[k] = result
-            return result
-
-        # Feng-Rao majority voting over the cells of c's weight class:
-        # everything of smaller weight is already assigned, so class
-        # values are linear in u[c] and every componentwise split with
-        # both parts outside the staircase casts one vote.
-        delta = state.delta
-        F = state.F
-        tally: dict[Elt, int] = {}
-        for w in classes[order.weight(c)]:
-            if grid[w[0]][w[1]] is not None:
-                continue
-            if sym(w) is None:
-                continue
-            w0, w1 = w
-            for a0 in range(w0 + 1):
-                for a1 in range(w1 + 1):
-                    a = (a0, a1)
-                    if a in delta or (w0 - a0, w1 - a1) in delta:
-                        continue
-                    value = None
-                    for fi, (lt, _) in enumerate(F):
-                        if lt[0] <= a0 and lt[1] <= a1:
-                            value = predict(fi, w)
-                            if value is not None:
-                                break
-                    if value is not None:
-                        tally[value] = tally.get(value, 0) + 1
-        if not tally:
-            raise DecodingFailure(f"no votes for cell {c}")
-        ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
-        if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-            raise DecodingFailure(f"voting tie at cell {c}")
-        return ranked[0][0]
-
+    add_t = f.add_table
     voted = 0
     if stats is not None:
         stats.update(voted_cells=0, early_certificate=False)
@@ -819,7 +804,7 @@ def bms_with_voting(
     for c in cells:
         v = known.get(c)
         if v is None:
-            v = _forced(add_t, amb_rules, grid, c)
+            v = _forced(add_t, amb_rules, state.grid, c)
         if v is None:
             # try the certificate once per F; the refusal below keeps
             # |delta| <= max_errors here
@@ -830,7 +815,7 @@ def bms_with_voting(
                     if stats is not None:
                         stats.update(voted_cells=voted, early_certificate=True)
                     return err
-            v = vote(c)
+            v = _vote(state, amb_rules, classes[order.weight(c)], c)
             voted += 1
             if stats is not None:
                 stats["voted_cells"] = voted

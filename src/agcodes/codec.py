@@ -155,6 +155,12 @@ def _check_info(f: Field, info: Sequence, length: int) -> None:
         raise ValueError(f"info must have length {length}")
 
 
+def _check_redundancy(f: Field, r: int) -> None:
+    """Raise BadRedundancy unless an rs code over f has redundancy r."""
+    if not 1 <= r < f.q - 1:
+        raise BadRedundancy(f"need 1 <= r < {f.q - 1}, got {r}")
+
+
 def _monomials(f: Field, p: Point, phi: Sequence[Cell]) -> list[Elt]:
     """x(P)^i * y(P)^j for every cell (i, j) of phi, with 0^0 = 1."""
     mul_t = f.mul_table
@@ -256,8 +262,7 @@ def make_hcrs_code(f: Field, m: int) -> CodeSpec:
 
 def make_rs_code(f: Field, r: int) -> CodeSpec:
     """Classical RS code of length q-1 with redundancy r."""
-    if not 1 <= r < f.q - 1:
-        raise BadRedundancy(f"need 1 <= r < {f.q - 1}, got {r}")
+    _check_redundancy(f, r)
     n = f.q - 1
     return CodeSpec(
         field=f,
@@ -588,8 +593,7 @@ def decode(
 def rs_gen_poly(f: Field, r: int) -> list[Elt]:
     """Generator polynomial (x-1)(x-alpha)...(x-alpha^(r-1)), ascending
     coefficient logs, monic of degree r."""
-    if not 1 <= r < f.q - 1:
-        raise BadRedundancy(f"need 1 <= r < {f.q - 1}, got {r}")
+    _check_redundancy(f, r)
     add_t, mul_t, neg = f.add_table, f.mul_table, f.sub_table[ZERO]
     g = [ONE]
     for i in range(r):
@@ -608,6 +612,7 @@ def rs_encode_euclid(f: Field, r: int, info: Info) -> Word:
     info occupies coefficients r..n-1; parity lands on 0..r-1.
     """
     n = f.q - 1
+    _check_redundancy(f, r)
     _check_info(f, info, n - r)
     g = rs_gen_poly(f, r)
     sub_t, mul_t = f.sub_table, f.mul_table
@@ -628,6 +633,7 @@ def rs_encode_idft(f: Field, r: int, info: Info) -> Word:
     """Non-systematic RS encoding c_h = sum_i I_i alpha^(-ih) with the
     information on indices r..n-1."""
     n = f.q - 1
+    _check_redundancy(f, r)
     _check_info(f, info, n - r)
     coeffs = [ZERO] * r + list(info)
     neg = f.sub_table[ZERO]
@@ -642,6 +648,7 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     the remainder R(x), and c = I - R.  Must match rs_encode_euclid.
     """
     n = f.q - 1
+    _check_redundancy(f, r)
     _check_info(f, info, n - r)
     g = rs_gen_poly(f, r)
     add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import partial
 from typing import Iterable
 
@@ -751,6 +752,179 @@ def test_poly_for_corner_keeps_an_uncorrected_polynomial_when_no_record_covers(
         _, received = _received(spec, rng, spec.t_capability + 1)
         _decode_outcome(spec, received)
     assert covered
+
+
+# -- the vote ------------------------------------------------------------------
+
+# what the symbolic vote read: "past the grid" counts predictions that read
+# a defined cell past the grid, "derived" the voting class cells other than
+# c that the ambient rules reach
+SYMBOLIC_READS: Counter = Counter()
+
+
+def _symbolic_vote(state, amb_rules, cls, c):
+    """bms._vote on symbols: a cell value is a pair (A, B) standing for
+    A + B*X, X = u[c], found by applying the ambient rules recursively
+    (memo and cycle guard), and a prediction evaluates a polynomial of F
+    on such pairs."""
+    f, grid, n = state.f, state.grid, state.n
+    add_t, mul_t = f.add_table, f.mul_table
+    neg = f.sub_table[ZERO]
+    sym_memo = {}
+
+    def sym(cell):
+        c0, c1 = cell
+        v = grid[c0][c1] if c0 < n and c1 < n else None
+        if v is not None:
+            return (v, ZERO)
+        if cell == c:
+            return (ZERO, ONE)
+        if cell in sym_memo:
+            return sym_memo[cell]
+        sym_memo[cell] = None  # cycle guard
+        result = None
+        for lt, tail in amb_rules:
+            if not _leq(lt, cell):
+                continue
+            acc_a = acc_b = ZERO
+            for e0, e1, row in tail:
+                child = sym(((c0 + e0) % n, (c1 + e1) % n))
+                if child is None:
+                    break
+                acc_a = add_t[acc_a][row[child[0]]]
+                acc_b = add_t[acc_b][row[child[1]]]
+            else:
+                result = (acc_a, acc_b)
+                break
+        sym_memo[cell] = result
+        return result
+
+    # prediction of X from minimal polynomial index fi tested at w
+    pred_memo = {}
+
+    def predict(fi, w):
+        if (fi, w) in pred_memo:
+            return pred_memo[fi, w]
+        lt, coeffs = state.F[fi]
+        acc_a = acc_b = ZERO
+        d0, d1 = w[0] - lt[0], w[1] - lt[1]
+        defined = True
+        for (s0, s1), cf in coeffs.items():
+            child = sym((s0 + d0, s1 + d1))
+            if child is None:
+                defined = False
+                break
+            if s0 + d0 >= n or s1 + d1 >= n:
+                SYMBOLIC_READS["past the grid"] += 1
+            mc = mul_t[cf]
+            acc_a = add_t[acc_a][mc[child[0]]]
+            acc_b = add_t[acc_b][mc[child[1]]]
+        result = None
+        if defined and acc_b != ZERO:
+            result = f.div(neg[acc_a], acc_b)
+        pred_memo[fi, w] = result
+        return result
+
+    delta = state.delta
+    tally = {}
+    for w in cls:
+        if grid[w[0]][w[1]] is not None:
+            continue
+        if sym(w) is None:
+            continue
+        if w != c:
+            SYMBOLIC_READS["derived"] += 1
+        w0, w1 = w
+        for a0 in range(w0 + 1):
+            for a1 in range(w1 + 1):
+                a = (a0, a1)
+                if a in delta or (w0 - a0, w1 - a1) in delta:
+                    continue
+                value = None
+                for fi, (lt, _) in enumerate(state.F):
+                    if lt[0] <= a0 and lt[1] <= a1:
+                        value = predict(fi, w)
+                        if value is not None:
+                            break
+                if value is not None:
+                    tally[value] = tally.get(value, 0) + 1
+    if not tally:
+        raise DecodingFailure(f"no votes for cell {c}")
+    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+        raise DecodingFailure(f"voting tie at cell {c}")
+    return ranked[0][0]
+
+
+# the five 2-D benchmark codes, and larger m, where the vote derives class
+# cells and reads cells past the grid
+VOTE_CODES = [*TWO_D_CODES, ("hermitian-q9", 21), ("hermitian-q9", 25),
+              ("hcrs-q9", 12), ("hcrs-q9", 16)]
+
+
+def _vote_code(key):
+    return _code(key) if isinstance(key, str) else codec.preset(key[0], m=key[1])
+
+
+def _decode_with_stats(spec, received):
+    """The corrected word or the failure message, and the decode stats."""
+    stats = {}
+    try:
+        return codec.decode(spec, received, stats=stats)[0], stats
+    except DecodingFailure as e:
+        return str(e), stats
+
+
+def test_vote_agrees_with_symbolic_oracle(monkeypatch):
+    # The vote on numbers and the vote on symbols give the same corrected
+    # word or failure message and the same voted-cell count, at every
+    # weight 0..t+3.  At the larger m the sample holds predictions that
+    # read a cell past the grid, and class cells derived from the ambient
+    # rules, so a vote that dropped either would disagree here.
+    SYMBOLIC_READS.clear()
+    for key in VOTE_CODES:
+        spec = _vote_code(key)
+        rng = random.Random(f"symbolic-vote-{key}")
+        words = 2 if isinstance(key, str) else 10
+        for weight in range(spec.t_capability + 4):
+            for _ in range(words):
+                _, received = _received(spec, rng, weight)
+                numeric = _decode_with_stats(spec, received)
+                with monkeypatch.context() as m:
+                    m.setattr(bms_module, "_vote", _symbolic_vote)
+                    symbolic = _decode_with_stats(spec, received)
+                assert numeric == symbolic, (key, weight, numeric, symbolic)
+    assert SYMBOLIC_READS["past the grid"] > 0
+    assert SYMBOLIC_READS["derived"] > 0
+
+
+def test_vote_leaves_unprocessed_cells_open(monkeypatch):
+    # Whether the vote returns or raises, the grid holds None at c and at
+    # every cell after it in the processing enumeration, as before the call.
+    vote = bms_module._vote
+    outcomes = Counter()
+
+    def checked(state, amb_rules, cls, c):
+        cells = grid_cells(state.f.q, state.order)
+        try:
+            value = vote(state, amb_rules, cls, c)
+            outcomes["returned"] += 1
+            return value
+        except DecodingFailure:
+            outcomes["raised"] += 1
+            raise
+        finally:
+            later = cells[cells.index(c):]
+            assert all(state.grid[i][j] is None for i, j in later), c
+
+    monkeypatch.setattr(bms_module, "_vote", checked)
+    for key in VOTE_CODES:
+        spec = _vote_code(key)
+        rng = random.Random(f"vote-restores-{key}")
+        for weight in range(spec.t_capability, spec.t_capability + 4):
+            for _ in range(2):
+                _decode_outcome(spec, _received(spec, rng, weight)[1])
+    assert outcomes["returned"] and outcomes["raised"]
 
 
 # -- out-of-grid cells --------------------------------------------------------

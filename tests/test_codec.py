@@ -552,6 +552,18 @@ def test_rs_gen_poly():
         codec.rs_gen_poly(F9, 8)
 
 
+@pytest.mark.parametrize(
+    "encode", [codec.rs_encode_euclid, codec.rs_encode_idft, codec.rs_encode_dh]
+)
+@pytest.mark.parametrize("r", [-1, 0, 8, 9])
+def test_rs_encoders_reject_redundancy_out_of_range(encode, r):
+    # the redundancy is checked before the info length it implies, so an
+    # info of that length does not get past it either
+    for length in (8 - r, 0):
+        with pytest.raises(BadRedundancy, match=rf"need 1 <= r < 8, got {r}"):
+            encode(F9, r, [ZERO] * max(length, 0))
+
+
 def test_rs_encode_euclid_systematic_and_parity():
     rng = random.Random(13)
     for r in (2, 4, 6):
