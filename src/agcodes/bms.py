@@ -15,13 +15,13 @@ Three synthesis entry points:
   of a point indicator this ideal is the vanishing ideal of the points.
   It is full-array only and raises ValueError unless every cell is known.
 
-* SakataState is the entry point for an order prefix: cells fed to
-  process() in the enumeration of a translation-invariant order run
+* SakataState is the entry point for an order prefix of N^2: cells fed
+  to process() in the enumeration of a translation-invariant order run
   Sakata's incremental two-dimensional Berlekamp-Massey update (Sakata
-  1988).  A polynomial failing at cell c and moved to a new corner t2 is
+  1988) on the periodic extension of the grid, reading every cell mod
+  q-1.  A polynomial failing at cell c and moved to a new corner t2 is
   kept as it is when t2 is not <= c, and otherwise corrected by a
-  failure recorded before c.  A test that needs a cell outside the grid
-  is skipped.
+  failure recorded before c.  Every test reads only processed cells.
 
 * bms_with_voting() decodes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
@@ -38,12 +38,14 @@ Three synthesis entry points:
   full syndrome array is its dft2, and the locator basis is
   vanishing_ideal_basis() of its nonzero cells.  A decode is refused at
   the first cell after which the staircase holds more than t cells: on a
-  word within t of a codeword whose votes are exact every processed cell
+  word within t of a codeword the votes are exact, every processed cell
   is a syndrome of its error, and the staircase of such a prefix never
   outgrows the error weight (Sakata's lower bound and Blahut's theorem).
-  Outside the preset parameters the votes are not always exact within t
-  (bms_with_voting says where).  The hyperbolic order of hcrs codes is
-  not translation invariant, so their cells are processed in
+  The cells processed are the order prefix of N^2 up to the last grid
+  cell, the domain that Sakata's update and the Feng-Rao vote assume
+  (Sakata, Justesen, Madelung, Jensen and Hoeholdt 1995); the (q-1) x
+  (q-1) torus is not one.  The hyperbolic order of hcrs codes is not
+  translation invariant, so their cells are processed in
   WeightedCurveOrder(1, 1).
 
 extend() fills a partially known array from its values on the basis
@@ -58,17 +60,19 @@ decoder derives with it every cell the ambient recurrences reach.
 The grid's enumeration under an order depends only on q and the order,
 never on a word, so grid_cells() memoizes it, keyed by the value of
 (q, order): one entry per (q, order) in use, filled on first use.  The
-entry also holds the enumeration's weight classes, which the vote
-scans.  At q = 256 (65,025 cells) an entry holds 4.7-6.5 MB, measured
-with tracemalloc, most of it the cell tuples.  Every cell a caller hands
-in must lie in the grid; extend() and bms_with_voting() reject any other
-with ValueError.
+entry also holds the processed prefix and its weight classes, which the
+vote scans.  At q = 256 the prefix holds 2.0 times the grid's 65,025
+cells, and an entry of a weighted order holds 13.6-14.5 MB, measured
+with tracemalloc, most of it the cell tuples; the hyperbolic order's,
+with no prefix, 4.2 MB.  Every cell a caller hands in must lie in the
+grid; extend() and bms_with_voting() reject any other with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, product
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
@@ -143,34 +147,44 @@ def _leq(a: Cell, b: Cell) -> bool:
 
 
 class _Enumeration(NamedTuple):
-    """The (q-1) x (q-1) grid in an order's enumeration, and its weight
-    classes: weight -> the cells of that weight, in enumeration order."""
+    """An order's enumeration: the (q-1) x (q-1) grid's cells, and the
+    order prefix of N^2 that the decoder processes, with its weight
+    classes (weight -> the prefix cells of that weight, in enumeration
+    order).
 
-    cells: tuple[Cell, ...]
+    The prefix is every cell of N^2 whose key is at most the last grid
+    cell's.  It is finite, since every weight is positive, and holds the
+    grid.  Only a translation-invariant order is processed, so the
+    hyperbolic order's entry has an empty prefix and no classes.
+    """
+
+    grid: tuple[Cell, ...]
+    prefix: tuple[Cell, ...]
     classes: Mapping[int, tuple[Cell, ...]]
 
 
 @lru_cache(maxsize=None)
 def _enumeration(q: int, order: MonomialOrder) -> _Enumeration:
     n = q - 1
-    cells = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
-    classes: dict[int, list[Cell]] = {}
-    for c in cells:
-        classes.setdefault(order.weight(c), []).append(c)
-    return _Enumeration(
-        tuple(cells), MappingProxyType({w: tuple(cs) for w, cs in classes.items()})
-    )
+    grid = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
+    prefix: list[Cell] = []
+    if isinstance(order, WeightedCurveOrder):
+        last = order.key(grid[-1])
+        box = product(range(last[0] // order.a + 1), range(last[0] // order.b + 1))
+        prefix = sorted((c for c in box if order.key(c) <= last), key=order.key)
+    classes = {w: tuple(cs) for w, cs in groupby(prefix, key=order.weight)}
+    return _Enumeration(tuple(grid), tuple(prefix), MappingProxyType(classes))
 
 
 def grid_cells(q: int, order: MonomialOrder) -> tuple[Cell, ...]:
     """Every grid cell, sorted by the order's key.
 
-    Memoized together with its weight classes, keyed by the value of
-    (q, order), one entry per (q, order) in use: an equal order built
-    elsewhere, say by load_spec, shares the entry, and every call returns
-    the same immutable tuple.
+    Memoized together with the processed prefix and its weight classes,
+    keyed by the value of (q, order), one entry per (q, order) in use: an
+    equal order built elsewhere, say by load_spec, shares the entry, and
+    every call returns the same immutable tuple.
     """
-    return _enumeration(q, order).cells
+    return _enumeration(q, order).grid
 
 
 def _check_in_grid(cells: Iterable[Cell], n: int) -> None:
@@ -308,14 +322,16 @@ class _Record:
 class SakataState:
     """Minimal polynomial set F and auxiliary failures G, updated per cell.
 
-    This is the entry point for an order prefix of an array (bms() takes
-    full arrays only).  Cells arrive in the order's enumeration, and their
-    values are kept in grid (None until processed).  The order must be
-    translation invariant (s < t implies s+d < t+d), so the hyperbolic one
-    is refused.  Each element of F is monic at its leading cell, and the
-    leading cells are the corners of the staircase delta.  A test that
-    needs a cell outside the grid is skipped (treated as passed); every
-    other cell a test needs is already assigned.
+    This is the entry point for an order prefix of N^2 (bms() takes full
+    arrays only).  Cells arrive in the order's enumeration, and the array
+    is periodic with period q-1 in each index: a value is kept in grid at
+    the cell mod q-1 (None until processed), and every read takes its
+    indices mod q-1.  The order must be translation invariant (s < t
+    implies s+d < t+d), so the hyperbolic one is refused.  Each element of
+    F is monic at its leading cell, and the leading cells are the corners
+    of the staircase delta.  A test at w reads only cells s + w - lt, each
+    with key at most w's by translation invariance, so on an order prefix
+    every test is computed and none is skipped.
 
     When polynomials fail at cell c, each new corner t2 gets a surviving
     polynomial shifted to t2 if one lies below it.  Otherwise a failing
@@ -348,32 +364,25 @@ class SakataState:
 
     # -- discrepancies ----------------------------------------------------
 
-    def _test(self, lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
-        """Recurrence sum of the polynomial at shift w (at or above lt),
-        None if untestable."""
+    def _test(self, lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt:
+        """Recurrence sum of the polynomial at shift w (at or above lt)."""
         add_t, mul_t = self.f.add_table, self.f.mul_table
         grid, n = self.grid, self.n
         d0, d1 = w[0] - lt[0], w[1] - lt[1]
         acc = ZERO
         for (s0, s1), c in coeffs.items():
-            i, j = s0 + d0, s1 + d1
-            if i >= n or j >= n:
-                return None
-            v = grid[i][j]
-            if v is None:
-                return None
-            acc = add_t[acc][mul_t[c][v]]
+            acc = add_t[acc][mul_t[c][grid[(s0 + d0) % n][(s1 + d1) % n]]]
         return acc
 
     # -- the update -------------------------------------------------------
 
     def process(self, c: Cell, value: Elt) -> None:
-        self.grid[c[0]][c[1]] = value
+        self.grid[c[0] % self.n][c[1] % self.n] = value
         fails: list[tuple[Cell, dict[Cell, Elt], Elt]] = []
         for lt, coeffs in self.F:
             if lt[0] <= c[0] and lt[1] <= c[1]:
                 d = self._test(lt, coeffs, c)
-                if d is not None and d != ZERO:
+                if d != ZERO:
                     fails.append((lt, coeffs, d))
         if not fails:
             return
@@ -387,8 +396,11 @@ class SakataState:
             records.append(_Record(coeffs, lt, d, span))
         failed_lts = {lt for lt, _, _ in fails}
         kept = [(lt, co) for lt, co in self.F if lt not in failed_lts]
-        corners = minimal_outside(self.delta, self.n)
+        # a downward-closed set of k cells lies in [0, k-1]^2, so its
+        # corners lie in [0, k]^2
+        corners = minimal_outside(self.delta, len(self.delta))
         self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners]
+        # minimal_outside lists the corners by ascending i, not in the order
         self.F.sort(key=lambda e: self.order.key(e[0]))
         # only failures at cells before c may correct a failure at c
         for r in records:
@@ -419,16 +431,10 @@ class SakataState:
         if target[0] < 0 or target[1] < 0:
             # t2 is not below c: no test of a polynomial led by t2 reaches c
             return h
-        recs = [r for r in self.G if _leq(target, r.span)]
-        if not recs:
-            # Sakata's theorem puts c - t2 in the old staircase, which the
-            # records' spans cover, unless a skipped test hid a failure.
-            # Never seen on the five 2-D benchmark codes, but reached with
-            # the staircase refusal on at larger m (hermitian-q9 m >= 19,
-            # hcrs-q9 m >= 18), mostly beyond t.
-            return h
-        # the spans are distinct, so the largest one decides
-        r = max(recs, key=lambda r: key(r.span))
+        # no test is skipped, so Sakata's theorem puts c - t2 in the old
+        # staircase, which the records' spans cover; the spans are
+        # distinct, so the largest one covering it decides
+        r = max((r for r in self.G if _leq(target, r.span)), key=lambda r: key(r.span))
         # x^e g with e = span - (c - t2): its test at c is g's recorded
         # failing test, and its leading cell r.lt + r.span - (c - t2) lies
         # below t2, since g failed before c and the order is translation
@@ -655,19 +661,22 @@ def _vote(
     unprocessed cell, over cls, c's weight class in the processing
     enumeration.
 
-    Every lighter cell is assigned, so an open class cell (c or a class
-    cell after it) that the ambient rules reach depends only on lighter
-    cells and on the class cells before it: it is affine in X, and so is
-    the sum A + B*X of a polynomial of F tested at it.  The vote writes
-    X = 0 and then X = 1 at c, fills the other open class cells in
-    enumeration order with _forced, and takes at both the sum of every
-    polynomial of F led at or below each reached cell, reading a cell
-    past the grid through _forced as well.  Every componentwise split
-    w = a + b of a reached cell w, with neither part in the staircase,
-    votes -A/B from the first polynomial of F covering a whose sum at w
-    is defined with B != 0.  The plurality value wins; a tie or no vote
-    raises DecodingFailure.  On return or raise, c and the open class
-    cells hold None again.
+    Every lighter cell is assigned, so an open class cell (c or a grid
+    cell of the class after it) that the ambient rules reach depends only
+    on lighter cells and on the class cells before it: it is affine in X,
+    and so is the sum A + B*X of a polynomial of F tested at it.  The
+    vote writes X = 0 and then X = 1 at c, fills the other open class
+    cells in enumeration order with _forced, and takes at both the sum of
+    every polynomial of F led at or below each reached cell, reading
+    every cell mod q-1.  A componentwise split w = a + b of a reached
+    cell w counts when both parts are basis monomials of the order domain
+    outside the staircase: neither lies in the staircase or at or above
+    the leading cell of an ambient rule (in the grid that is only the
+    curve equation; Feng-Rao count only such pairs).  It votes -A/B from
+    the first polynomial of F covering a, or not at all when that sum at
+    w is undefined or has B = 0.  The plurality value wins; a tie or no
+    vote raises DecodingFailure.  On return or raise, c and the open
+    class cells hold None again.
     """
     f, grid, n, F, delta = state.f, state.grid, state.n, state.F, state.delta
     add_t, mul_t, sub_t = f.add_table, f.mul_table, f.sub_table
@@ -676,14 +685,17 @@ def _vote(
         d0, d1 = w[0] - lt[0], w[1] - lt[1]
         acc = ZERO
         for (s0, s1), cf in coeffs.items():
-            i, j = s0 + d0, s1 + d1
-            v = grid[i][j] if i < n and j < n else _forced(add_t, amb_rules, grid, (i, j))
+            v = grid[(s0 + d0) % n][(s1 + d1) % n]
             if v is None:
                 return None
             acc = add_t[acc][mul_t[cf][v]]
         return acc
 
-    opened = [w for w in cls if grid[w[0]][w[1]] is None]
+    # a cell at or above an ambient leading cell in the grid (the curve
+    # equation's) is no basis monomial of the order domain
+    tops = [lt for lt, _ in amb_rules if lt[0] < n and lt[1] < n]
+    # a class cell past the grid repeats a lighter, processed cell
+    opened = [w for w in cls if grid[w[0] % n][w[1] % n] is None]
     sums: list[dict[tuple[int, Cell], Elt | None]] = []  # at X = 0, X = 1
     try:
         for x in (ZERO, ONE):
@@ -705,15 +717,16 @@ def _vote(
         w0, w1 = w
         for a0 in range(w0 + 1):
             for a1 in range(w1 + 1):
-                if (a0, a1) in delta or (w0 - a0, w1 - a1) in delta:
+                a, b = (a0, a1), (w0 - a0, w1 - a1)
+                if a in delta or b in delta or any(_leq(t, a) or _leq(t, b) for t in tops):
                     continue
-                for fi, (lt, _) in enumerate(F):
-                    if lt[0] <= a0 and lt[1] <= a1:
-                        v0, v1 = sums[0][fi, w], sums[1][fi, w]
-                        if v0 is not None and v1 != v0:
-                            value = f.div(v0, sub_t[v0][v1])  # -A/B
-                            tally[value] = tally.get(value, 0) + 1
-                            break
+                # a lies outside delta, so the leading cell of some polynomial
+                # of F, a corner of delta, lies at or below it
+                fi = next(fi for fi, (lt, _) in enumerate(F) if lt[0] <= a0 and lt[1] <= a1)
+                v0, v1 = sums[0][fi, w], sums[1][fi, w]
+                if v0 is not None and v1 != v0:
+                    value = f.div(v0, sub_t[v0][v1])  # -A/B
+                    tally[value] = tally.get(value, 0) + 1
     if not tally:
         raise DecodingFailure(f"no votes for cell {c}")
     ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -733,15 +746,19 @@ def bms_with_voting(
 ) -> Array2D:
     """The error array from syndrome values on the defining set.
 
-    Grid cells are processed in a translation-invariant enumeration, so
-    that every cell a minimal polynomial's test touches is already
-    assigned and every componentwise split of a cell is a valid prediction
-    pair: the code's own order when it is weighted, WeightedCurveOrder(1, 1)
-    (total degree, ties by smaller j) for the hyperbolic order of hcrs
-    codes.  Cells an ambient recurrence (the ideal of all code locations,
-    e.g. the curve equation plus periodicity) determines are derived
-    directly; the rest are voted by the Feng-Rao pair predictions over
-    the current weight class (_vote).
+    The cells processed are the order prefix of N^2 up to the key of the
+    last grid cell, in a translation-invariant enumeration: the code's
+    own order when it is weighted, WeightedCurveOrder(1, 1) (total
+    degree, ties by smaller j) for the hyperbolic order of hcrs codes.
+    The prefix is finite because every weight is positive.  On it every
+    cell a minimal polynomial's test touches is already processed, and
+    every basis split of a cell is a valid prediction pair.  The
+    syndromes are periodic, so the grid stays (q-1) x (q-1) and every
+    read takes its indices mod q-1.  Cells an ambient recurrence (the
+    ideal of all code locations: the curve equation, x^(q-1) - 1 and
+    y^(q-1) - 1) determines are derived directly; that takes every cell
+    past the grid.  The rest are voted by the Feng-Rao pair predictions
+    over the current weight class (_vote).
 
     After each processed cell, known, derived or voted, the decode is
     refused ("staircase exceeds t at cell (i, j)") once the staircase
@@ -753,29 +770,23 @@ def bms_with_voting(
     every array agreeing with the prefix (Sakata 1988), which for dft2(e)
     is the weight of e (Blahut's theorem).  So the refusal only ever
     meets words farther than max_errors from every codeword, which no
-    decode could accept, and spares them the rest of the grid.
-
-    The argument assumes exact votes within max_errors, and outside the
-    preset parameters that can fail: hcrs-q9 at m = 12 refuses the zero
-    codeword plus 5 = t errors (cell: value) (0,3):0, (3,4):3, (5,1):6,
-    (6,0):1, (7,5):6 with a voting tie at (7, 1), and hermitian-q9 at
-    m = 21 refuses 8 = t errors (1,3):1, (2,4):0, (2,7):2, (3,0):3,
-    (5,0):1, (5,3):5, (6,5):4, (6,7):0 with "staircase exceeds t" at
-    (7, 1), and without the refusal with a tie at (7, 2).  Both fail on
-    the grid's last row.  Such words are lost with or without the
-    refusal: on 4,400 words at t-2..t+1 errors on hermitian-q9 (m = 19
-    to 29) and hcrs-q9 (m = 12 to 20) it changed no outcome.
+    decode could accept, and spares them the rest of the prefix.
 
     One certificate accepts, tried before a vote whenever F has changed
-    and once the grid is full (_certificate): the cells of `support` (the
-    cells of the code points) at which every polynomial of the current
-    set vanishes are at most max_errors, and values on them reproduce
-    every known syndrome.  Such an error array has at most max_errors
+    and once the prefix is processed (_certificate): the cells of
+    `support` (the cells of the code points) at which every polynomial of
+    the current set vanishes are at most max_errors, and values on them
+    reproduce every known syndrome.  Such an error array has at most max_errors
     nonzero cells, all on code points, and the received word's syndromes,
     so by the Feng-Rao bound the received word minus it is the only
     codeword within max_errors of it.  No grid is completed, no inverse
     transform taken and no locator basis built.  The full syndrome array
-    is dft2(f, error array).
+    is dft2(f, error array).  When the certificate fails once the prefix
+    is processed, the decode is refused ("completed syndrome array fails
+    the final checks").  An error off `support` reaches that, and so do
+    some words within max_errors when max_errors is large against the
+    grid (hcrs-q9 at m >= 53, t >= 26): there the prefix does not yet
+    determine F.
     """
     q = f.q
     n = q - 1
@@ -793,7 +804,7 @@ def bms_with_voting(
             raise ValueError("syndromes must cover a prefix of the order enumeration")
     if not isinstance(order, WeightedCurveOrder):
         order = WeightedCurveOrder(1, 1)
-    cells, classes = _enumeration(q, order)
+    _, prefix, classes = _enumeration(q, order)
 
     state = SakataState(f, order)
     add_t = f.add_table
@@ -801,7 +812,7 @@ def bms_with_voting(
     if stats is not None:
         stats.update(voted_cells=0, early_certificate=False)
     last_attempt = -1
-    for c in cells:
+    for c in prefix:
         v = known.get(c)
         if v is None:
             v = _forced(add_t, amb_rules, state.grid, c)
@@ -823,7 +834,7 @@ def bms_with_voting(
         if len(state.delta) > max_errors:
             _refuse_beyond_radius(c)
 
-    # every cell of the enumeration is processed, so the grid is full
+    # the whole prefix is processed, so the grid is full
     err = _certificate(state, known, support, max_errors)
     if err is None:
         raise DecodingFailure("completed syndrome array fails the final checks")

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from functools import partial
 from typing import Iterable
@@ -482,29 +483,46 @@ def _hermitian_q16():
     return codec.make_curve_code(f, hermitian_curve(f), 20)
 
 
+# a larger m per 2-D preset, where tests read cells past the grid within t
+LARGER_M = {"hermitian-q9": 21, "hcrs-q9": 16}
+
+
 @pytest.mark.parametrize("name", [*codec.PRESETS, "hermitian-q16"])
 def test_sakata_never_skips_a_test_within_radius(monkeypatch, name):
-    # Within the decoding radius every test Sakata's update makes can be
-    # computed, so the update never needs a fallback.
-    spec = _hermitian_q16() if name == "hermitian-q16" else codec.preset(name)
-    f = spec.field
-    test = SakataState._test
+    # The decoder processes an order prefix of N^2, so every cell a test
+    # reads has already been processed and no test is ever skipped.
+    specs = [_hermitian_q16() if name == "hermitian-q16" else codec.preset(name)]
+    if name in LARGER_M:
+        specs.append(codec.preset(name, m=LARGER_M[name]))
+    test, process = SakataState._test, SakataState.process
+    processed = set()
+    past_grid = Counter()
 
     def checked_test(self, lt, coeffs, w):
-        d = test(self, lt, coeffs, w)
-        assert d is not None, (lt, w)
-        return d
+        reads = {(s0 + w[0] - lt[0], s1 + w[1] - lt[1]) for s0, s1 in coeffs}
+        assert reads <= processed, (lt, w, reads - processed)
+        past_grid["reads"] += any(max(c) >= self.n for c in reads)
+        return test(self, lt, coeffs, w)
+
+    def recording(self, c, value):
+        processed.add(c)
+        process(self, c, value)
 
     monkeypatch.setattr(SakataState, "_test", checked_test)
+    monkeypatch.setattr(SakataState, "process", recording)
     rng = random.Random(47)
-    for weight in range(spec.t_capability + 1):
-        for _ in range(20):
-            info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
-            sent = codec.encode_matrix_oracle(spec, info)
-            received = list(sent)
-            for pos in rng.sample(range(spec.n), weight):
-                received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
-            assert codec.decode(spec, received)[0] == sent
+    for spec in specs:
+        f = spec.field
+        for weight in range(spec.t_capability + 1):
+            for _ in range(20):
+                info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
+                sent = codec.encode_matrix_oracle(spec, info)
+                received = list(sent)
+                for pos in rng.sample(range(spec.n), weight):
+                    received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+                processed.clear()
+                assert codec.decode(spec, received)[0] == sent
+    assert past_grid["reads"] > 0 or name not in LARGER_M
 
 
 @pytest.mark.parametrize("name", ["hermitian-q9", "hcrs-q9", "hermitian-q16"])
@@ -706,14 +724,12 @@ def test_end_of_grid_certificate_decides_when_nothing_is_voted():
     # At m = 29 hermitian-q9 has k = 0: every cell outside the defining
     # set is derived from the point ideal, so no cell is voted, no early
     # certificate is tried, and only the certificate after the loop can
-    # accept.  The weights stop at 6: from 7 errors on some words are
-    # refused at this m (a known defect of the voting outside the preset
-    # parameters, see ROADMAP).
+    # accept, at every weight up to t = 12.
     spec = codec.preset("hermitian-q9", m=29)
-    assert spec.k == 0
+    assert (spec.k, spec.t_capability) == (0, 12)
     f = spec.field
     rng = random.Random("end-of-grid")
-    for weight in range(7):
+    for weight in range(spec.t_capability + 1):
         for _ in range(25):
             received = [ZERO] * spec.n
             for pos in rng.sample(range(spec.n), weight):
@@ -723,35 +739,72 @@ def test_end_of_grid_certificate_decides_when_nothing_is_voted():
             assert stats == {"voted_cells": 0, "early_certificate": False}
 
 
-@pytest.mark.parametrize("name, m", [("hermitian-q9", 21), ("hcrs-q9", 20)])
-def test_poly_for_corner_keeps_an_uncorrected_polynomial_when_no_record_covers(
-    monkeypatch, name, m
-):
-    # Sakata's theorem puts c - t2 in the old staircase, which the records'
-    # spans cover, unless a skipped test hid a failure.  With the staircase
-    # refusal on, that still happens beyond t at these larger m, so the
-    # branch of _poly_for_corner that returns the shifted polynomial
-    # uncorrected is live code.
-    covered = []
-    poly_for_corner = SakataState._poly_for_corner
+# -- decoding within t at every m ----------------------------------------------
 
-    def counting(self, t2, c, fails, kept):
-        target = (c[0] - t2[0], c[1] - t2[1])
-        if (
-            not any(_leq(lt, t2) for lt, _ in kept)
-            and min(target) >= 0
-            and not any(_leq(target, r.span) for r in self.G)
-        ):
-            covered.append((t2, c))
-        return poly_for_corner(self, t2, c, fails, kept)
+# the zero codeword plus t errors, as cell (log x, log y): value log; on the
+# (q-1) x (q-1) torus both were refused at cell (7, 1), the first cell after
+# (8, 0), which the torus never processes
+REPRODUCERS = {
+    ("hcrs-q9", 12): {(0, 3): 0, (3, 4): 3, (5, 1): 6, (6, 0): 1, (7, 5): 6},
+    ("hermitian-q9", 21): {
+        (1, 3): 1, (2, 4): 0, (2, 7): 2, (3, 0): 3,
+        (5, 0): 1, (5, 3): 5, (6, 5): 4, (6, 7): 0,
+    },
+}
 
-    monkeypatch.setattr(SakataState, "_poly_for_corner", counting)
-    spec = codec.preset(name, m=m)
-    rng = random.Random(f"no-record-{name}-{m}")
-    for _ in range(40):
-        _, received = _received(spec, rng, spec.t_capability + 1)
-        _decode_outcome(spec, received)
-    assert covered
+
+@pytest.mark.parametrize("key", sorted(REPRODUCERS), ids="{0[0]}-m{0[1]}".format)
+def test_reproducer_within_t_decodes(key):
+    spec = codec.preset(key[0], m=key[1])
+    errors = REPRODUCERS[key]
+    received = [errors.get((p.x, p.y), ZERO) for p in spec.points]
+    assert sum(v != ZERO for v in received) == spec.t_capability
+    assert codec.decode(spec, received)[0] == [ZERO] * spec.n
+
+
+# hermitian-q9 at every m up to 29, where k reaches 0 (a larger m gives the
+# same code), and hcrs-q9 up to m = 22, which keeps the test near 2 s
+SWEEP = [("hermitian-q9", m) for m in range(5, 30)] + [("hcrs-q9", m) for m in range(2, 23)]
+
+
+def test_decodes_every_weight_up_to_t_across_m():
+    # Three words per weight 0..t at each m: none is refused or miscorrected.
+    for name, m in SWEEP:
+        spec = codec.preset(name, m=m)
+        f = spec.field
+        rng = random.Random(f"sweep-{name}-{m}")
+        for weight in range(spec.t_capability + 1):
+            for _ in range(3):
+                info = [rng.randrange(-1, f.q - 1) for _ in range(spec.k)]
+                sent = codec.encode_systematic(spec, info) if spec.k else [ZERO] * spec.n
+                received = list(sent)
+                for pos in rng.sample(range(spec.n), weight):
+                    received[pos] = f.add(received[pos], rng.randrange(f.q - 1))
+                assert _decode_outcome(spec, received) == sent, (name, m, weight)
+
+
+# -- refusals that a syndrome array off the support reaches ---------------------
+
+
+def test_no_votes_and_final_checks_refuse_an_error_off_the_support():
+    # With the error's point left out of support no certificate accepts.
+    # hcrs-q9 at m = 2 knows only u[0, 0]; one nonzero value there makes
+    # (0, 0) the staircase, which holds a part of every split of (1, 0),
+    # so nothing votes.  hermitian-q9 at m = 29 votes no cell, so its one
+    # error runs the whole prefix to the certificate after the loop.
+    cases = [("hcrs-q9", 2, "no votes for cell (1, 0)"),
+             ("hermitian-q9", 29, "completed syndrome array fails the final checks")]
+    for name, m, message in cases:
+        spec = codec.preset(name, m=m)
+        word = [ZERO] * spec.n
+        word[0] = 3
+        known = dict(zip(spec.phi, codec.syndromes(spec, word)))
+        p = spec.points[0]
+        with pytest.raises(DecodingFailure, match=re.escape(message)):
+            bms_with_voting(
+                F9, known, spec.order, 1,
+                ambient=spec.basis_all, support=spec.point_cells() - {(p.x, p.y)},
+            )
 
 
 # -- the vote ------------------------------------------------------------------
@@ -764,9 +817,11 @@ SYMBOLIC_READS: Counter = Counter()
 
 def _symbolic_vote(state, amb_rules, cls, c):
     """bms._vote on symbols: a cell value is a pair (A, B) standing for
-    A + B*X, X = u[c], found by applying the ambient rules recursively
-    (memo and cycle guard), and a prediction evaluates a polynomial of F
-    on such pairs."""
+    A + B*X, X = u[c], read from the grid mod q-1 or found by applying the
+    ambient rules recursively (memo and cycle guard), and a prediction
+    evaluates a polynomial of F on such pairs.  A split counts when
+    neither part is in the staircase or at or above an ambient leading
+    cell."""
     f, grid, n = state.f, state.grid, state.n
     add_t, mul_t = f.add_table, f.mul_table
     neg = f.sub_table[ZERO]
@@ -774,7 +829,7 @@ def _symbolic_vote(state, amb_rules, cls, c):
 
     def sym(cell):
         c0, c1 = cell
-        v = grid[c0][c1] if c0 < n and c1 < n else None
+        v = grid[c0 % n][c1 % n]
         if v is not None:
             return (v, ZERO)
         if cell == c:
@@ -826,9 +881,13 @@ def _symbolic_vote(state, amb_rules, cls, c):
         return result
 
     delta = state.delta
+
+    def basis_part(a):
+        return a not in delta and not any(_leq(lt, a) for lt, _ in amb_rules)
+
     tally = {}
     for w in cls:
-        if grid[w[0]][w[1]] is not None:
+        if grid[w[0] % n][w[1] % n] is not None:
             continue
         if sym(w) is None:
             continue
@@ -837,8 +896,7 @@ def _symbolic_vote(state, amb_rules, cls, c):
         w0, w1 = w
         for a0 in range(w0 + 1):
             for a1 in range(w1 + 1):
-                a = (a0, a1)
-                if a in delta or (w0 - a0, w1 - a1) in delta:
+                if not (basis_part((a0, a1)) and basis_part((w0 - a0, w1 - a1))):
                     continue
                 value = None
                 for fi, (lt, _) in enumerate(state.F):
@@ -974,10 +1032,17 @@ def test_grid_cells_memo_matches_fresh_sort(q):
         assert twin == order and hash(twin) == hash(order)
         assert grid_cells(q, order) is cells
         assert grid_cells(q, twin) is cells
-        # the weight classes, in ascending weight, concatenate to the
-        # enumeration, and each holds exactly the cells of its weight
-        classes = _enumeration(q, order).classes
-        assert [c for w in sorted(classes) for c in classes[w]] == fresh
+        # a translation-invariant order's prefix is every cell of N^2 up to
+        # the last grid cell's key, and its weight classes, in ascending
+        # weight, concatenate to it; the hyperbolic order has neither
+        _, prefix, classes = _enumeration(q, order)
+        if isinstance(order, HyperbolicOrder):
+            assert prefix == () and not classes
+            continue
+        last = order.key(fresh[-1])
+        box = [(i, j) for i in range(last[0] + 1) for j in range(last[0] + 1)]
+        assert list(prefix) == sorted((c for c in box if order.key(c) <= last), key=order.key)
+        assert [c for w in sorted(classes) for c in classes[w]] == list(prefix)
         for w, members in classes.items():
             assert all(order.weight(c) == w for c in members)
         with pytest.raises(TypeError):

@@ -320,6 +320,52 @@ def test_systematic_equals_oracle_hcrs(hcrs):
         )
 
 
+def _minimum_distance(spec):
+    """The least weight of a nonzero codeword, by brute force over every
+    codeword whose first nonzero information symbol is 1 (every other
+    nonzero codeword is a multiple of one of these)."""
+    f = spec.field
+    add_t, mul_t = f.add_table, f.mul_table
+    rows = [
+        codec.encode_matrix_oracle(spec, [ONE if i == k else ZERO for i in range(spec.k)])
+        for k in range(spec.k)
+    ]
+    best = spec.n
+    span = [[ZERO] * spec.n]  # every combination of the rows after the first
+    for row in reversed(rows):
+        for word in span:
+            best = min(best, sum(add_t[r][v] != ZERO for r, v in zip(row, word)))
+        if row is rows[0]:
+            break
+        span = [
+            [add_t[v][mul_t[s][r]] for v, r in zip(word, row)]
+            for word in span
+            for s in range(-1, f.q - 1)
+        ]
+    return best
+
+
+# every code of the two 2-D preset families with 1 <= k <= 5
+SMALL_CODES = [
+    ("hermitian-q9", m) for m in range(21, 29)
+] + [("hcrs-q9", m) for m in range(49, 65)]
+
+
+def test_t_capability_within_brute_force_minimum_distance():
+    # t <= (d - 1) // 2, with d the true minimum distance: a word within t
+    # of a codeword is within t of no other, so a refusal there is the
+    # decoder's fault, not t's.  At hermitian-q9 m = 21, 23, 25, 27 the
+    # bound is tight.
+    distances = {}
+    for name, m in SMALL_CODES:
+        spec = codec.preset(name, m=m)
+        assert 1 <= spec.k <= 5
+        d = _minimum_distance(spec)
+        assert spec.t_capability <= (d - 1) // 2, (name, m, d)
+        distances[name, m] = d
+    assert [distances["hermitian-q9", m] for m in (21, 23, 25, 27)] == [17, 20, 21, 24]
+
+
 def test_decode_hermitian_all_weights(herm):
     rng = random.Random(22)
     for t in range(4):
