@@ -48,6 +48,14 @@ Three synthesis entry points:
   translation invariant, so their cells are processed in
   WeightedCurveOrder(1, 1).
 
+Construction takes its two point-ideal bases without any synthesis.
+groebner_basis() runs Buchberger's algorithm on generators, which gives
+the ideal of all code points from x^(q-1) - 1, y^(q-1) - 1 and the curve
+equation; codec reads the redundant points' basis off the defining set
+by interpolation.  vanishing_ideal_basis(), the synthesis on the point
+indicator's (q-1) x (q-1) transform, serves the CLI's error locator and
+is the tests' oracle for both.
+
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
 wrap and schedule independence; no recurrence is re-checked afterwards,
@@ -72,6 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import groupby, product
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
@@ -289,6 +298,9 @@ def vanishing_ideal_basis(
 
     Computed by synthesizing the recurrences of the full DFT array of the
     point indicator; the staircase then has exactly one cell per point.
+    It serves the CLI's error locator and the tests, where it is the
+    oracle for the bases construction takes from groebner_basis() and by
+    interpolation on the defining set.
     """
     if any(p.x == ZERO or p.y == ZERO for p in points):
         raise ZeroCoordinatePoint("vanishing ideal needs nonzero coordinates")
@@ -302,6 +314,114 @@ def vanishing_ideal_basis(
     if len(basis.delta) != len(points):
         raise AssertionError("staircase size must equal the point count")
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's algorithm on generators
+
+
+def _normal_form(
+    f: Field, poly: dict[Cell, Elt], basis: list[tuple[Cell, dict[Cell, Elt]]], key
+) -> dict[Cell, Elt]:
+    """The remainder of poly on full reduction by the monic (lt, coeffs)
+    pairs of basis.
+
+    The terms are taken largest first from a heap.  A term with a leading
+    cell at or below it is cancelled by that polynomial, which only adds
+    smaller terms (the order is translation invariant); any other term
+    is part of the remainder.
+    """
+    sub_t, mul_t = f.sub_table, f.mul_table
+    work = dict(poly)
+    heap = [(tuple(-v for v in key(c)), c) for c in work]
+    heapify(heap)
+    rem: dict[Cell, Elt] = {}
+    while heap:
+        c = heappop(heap)[1]
+        a = work.pop(c, ZERO)
+        if a == ZERO:  # cancelled after it was pushed
+            continue
+        red = next((g for g in basis if _leq(g[0], c)), None)
+        if red is None:
+            rem[c] = a
+            continue
+        (l0, l1), coeffs = red
+        d0, d1 = c[0] - l0, c[1] - l1
+        ma = mul_t[a]
+        for (s0, s1), gc in coeffs.items():
+            s = (s0 + d0, s1 + d1)
+            if s == c:
+                continue
+            old = work.get(s, ZERO)
+            if old == ZERO:
+                heappush(heap, (tuple(-v for v in key(s)), s))
+            work[s] = sub_t[old][ma[gc]]
+    return rem
+
+
+def _monic(f: Field, coeffs: dict[Cell, Elt], key) -> tuple[Cell, dict[Cell, Elt]]:
+    """(leading cell, coefficients divided by the leading one), zero
+    terms dropped."""
+    coeffs = {s: c for s, c in coeffs.items() if c != ZERO}
+    lt = max(coeffs, key=key)
+    lead = coeffs[lt]
+    return lt, {s: f.div(c, lead) for s, c in coeffs.items()}
+
+
+def groebner_basis(
+    f: Field, gens: Iterable[dict[Cell, Elt]], order: MonomialOrder
+) -> GroebnerBasis:
+    """The reduced Groebner basis of the ideal the nonzero polynomials gens
+    generate, with its staircase (Buchberger 1965).
+
+    S-polynomials of pairs with coprime leading cells are skipped, since
+    they reduce to zero (Buchberger's first criterion); every other one
+    is fully reduced, and a nonzero remainder joins the basis.  Elements
+    led at or above another's leading cell are then dropped, and each
+    tail is reduced by the rest.  The elements are monic and sorted by
+    the key of their leading cells; delta holds the cells at or above no
+    leading cell, in key order.  The ideal must be zero-dimensional
+    (leading cells on both axes), as the ideals of point sets are.  The
+    order must be translation invariant (see _normal_form).  The
+    hyperbolic order is not, but under it construction passes only
+    x^(q-1) - 1 and y^(q-1) - 1, whose leading cells are coprime and whose
+    tails are constants: no S-polynomial is formed and no term reduced.
+    """
+    key = order.key
+    sub_t = f.sub_table
+    basis = [_monic(f, g, key) for g in gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (a, ga), (b, gb) = basis[i], basis[j]
+        if min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0:
+            continue
+        top = (max(a[0], b[0]), max(a[1], b[1]))
+        s = {(c0 + top[0] - a[0], c1 + top[1] - a[1]): c for (c0, c1), c in ga.items()}
+        for (c0, c1), c in gb.items():
+            cell = (c0 + top[0] - b[0], c1 + top[1] - b[1])
+            s[cell] = sub_t[s.get(cell, ZERO)][c]
+        rem = _normal_form(f, s, basis, key)
+        if rem:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_monic(f, rem, key))
+    # a divisor of a leading cell has a smaller key, so it is kept first
+    minimal: list[tuple[Cell, dict[Cell, Elt]]] = []
+    for lt, coeffs in sorted(basis, key=lambda g: key(g[0])):
+        if not any(_leq(m, lt) for m, _ in minimal):
+            minimal.append((lt, coeffs))
+    elements = tuple(
+        BivariatePoly(_normal_form(f, coeffs, minimal[:k] + minimal[k + 1 :], key), order)
+        for k, (_, coeffs) in enumerate(minimal)
+    )
+    lts = [g.lt for g in elements]
+    width = min(i for i, j in lts if j == 0)
+    height = min(j for i, j in lts if i == 0)
+    delta = sorted(
+        (c for c in product(range(width), range(height)) if not any(_leq(t, c) for t in lts)),
+        key=key,
+    )
+    return GroebnerBasis(elements, tuple(delta), order)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 A CodeSpec fully instantiates a code: the field, the monomial order and
 defining set, the code locations, the redundant/information point split
-with its precomputed vanishing-ideal bases, and the derived (n, k).
+with its precomputed vanishing-ideal bases, and the derived (n, k).  The
+basis of all code points is the reduced Groebner basis of its generators
+(bms.groebner_basis); that of the redundant points is interpolated on
+the defining set, which is its staircase.  Neither needs the (q-1)^2-long
+synthesis that bms.vanishing_ideal_basis runs.
 
 Families:
 
@@ -32,10 +36,13 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .bms import (
+    BivariatePoly,
     GroebnerBasis,
     _Echelon,
     bms_with_voting,
     extend,
+    groebner_basis,
+    # bound although construction no longer calls it: perfbench/tracer.py rebinds it
     vanishing_ideal_basis,
 )
 from .errors import (
@@ -60,6 +67,7 @@ from .geometry import (
     enumerate_points,
     eval_poly,
     hermitian_curve,
+    minimal_outside,
 )
 # dft2 stays bound here: perfbench/tracer.py and the transform-count test rebind it
 from .transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
@@ -171,17 +179,42 @@ def _monomials(f: Field, p: Point, phi: Sequence[Cell]) -> list[Elt]:
 # construction
 
 
+def _check_vanishing(
+    f: Field, elements: Sequence[BivariatePoly], points: Sequence[Point], what: str
+) -> None:
+    """AssertionError naming what unless every element vanishes at every
+    point; the points have nonzero coordinates, so each term is a sum of
+    logs."""
+    n = f.q - 1
+    add_t = f.add_table
+    for g in elements:
+        terms = [(c, s0, s1) for (s0, s1), c in g.coeffs.items()]
+        for x, y in points:
+            acc = ZERO
+            for c, s0, s1 in terms:
+                acc = add_t[acc][(c + s0 * x + s1 * y) % n]
+            if acc != ZERO:
+                raise AssertionError(what)
+
+
 def _select_redundant_points(
     f: Field, points: Sequence[Point], phi: Sequence[Cell], order: MonomialOrder
 ) -> tuple[list[Point], list[Point], GroebnerBasis]:
-    """Pick the redundant-point set with a generic vanishing-ideal staircase.
+    """Pick the redundant-point set whose vanishing-ideal staircase is the
+    defining set, and that ideal's reduced Groebner basis.
 
     Greedy rank selection: walk the points in order and keep each one
     whose defining-set evaluation column is independent of the columns
-    kept so far, until n-k are kept.  The defining set is a prefix of the
-    order enumeration, so an invertible evaluation matrix on it is exactly
-    the condition that the kept points' staircase is the defining set; the
-    check after the vanishing-ideal computation confirms it.
+    kept so far, until n-k are kept.  The defining set is a prefix, in the
+    order, of the staircase of all code points, so an invertible
+    evaluation matrix on it is exactly the condition that the kept
+    points' staircase is the defining set.
+
+    The basis is then read off by interpolation on phi: for each corner t
+    of phi in [0, q-1]^2, x^t minus the one combination of phi's
+    monomials that agrees with it at the kept points.  That is the
+    reduced basis element led by t, since its tail lies in the staircase.
+    Each element is checked to vanish at every kept point.
     """
     nk = len(phi)
     chosen: list[Point] = []
@@ -193,11 +226,47 @@ def _select_redundant_points(
                 break
     if len(chosen) < nk:
         raise NonGenericSupport("defining-set evaluation matrix is rank deficient")
-    basis = vanishing_ideal_basis(chosen, order, f)
-    if set(basis.delta) != set(phi):
-        raise NonGenericSupport("greedy point selection is not generic")
+    n = f.q - 1
+
+    def column(s: Cell) -> list[Elt]:
+        # x^s at each kept point, whose coordinates are nonzero
+        return [(s[0] * x + s[1] * y) % n for x, y in chosen]
+
+    echelon = _Echelon(f)
+    for s in phi:  # independent: the evaluation matrix is invertible
+        echelon.add(column(s), s)
+    # a relation col_t + sum c_s * col_s = 0 is the element x^t + sum c_s x^s
+    corners = minimal_outside(phi, n)
+    elements = [BivariatePoly(echelon.add(column(t), t), order) for t in corners]
+    _check_vanishing(f, elements, chosen, "a redundant-point basis element does not vanish")
+    elements.sort(key=lambda g: order.key(g.lt))
+    basis = GroebnerBasis(tuple(elements), tuple(phi), order)
     wpset = set(chosen)
     return chosen, [p for p in points if p not in wpset], basis
+
+
+def _ambient_basis(
+    f: Field, order: MonomialOrder, curve: CurveSpec | None, points: Sequence[Point]
+) -> GroebnerBasis:
+    """The reduced Groebner basis of the ideal of all code points.
+
+    It is generated by x^(q-1) - 1, y^(q-1) - 1 and, for curve codes, the
+    curve equation: their common zeros are the code points, and the ideal
+    is radical, since both univariate generators are squarefree
+    (Seidenberg's lemma).  The staircase size and the vanishing of every
+    element at every point are checked; together they prove the basis is
+    that of the points' ideal.
+    """
+    n = f.q - 1
+    minus_one = f.neg(ONE)
+    gens = [{(n, 0): ONE, (0, 0): minus_one}, {(0, n): ONE, (0, 0): minus_one}]
+    if curve is not None:
+        gens.append(curve.poly_dict())
+    basis = groebner_basis(f, gens, order)
+    if len(basis.delta) != len(points):
+        raise AssertionError("staircase size must equal the point count")
+    _check_vanishing(f, basis.elements, points, "an ambient basis element does not vanish")
+    return basis
 
 
 def _make_2d_code(
@@ -213,7 +282,7 @@ def _make_2d_code(
 ) -> CodeSpec:
     """A 2-D code on points with defining set phi: both vanishing-ideal
     bases and the redundant/information point split."""
-    basis_all = vanishing_ideal_basis(points, order, f)
+    basis_all = _ambient_basis(f, order, curve, points)
     wp, wpp, basis_wp = _select_redundant_points(f, points, phi, order)
     return CodeSpec(
         field=f,

@@ -15,7 +15,7 @@ from agcodes.errors import (
     RankDeficient,
 )
 from agcodes.galois import ONE, ZERO, field_new, gf9
-from agcodes.geometry import Point
+from agcodes.geometry import Point, curve_spec, hermitian_curve
 from agcodes.transform import dft1
 
 F9 = gf9()
@@ -81,6 +81,104 @@ def test_redundant_positions_pinned(herm, hcrs):
     assert hcrs.parity_positions() == [
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 24, 25, 32, 40, 48, 56
     ]
+
+
+def _assert_bases_equal_synthesis(spec):
+    # a reduced Groebner basis is unique, so the bases construction reads
+    # off its generators and the defining set must equal the full-array
+    # synthesis of the same points, element by element and cell by cell
+    for basis, points in ((spec.basis_all, spec.points), (spec.basis_wp, spec.wp)):
+        oracle = bms.vanishing_ideal_basis(points, spec.order, spec.field)
+        assert basis.serialize() == oracle.serialize()
+        assert basis.delta == oracle.delta
+
+
+def test_construction_bases_equal_synthesis_every_gf9_m():
+    # every m that constructs; from m = 29 on the hermitian-q9 defining set
+    # is the whole strip, so larger m give the same bases
+    specs = [("hermitian-q9", m) for m in range(5, 30)] + [("hcrs-q9", m) for m in range(2, 65)]
+    for name, m in specs:
+        _assert_bases_equal_synthesis(codec.preset(name, m=m))
+
+
+# y^2 + y + x^3 + alpha^3 x over GF(16): the ambient basis keeps a third element
+CAB_GF16 = (2, 3, {(0, 2): ONE, (0, 1): ONE, (3, 0): ONE, (1, 0): 3})
+# a C_ab curve over GF(16) whose ambient basis has four elements, one of
+# which Buchberger's remainders leave unreduced until the tails are
+# reduced by the rest
+CAB_GF16_TAILS = (
+    3, 4, {(0, 0): 2, (0, 1): 0, (0, 3): 6, (1, 0): 1, (1, 2): 1, (2, 1): 2, (4, 0): 10}
+)
+
+
+def _cab_gf16(m, curve=CAB_GF16):
+    a, b, terms = curve
+    return codec.make_curve_code(field_new(2, 4, [1, 1, 0, 0, 1]), curve_spec(a, b, terms), m)
+
+
+def _hermitian(p, deg, poly, m):
+    f = field_new(p, deg, poly)
+    return codec.make_curve_code(f, hermitian_curve(f), m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _hermitian(2, 4, [1, 1, 0, 0, 1], 20),
+        lambda: codec.make_hcrs_code(field_new(2, 4, [1, 1, 0, 0, 1]), 12),
+        lambda: _hermitian(5, 2, [2, 1, 1], 30),
+        lambda: _hermitian(7, 2, [3, 1, 1], 56),
+        lambda: _cab_gf16(5),
+        lambda: _cab_gf16(12),
+        lambda: _cab_gf16(7, CAB_GF16_TAILS),
+    ],
+    ids=[
+        "hermitian-q16", "hcrs-q16", "hermitian-q25", "hermitian-q49",
+        "cab-q16-m5", "cab-q16-m12", "cab-q16-tails",
+    ],
+)
+def test_construction_bases_equal_synthesis(build):
+    _assert_bases_equal_synthesis(build())
+
+
+def test_ambient_basis_of_a_curve_keeps_more_elements():
+    spec = _cab_gf16(5)
+    assert [g.lt for g in spec.basis_all.elements] == [(0, 2), (7, 0), (6, 1)]
+    assert spec.n == len(spec.basis_all.delta) == 13
+    spec = _cab_gf16(7, CAB_GF16_TAILS)
+    assert [g.lt for g in spec.basis_all.elements] == [(0, 3), (2, 2), (5, 0), (4, 1)]
+    assert spec.n == len(spec.basis_all.delta) == 11
+
+
+def test_construction_basis_checks_fire(herm, monkeypatch):
+    # generators whose ideal has more zeros than the points
+    with pytest.raises(AssertionError, match="staircase size"):
+        codec._ambient_basis(F9, herm.order, herm.curve, herm.points[:-1])
+    # as many points as zeros, but off the curve: x times alpha turns
+    # x^4 into -x^4 over GF(9), and no point has y^3 + y = 0
+    moved = [Point((p.x + 1) % 8, p.y) for p in herm.points]
+    with pytest.raises(AssertionError, match="ambient basis element does not vanish"):
+        codec._ambient_basis(F9, herm.order, herm.curve, moved)
+
+    class Skewed(bms._Echelon):
+        # scales the leading coefficient of every interpolation relation
+        def add(self, vec, label):
+            relation = super().add(vec, label)
+            if relation is not None and not isinstance(label, Point):
+                relation[label] = 1
+            return relation
+
+    monkeypatch.setattr(codec, "_Echelon", Skewed)
+    with pytest.raises(AssertionError, match="redundant-point basis element does not vanish"):
+        codec.preset("hermitian-q9")
+
+
+def test_hermitian_gf256_builds():
+    # the largest field: GF(2^8) from x^8 + x^4 + x^3 + x^2 + 1, m = 300
+    spec = _hermitian(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1], 300)
+    assert (spec.n, spec.k, spec.t_capability) == (4080, 3899, 30)
+    assert [g.lt for g in spec.basis_all.elements] == [(0, 16), (255, 0)]
+    assert len(spec.basis_all.delta) == 4080
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)
