@@ -98,8 +98,9 @@ from .geometry import (
     MonomialOrder,
     Point,
     WeightedCurveOrder,
-    eval_poly,
     minimal_outside,
+    monomial_logs,
+    poly_values,
 )
 # idft2 stays bound here although no bms path calls it: perfbench/tracer.py
 # and the transform-count test rebind it
@@ -121,7 +122,7 @@ class BivariatePoly:
         self.lt = max(self.coeffs, key=order.key)
 
     def evaluate(self, f: Field, x: Elt, y: Elt) -> Elt:
-        return eval_poly(f, self.coeffs, x, y)
+        return poly_values(f, self.coeffs, [(x, y)])[0]
 
     def __repr__(self) -> str:
         terms = ", ".join(f"({i},{j}):{c}" for (i, j), c in sorted(self.coeffs.items()))
@@ -734,30 +735,22 @@ def _certificate(
 
     Z is the set of cells (x, y) of support at whose point (alpha^x,
     alpha^y) every polynomial of F vanishes; each polynomial is evaluated
-    inline on the cells the ones before it left.  When |Z| <= max_errors,
-    the values e_z on Z are solved from sum_z e_z * alpha^(k.z) = u[k],
-    one equation per known cell k.  None when Z is larger or the system
-    is inconsistent.
+    (poly_values) on the cells the ones before it left.  When
+    |Z| <= max_errors, the values e_z on Z are solved from
+    sum_z e_z * alpha^(k.z) = u[k], one equation per known cell k, whose
+    columns are monomial_logs.  None when Z is larger or the system is
+    inconsistent.
     """
-    f, n = state.f, state.n
-    add_t = f.add_table
+    f = state.f
     zeros = list(support)
     for _, coeffs in state.F:
-        terms = [(c, s0, s1) for (s0, s1), c in coeffs.items()]
-        kept = []
-        for x, y in zeros:
-            acc = ZERO
-            for c, s0, s1 in terms:
-                acc = add_t[acc][(c + s0 * x + s1 * y) % n]
-            if acc == ZERO:
-                kept.append((x, y))
-        zeros = kept
+        zeros = [z for z, v in zip(zeros, poly_values(f, coeffs, zeros)) if v == ZERO]
     if len(zeros) > max_errors:
         return None
     kcells = list(known)
     echelon = _Echelon(f)
-    for x, y in zeros:
-        echelon.add([(i * x + j * y) % n for i, j in kcells], (x, y))
+    for z in zeros:
+        echelon.add(monomial_logs(f, z, kcells), z)
     # with the syndromes as the last column, a relation
     # u + sum c_z * col_z = 0 gives e_z = -c_z
     relation = echelon.add([known[k] for k in kcells], None)
@@ -774,6 +767,7 @@ def _certificate(
 def _vote(
     state: SakataState,
     amb_rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
+    top: Cell | None,
     cls: Sequence[Cell],
     c: Cell,
 ) -> Elt:
@@ -791,8 +785,9 @@ def _vote(
     every cell mod q-1.  A componentwise split w = a + b of a reached
     cell w counts when both parts are basis monomials of the order domain
     outside the staircase: neither lies in the staircase or at or above
-    the leading cell of an ambient rule (in the grid that is only the
-    curve equation; Feng-Rao count only such pairs).  It votes -A/B from
+    top, the curve equation's leading cell (0, a); top is None for hcrs,
+    whose grid holds no ambient leading cell (Feng-Rao count only such
+    pairs).  It votes -A/B from
     the first polynomial of F covering a, or not at all when that sum at
     w is undefined or has B = 0.  The plurality value wins; a tie or no
     vote raises DecodingFailure.  On return or raise, c and the open
@@ -811,9 +806,6 @@ def _vote(
             acc = add_t[acc][mul_t[cf][v]]
         return acc
 
-    # a cell at or above an ambient leading cell in the grid (the curve
-    # equation's) is no basis monomial of the order domain
-    tops = [lt for lt, _ in amb_rules if lt[0] < n and lt[1] < n]
     # a class cell past the grid repeats a lighter, processed cell
     opened = [w for w in cls if grid[w[0] % n][w[1] % n] is None]
     sums: list[dict[tuple[int, Cell], Elt | None]] = []  # at X = 0, X = 1
@@ -838,7 +830,7 @@ def _vote(
         for a0 in range(w0 + 1):
             for a1 in range(w1 + 1):
                 a, b = (a0, a1), (w0 - a0, w1 - a1)
-                if a in delta or b in delta or any(_leq(t, a) or _leq(t, b) for t in tops):
+                if a in delta or b in delta or top and (_leq(top, a) or _leq(top, b)):
                     continue
                 # a lies outside delta, so the leading cell of some polynomial
                 # of F, a corner of delta, lies at or below it
@@ -911,6 +903,9 @@ def bms_with_voting(
     q = f.q
     n = q - 1
     amb_rules = _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
+    # the curve equation's leading cell (0, a): a cell at or above it is
+    # no basis monomial of the order domain; the grid holds none for hcrs
+    top = next((lt for lt, _ in amb_rules if lt[0] == 0 and lt[1] < n), None)
     _check_in_grid(known, n)
     # the known cells must cover an enumeration prefix, except for gaps an
     # ambient recurrence can fill (e.g. off-strip cells under the curve)
@@ -946,7 +941,7 @@ def bms_with_voting(
                     if stats is not None:
                         stats.update(voted_cells=voted, early_certificate=True)
                     return err
-            v = _vote(state, amb_rules, classes[order.weight(c)], c)
+            v = _vote(state, amb_rules, top, classes[order.weight(c)], c)
             voted += 1
             if stats is not None:
                 stats["voted_cells"] = voted

@@ -25,7 +25,8 @@ systematic word has its information at spec.info_positions() and its
 parity at spec.parity_positions() (rs: the first r positions).  In a 2-D
 information array the symbols sit on spec.carrier_cells(mode): the
 information points' cells (systematic) or the free staircase cells, the
-point-ideal staircase minus the defining set (nonsystematic).
+point-ideal staircase minus the defining set (nonsystematic).  An rs
+code has no such array, and both raise ValueError for it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ from .geometry import (
     eval_poly,
     hermitian_curve,
     minimal_outside,
+    monomial_logs,
+    poly_values,
 )
 # dft2 stays bound here: perfbench/tracer.py and the transform-count test rebind it
 from .transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
@@ -103,16 +106,18 @@ class CodeSpec:
     def info_cells(self) -> list[Cell]:
         """Carrier cells for non-systematic information symbols: the
         staircase of the full point ideal minus the defining set."""
-        phi = set(self.phi)
-        return [c for c in self.basis_all.delta if c not in phi]
+        return self.carrier_cells("nonsystematic")
 
     def carrier_cells(self, mode: str) -> list[Cell]:
         """The cells of a 2-D code's information array that carry the
         information symbols in mode, in information-vector order."""
+        if self.kind == "rs":
+            raise ValueError("rs has no 2-D information array")
         if mode == "systematic":
             return [(p.x, p.y) for p in self.wp_prime]
         if mode == "nonsystematic":
-            return self.info_cells()
+            phi = set(self.phi)
+            return [c for c in self.basis_all.delta if c not in phi]
         raise ValueError(f"unknown mode {mode!r}")
 
     def point_cells(self) -> frozenset[Cell]:
@@ -169,32 +174,8 @@ def _check_redundancy(f: Field, r: int) -> None:
         raise BadRedundancy(f"need 1 <= r < {f.q - 1}, got {r}")
 
 
-def _monomials(f: Field, p: Point, phi: Sequence[Cell]) -> list[Elt]:
-    """x(P)^i * y(P)^j for every cell (i, j) of phi, with 0^0 = 1."""
-    mul_t = f.mul_table
-    return [mul_t[f.pow(p.x, i)][f.pow(p.y, j)] for (i, j) in phi]
-
-
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _check_vanishing(
-    f: Field, elements: Sequence[BivariatePoly], points: Sequence[Point], what: str
-) -> None:
-    """AssertionError naming what unless every element vanishes at every
-    point; the points have nonzero coordinates, so each term is a sum of
-    logs."""
-    n = f.q - 1
-    add_t = f.add_table
-    for g in elements:
-        terms = [(c, s0, s1) for (s0, s1), c in g.coeffs.items()]
-        for x, y in points:
-            acc = ZERO
-            for c, s0, s1 in terms:
-                acc = add_t[acc][(c + s0 * x + s1 * y) % n]
-            if acc != ZERO:
-                raise AssertionError(what)
 
 
 def _select_redundant_points(
@@ -220,25 +201,23 @@ def _select_redundant_points(
     chosen: list[Point] = []
     echelon = _Echelon(f)
     for p in points:
-        if echelon.add(_monomials(f, p, phi), p) is None:
+        if echelon.add(monomial_logs(f, p, phi), p) is None:
             chosen.append(p)
             if len(chosen) == nk:
                 break
     if len(chosen) < nk:
         raise NonGenericSupport("defining-set evaluation matrix is rank deficient")
-    n = f.q - 1
-
-    def column(s: Cell) -> list[Elt]:
-        # x^s at each kept point, whose coordinates are nonzero
-        return [(s[0] * x + s[1] * y) % n for x, y in chosen]
-
+    corners = minimal_outside(phi, f.q - 1)
+    # the column of cell s holds x^s at each kept point
+    columns = list(zip(*(monomial_logs(f, p, [*phi, *corners]) for p in chosen)))
     echelon = _Echelon(f)
-    for s in phi:  # independent: the evaluation matrix is invertible
-        echelon.add(column(s), s)
+    for s, col in zip(phi, columns):  # independent: the evaluation matrix is invertible
+        echelon.add(list(col), s)
     # a relation col_t + sum c_s * col_s = 0 is the element x^t + sum c_s x^s
-    corners = minimal_outside(phi, n)
-    elements = [BivariatePoly(echelon.add(column(t), t), order) for t in corners]
-    _check_vanishing(f, elements, chosen, "a redundant-point basis element does not vanish")
+    pairs = zip(corners, columns[nk:])
+    elements = [BivariatePoly(echelon.add(list(col), t), order) for t, col in pairs]
+    if any(v != ZERO for g in elements for v in poly_values(f, g.coeffs, chosen)):
+        raise AssertionError("a redundant-point basis element does not vanish")
     elements.sort(key=lambda g: order.key(g.lt))
     basis = GroebnerBasis(tuple(elements), tuple(phi), order)
     wpset = set(chosen)
@@ -265,7 +244,8 @@ def _ambient_basis(
     basis = groebner_basis(f, gens, order)
     if len(basis.delta) != len(points):
         raise AssertionError("staircase size must equal the point count")
-    _check_vanishing(f, basis.elements, points, "an ambient basis element does not vanish")
+    if any(v != ZERO for g in basis.elements for v in poly_values(f, g.coeffs, points)):
+        raise AssertionError("an ambient basis element does not vanish")
     return basis
 
 
@@ -390,10 +370,12 @@ def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
 def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
     """Rows per location (zero-coordinate tail last), one column per
     defining-set cell: entry = x(P)^i * y(P)^j with 0^0 = 1."""
-    f = spec.field
     if spec.kind == "rs":
-        return [[f.pow(h, i) for (i, _) in spec.phi] for h in range(spec.n)]
-    return [_monomials(f, p, spec.phi) for p in spec.points + spec.zero_points]
+        # location h is the point (alpha^h, 1)
+        points = [Point(h, ONE) for h in range(spec.n)]
+    else:
+        points = spec.points + spec.zero_points
+    return [monomial_logs(spec.field, p, spec.phi) for p in points]
 
 
 def point_array(spec: CodeSpec, word: Word) -> Array2D:
@@ -557,16 +539,9 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
         if eval_poly(f, spec.curve.poly_dict(), point.x, point.y) != ZERO:
             raise ValueError(f"{point} is not on the curve")
     n_side = f.q - 1
-    mul_t = f.mul_table
-    out = Array2D.zeros(f.q)
-    for i in range(n_side):
-        xi = f.pow(point.x, i)
-        if xi == ZERO:
-            continue
-        mv = mul_t[mul_t[value][xi]]
-        for j in range(n_side):
-            out.data[i][j] = mv[f.pow(point.y, j)]
-    return out
+    mv = f.mul_table[value]
+    rows = [monomial_logs(f, point, [(i, j) for j in range(n_side)]) for i in range(n_side)]
+    return Array2D(f.q, [[mv[e] for e in row] for row in rows])
 
 
 def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
@@ -594,7 +569,7 @@ def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     out = syndromes(spec, word[: spec.n])
     for z, v in zip(spec.zero_points, word[spec.n :]):
         mv = mul_t[v]
-        out = [add_t[acc][mv[e]] for acc, e in zip(out, _monomials(f, z, spec.phi))]
+        out = [add_t[acc][mv[e]] for acc, e in zip(out, monomial_logs(f, z, spec.phi))]
     return out
 
 

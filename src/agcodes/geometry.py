@@ -3,7 +3,9 @@
 Cells of the (q-1) x (q-1) exponent grid are plain (i, j) tuples.  A
 bivariate polynomial is a sparse dict mapping cells to nonzero
 coefficient logs; that representation is shared with the recurrence
-machinery in bms.py.
+machinery in bms.py.  monomial_logs and poly_values are the one place
+outside the transforms where x(P)^i * y(P)^j, the 2-D DFT kernel, is
+evaluated at points.
 """
 
 from __future__ import annotations
@@ -26,13 +28,48 @@ class Point(NamedTuple):
     y: Elt
 
 
+def monomial_logs(f: Field, p: Point, cells: Iterable[Cell]) -> list[Elt]:
+    """The log of x(P)^i * y(P)^j for each cell (i, j): the 2-D DFT kernel.
+
+    At a point with nonzero coordinates it is the log sum i*x + j*y;
+    otherwise the powers follow 0^0 = 1.  p may be any (log x, log y)
+    pair, a grid cell included.
+    """
+    x, y = p
+    if x != ZERO and y != ZERO:
+        n = f.q - 1
+        return [(i * x + j * y) % n for i, j in cells]
+    mul_t = f.mul_table
+    return [mul_t[f.pow(x, i)][f.pow(y, j)] for i, j in cells]
+
+
+def poly_values(f: Field, coeffs: PolyDict, points: Iterable[Point]) -> list[Elt]:
+    """A sparse bivariate polynomial's value at each point; 0^0 = 1.
+
+    At a point with nonzero coordinates each term is the single log sum
+    c + i*x + j*y; at the others it is c times monomial_logs.
+    """
+    n = f.q - 1
+    add_t, mul_t = f.add_table, f.mul_table
+    terms = [(c, i, j) for (i, j), c in coeffs.items() if c != ZERO]
+    out = []
+    for p in points:
+        x, y = p
+        acc = ZERO
+        if x != ZERO and y != ZERO:
+            for c, i, j in terms:
+                acc = add_t[acc][(c + i * x + j * y) % n]
+        else:
+            monomials = monomial_logs(f, p, [(i, j) for _, i, j in terms])
+            for (c, _, _), e in zip(terms, monomials):
+                acc = add_t[acc][mul_t[c][e]]
+        out.append(acc)
+    return out
+
+
 def eval_poly(f: Field, coeffs: PolyDict, x: Elt, y: Elt) -> Elt:
     """Evaluate a sparse bivariate polynomial at (x, y); 0^0 = 1."""
-    add_t, mul_t = f.add_table, f.mul_table
-    acc = ZERO
-    for (i, j), c in coeffs.items():
-        acc = add_t[acc][mul_t[c][mul_t[f.pow(x, i)][f.pow(y, j)]]]
-    return acc
+    return poly_values(f, coeffs, [(x, y)])[0]
 
 
 # -- monomial orders -------------------------------------------------------
@@ -128,13 +165,9 @@ def enumerate_points(c: CurveSpec, f: Field, include_zero: bool = False) -> list
 
     include_zero=False keeps only points with both coordinates nonzero.
     """
-    poly = c.poly_dict()
-    logs = [ZERO] + list(range(f.q - 1)) if include_zero else list(range(f.q - 1))
-    pts = []
-    for x in logs:
-        for y in logs:
-            if eval_poly(f, poly, x, y) == ZERO:
-                pts.append(Point(x, y))
+    logs = f.elements() if include_zero else list(f.nonzero())
+    grid = [Point(x, y) for x in logs for y in logs]
+    pts = [p for p, v in zip(grid, poly_values(f, c.poly_dict(), grid)) if v == ZERO]
     pts.sort()
     return pts
 

@@ -14,8 +14,11 @@ The 2-D pair needs no normalization: the inversion constant (q-1)^2 is
 The 1-D inverse carries the single normalization factor
 (q-1)^(-1) = -1 inside idft1, so dft1(idft1(a)) = idft1(dft1(a)) = a.
 The signs are fixed here.  Outside this module the dft2 kernel is also
-evaluated directly, with the same sign: by codec's parity-check rows
-(x(P)^i * y(P)^j) and by bms._certificate (alpha^(k.z)).
+evaluated directly, with the same sign, and only by two kernels in
+geometry: monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
+parity-check rows and interpolation columns and bms._certificate's
+columns alpha^(k.z)) and poly_values (a polynomial's value at each
+point, the certificate's filter and construction's vanishing checks).
 
 Transforms are computed by row-column decomposition into 1-D transforms,
 each evaluated by Horner's rule.  dft2_cells evaluates dft2 only at a

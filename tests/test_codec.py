@@ -888,6 +888,15 @@ def test_rs_layout_and_nonsystematic_dispatch(rs4):
         assert codec.encode_nonsystematic(rs4, info) == codec.rs_encode_idft(F9, 4, info)
 
 
+def test_rs_has_no_information_array(rs4):
+    # basis_all is None for rs, and its k information symbols sit on
+    # positions, not cells
+    for call in (rs4.info_cells, lambda: rs4.carrier_cells("systematic"),
+                 lambda: rs4.carrier_cells("nonsystematic")):
+        with pytest.raises(ValueError, match="rs has no 2-D information array"):
+            call()
+
+
 def test_carrier_cells(herm, hcrs):
     for spec in (herm, hcrs):
         assert spec.carrier_cells("systematic") == [(p.x, p.y) for p in spec.wp_prime]

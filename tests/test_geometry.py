@@ -3,7 +3,7 @@ import random
 import pytest
 
 from agcodes.errors import MTooSmall
-from agcodes.galois import ZERO, gf9
+from agcodes.galois import ZERO, field_new, gf9
 from agcodes.geometry import (
     CurveSpec,
     HyperbolicOrder,
@@ -17,6 +17,8 @@ from agcodes.geometry import (
     hermitian_curve,
     is_downward_closed,
     minimal_outside,
+    monomial_logs,
+    poly_values,
 )
 
 
@@ -28,6 +30,27 @@ def f9():
 @pytest.fixture(scope="module")
 def herm(f9):
     return hermitian_curve(f9)
+
+
+@pytest.mark.parametrize("f", [gf9(), field_new(2, 4, [1, 1, 0, 0, 1])], ids=["gf9", "gf16"])
+def test_point_kernels_equal_the_power_products(f):
+    # every point of GF(q)^2, zero coordinates included, and exponents up to
+    # q - 1, one past the grid
+    points = [Point(x, y) for x in f.elements() for y in f.elements()]
+    cells = [(i, j) for i in range(f.q) for j in range(f.q)]
+    for p in points:
+        want = [f.mul(f.pow(p.x, i), f.pow(p.y, j)) for i, j in cells]
+        assert monomial_logs(f, p, cells) == want, p
+    rng = random.Random(f"kernels-{f.q}")
+    for _ in range(20):
+        coeffs = {c: rng.randrange(-1, f.q - 1) for c in rng.sample(cells, 5)}
+        want = []
+        for p in points:
+            acc = ZERO
+            for (i, j), c in coeffs.items():
+                acc = f.add(acc, f.mul(c, f.mul(f.pow(p.x, i), f.pow(p.y, j))))
+            want.append(acc)
+        assert poly_values(f, coeffs, points) == want
 
 
 def test_hermitian_curve_shape(herm):

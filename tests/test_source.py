@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,23 @@ def test_parses_as_python_3_10(path):
     # a newer interpreter's parser rejects grammar 3.10 lacks, such as
     # except* or the type statement
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+PACKAGE = sorted(ROOT.glob("src/agcodes/*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_imports_only_the_standard_library(path):
+    # numpy and friends are ruled out: importing numpy alone doubles the
+    # benchmark's peak RSS
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            assert top == "agcodes" or top in sys.stdlib_module_names, (path.name, name)
