@@ -268,13 +268,11 @@ def cmd_encode(args) -> int:
                 raise ValueError(f"missing zero-point symbol for ({x},{y})")
         word = codec.encode_systematic_extended(spec, info + [trailer[c] for c in zero_cells])
         out_trailer = list(zip(zero_cells, word[spec.n :]))
-        sv = codec.lengthened_syndromes(spec, word)
+    elif args.mode == "systematic":
+        word = codec.encode_systematic(spec, info)
     else:
-        if args.mode == "systematic":
-            word = codec.encode_systematic(spec, info)
-        else:
-            word = codec.encode_nonsystematic(spec, info)
-        sv = codec.syndromes(spec, word)
+        word = codec.encode_nonsystematic(spec, info)
+    sv = codec.syndromes(spec, word)
     write_array_file(args.out, q, word_to_rows(spec, word[: spec.n]), out_trailer)
     with open(args.out + ".check", "w") as fh:
         fh.write(" ".join(str(v) for v in sv) + "\n")

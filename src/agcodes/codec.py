@@ -19,14 +19,17 @@ Families:
 
 Codewords are lists of element logs, one per location (kind rs/curve/
 hcrs alike); information vectors are lists of logs.  Where each symbol
-lives is decided here only.  Position h of a 2-D word is the point
-spec.points[h], at grid cell (log x, log y) in point_array().  A
-systematic word has its information at spec.info_positions() and its
-parity at spec.parity_positions() (rs: the first r positions).  In a 2-D
-information array the symbols sit on spec.carrier_cells(mode): the
-information points' cells (systematic) or the free staircase cells, the
-point-ideal staircase minus the defining set (nonsystematic).  An rs
-code has no such array, and both raise ValueError for it.
+lives is decided here only.  Location h of every word is the point
+spec.points[h], at grid cell (log x, log y) in point_array(); an rs
+location h is the point (alpha^h, 1).  A word of the code lengthened by
+the zero-coordinate points appends one value per spec.zero_points.  A
+systematic word has its parity at the redundant points spec.wp, listed
+by spec.parity_positions(), and its information at the rest (rs: the
+first r locations, and the rest).  In a 2-D information array the
+symbols sit on spec.carrier_cells(mode): the information points' cells
+(systematic) or the free staircase cells, the point-ideal staircase
+minus the defining set (nonsystematic).  An rs code has no such array,
+and both raise ValueError for it.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from .geometry import (
     curve_spec,
     defining_set,
     enumerate_points,
-    eval_poly,
     hermitian_curve,
     minimal_outside,
     monomial_logs,
@@ -143,9 +145,7 @@ class CodeSpec:
     @cached_property
     def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(parity, information) positions: indices of the points in wp,
-        and of the rest; for rs the first r positions, and the rest."""
-        if self.kind == "rs":
-            return tuple(range(self.r)), tuple(range(self.r, self.n))
+        and of the rest."""
         wpset = set(self.wp)
         parity = tuple(h for h, p in enumerate(self.points) if p in wpset)
         info = tuple(h for h, p in enumerate(self.points) if p not in wpset)
@@ -310,20 +310,22 @@ def make_hcrs_code(f: Field, m: int) -> CodeSpec:
 
 
 def make_rs_code(f: Field, r: int) -> CodeSpec:
-    """Classical RS code of length q-1 with redundancy r."""
+    """Classical RS code of length q-1 with redundancy r: location h is
+    the point (alpha^h, 1), and the parity sits at the first r."""
     _check_redundancy(f, r)
     n = f.q - 1
+    points = tuple(Point(h, ONE) for h in range(n))
     return CodeSpec(
         field=f,
         kind="rs",
         order=None,
         m=r,
         curve=None,
-        points=(),
+        points=points,
         zero_points=(),
         phi=tuple((i, 0) for i in range(r)),
-        wp=(),
-        wp_prime=(),
+        wp=points[:r],
+        wp_prime=points[r:],
         basis_wp=None,
         basis_all=None,
         n=n,
@@ -368,14 +370,11 @@ def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
 
 
 def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
-    """Rows per location (zero-coordinate tail last), one column per
-    defining-set cell: entry = x(P)^i * y(P)^j with 0^0 = 1."""
-    if spec.kind == "rs":
-        # location h is the point (alpha^h, 1)
-        points = [Point(h, ONE) for h in range(spec.n)]
-    else:
-        points = spec.points + spec.zero_points
-    return [monomial_logs(spec.field, p, spec.phi) for p in points]
+    """One row per location of a lengthened word, spec.points then
+    spec.zero_points, and one column per defining-set cell: entry =
+    x(P)^i * y(P)^j with 0^0 = 1."""
+    f, phi = spec.field, spec.phi
+    return [monomial_logs(f, p, phi) for p in spec.points + spec.zero_points]
 
 
 def point_array(spec: CodeSpec, word: Word) -> Array2D:
@@ -388,19 +387,30 @@ def point_array(spec: CodeSpec, word: Word) -> Array2D:
 
 
 def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
-    """The word's transform on the defining set, one value per cell of phi.
+    """The word's transform on the defining set, one value per cell of phi:
+    the word times check_matrix(spec).
 
-    For 2-D kinds r(alpha^i, alpha^j) of the word embedded at its point
-    cells is evaluated at the defining-set cells only (dft2_cells); for
-    rs these are the first r entries of its DFT.
+    word holds the n point values, optionally followed by one value per
+    zero point (a lengthened word).  The point values give the first r
+    entries of their DFT for rs, and for 2-D kinds r(alpha^i, alpha^j) of
+    the word embedded at its point cells, evaluated at the defining-set
+    cells only (dft2_cells).  Each zero point Z with value v then adds
+    v * x(Z)^i * y(Z)^j, its transform analogue.
     """
     f = spec.field
     _check_symbols(f, word, "word")
+    n, full = spec.n, spec.n + len(spec.zero_points)
+    if len(word) not in (n, full):
+        raise ValueError(f"word must have length {n}" + (f" or {full}" if full != n else ""))
     if spec.kind == "rs":
-        return dft1(f, list(word))[: spec.r]
-    if len(word) != spec.n:
-        raise ValueError(f"word must have length {spec.n}")
-    return dft2_cells(f, point_array(spec, word), list(spec.phi))
+        out = dft1(f, list(word))[: spec.r]
+    else:
+        out = dft2_cells(f, point_array(spec, word), list(spec.phi))
+    add_t, mul_t = f.add_table, f.mul_table
+    for z, v in zip(spec.zero_points, word[n:]):
+        mv = mul_t[v]
+        out = [add_t[acc][mv[e]] for acc, e in zip(out, monomial_logs(f, z, spec.phi))]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,30 +495,29 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     return [cw[(p.x, p.y)] for p in spec.points]
 
 
-def _encode_systematic(spec: CodeSpec, info: Info, syndromes_of) -> Word:
-    """The systematic encoder of a 2-D code, for syndromes_of = syndromes
-    or lengthened_syndromes.
+def _encode_systematic(spec: CodeSpec, info: Info) -> Word:
+    """The systematic encoder of a 2-D code, plain or lengthened.
 
     info[:k] goes verbatim to the information positions and info[k:] (the
-    zero-point symbols of a lengthened word) after the n point values.
-    The syndromes of that word, zero at the redundant points, are extended
-    by the redundant-point basis; the inverse transform of the extension
-    is the array red supported on the redundant points with those
-    syndromes, and the codeword carries -red there.
+    zero-point symbols of a lengthened word, if any) after the n point
+    values.  The syndromes of that word, zero at the redundant points, are
+    extended by the redundant-point basis; the inverse transform of the
+    extension is the array red supported on the redundant points with
+    those syndromes, and the codeword carries -red there.
     """
     f = spec.field
     word = [ZERO] * spec.n
     for h, v in zip(spec.info_positions(), info):
         word[h] = v
     word += info[spec.k :]
-    known = dict(zip(spec.phi, syndromes_of(spec, word)))
+    known = dict(zip(spec.phi, syndromes(spec, word)))
     red = idft2(f, extend(known, spec.basis_wp, f))
     _check_support(red, spec._wp_cells, "redundancy array nonzero off the redundant points")
     neg = f.sub_table[ZERO]
     for h in spec.parity_positions():
         p = spec.points[h]
         word[h] = neg[red[(p.x, p.y)]]
-    if any(v != ZERO for v in syndromes_of(spec, word)):
+    if any(v != ZERO for v in syndromes(spec, word)):
         raise AssertionError("systematic encoder produced a parity violation")
     return word
 
@@ -520,7 +529,7 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     if spec.kind == "rs":
         return rs_encode_euclid(spec.field, spec.r, info)
     _check_info(spec.field, info, spec.k)
-    return _encode_systematic(spec, info, syndromes)
+    return _encode_systematic(spec, info)
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +537,15 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
 
 
 def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
-    """Transform-analogue array of one symbol at a zero-coordinate point:
-    out[i][j] = value * x^i * y^j with 0^0 = 1, so the support is a single
-    row, column or cell."""
+    """Transform-analogue array of one symbol at one of the code's zero
+    points: out[i][j] = value * x^i * y^j with 0^0 = 1, so the support is
+    a single row, column or cell."""
     f = spec.field
     _check_symbols(f, [value], "value")
     if point.x != ZERO and point.y != ZERO:
         raise NotAZeroPoint(f"{point} has no zero coordinate")
-    if spec.curve is not None:
-        if eval_poly(f, spec.curve.poly_dict(), point.x, point.y) != ZERO:
-            raise ValueError(f"{point} is not on the curve")
+    if point not in spec.zero_points:
+        raise ValueError(f"{point} is not a zero point of this code")
     n_side = f.q - 1
     mv = f.mul_table[value]
     rows = [monomial_logs(f, point, [(i, j) for j in range(n_side)]) for i in range(n_side)]
@@ -546,31 +554,14 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
 
 def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
     """Systematic encoding of the code lengthened by the zero-coordinate
-    points: encode_systematic with the lengthened syndromes.  info carries
-    the information-point symbols followed by one symbol per zero point;
-    the output word is the n point values followed by the zero-point
-    values."""
+    points.  info carries the information-point symbols followed by one
+    symbol per zero point; the output word is the n point values followed
+    by the zero-point values, the layout syndromes() reads."""
     if not spec.zero_points:
         _check_symbols(spec.field, info, "info")  # a bad symbol is named first
         raise ValueError("this code has no zero-coordinate points")
     _check_info(spec.field, info, spec.k + len(spec.zero_points))
-    return _encode_systematic(spec, info, lengthened_syndromes)
-
-
-def lengthened_syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
-    """Defining-set syndromes of a lengthened word (the n point values
-    followed by the zero-point values): the syndromes of the point values
-    plus v * x(Z)^i * y(Z)^j for each zero point Z with value v."""
-    f = spec.field
-    _check_symbols(f, word, "word")
-    if len(word) != spec.n + len(spec.zero_points):
-        raise ValueError(f"word must have length {spec.n + len(spec.zero_points)}")
-    add_t, mul_t = f.add_table, f.mul_table
-    out = syndromes(spec, word[: spec.n])
-    for z, v in zip(spec.zero_points, word[spec.n :]):
-        mv = mul_t[v]
-        out = [add_t[acc][mv[e]] for acc, e in zip(out, monomial_logs(f, z, spec.phi))]
-    return out
+    return _encode_systematic(spec, info)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +579,10 @@ def decode(
     mode selects how the information is read back: "systematic" from the
     information positions, "nonsystematic" from the corrected word's
     transform at the free staircase cells (for rs, the negated transform
-    at r..n-1).  For 2-D codes the syndromes are the received word's
-    transform on the defining set only, and the voting pass locates the
-    errors and solves for their values, so a decode makes no full
+    at r..n-1).  The mode, the length and the symbols are checked before
+    anything is decoded.  For 2-D codes the syndromes are the received
+    word's transform on the defining set only, and the voting pass locates
+    the errors and solves for their values, so a decode makes no full
     transform; rs codes use 1-D Berlekamp-Massey.  The corrected word
     always re-passes the parity check before it is returned.  When a dict
     is passed as stats a 2-D decode reports how many syndrome cells
@@ -598,20 +590,20 @@ def decode(
     accepted before every cell was processed ("early_certificate").
     """
     f = spec.field
+    if mode not in ("systematic", "nonsystematic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
+        raise ExtendedDecodeUnsupported(
+            "decoding of words with zero-coordinate positions is not supported"
+        )
+    if len(received) != spec.n:
+        raise ValueError(f"received word must have length {spec.n}")
+    s = syndromes(spec, received)  # validates the symbols
     if spec.kind == "rs":
-        _check_symbols(f, received, "received")
-        corrected = _rs_decode(spec, list(received))
+        corrected = _rs_decode(spec, list(received), s)
     else:
-        if len(received) == spec.n + len(spec.zero_points) and spec.zero_points:
-            raise ExtendedDecodeUnsupported(
-                "decoding of words with zero-coordinate positions is not supported"
-            )
-        if len(received) != spec.n:
-            raise ValueError(f"received word must have length {spec.n}")
-        # syndromes() validates the symbols
-        known = dict(zip(spec.phi, syndromes(spec, received)))
         err = bms_with_voting(
-            f, known, spec.order, spec.t_capability,
+            f, dict(zip(spec.phi, s)), spec.order, spec.t_capability,
             ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
         )
         sub_t = f.sub_table
@@ -620,13 +612,11 @@ def decode(
         raise DecodingFailure("corrected word fails the parity check")
     if mode == "systematic":
         info = [corrected[h] for h in spec.info_positions()]
-    elif mode == "nonsystematic" and spec.kind == "rs":
+    elif spec.kind == "rs":
         neg = f.sub_table[ZERO]
         info = [neg[v] for v in dft1(f, corrected)[spec.r :]]
-    elif mode == "nonsystematic":
-        info = dft2_cells(f, point_array(spec, corrected), spec.info_cells())
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        info = dft2_cells(f, point_array(spec, corrected), spec.info_cells())
     return corrected, info
 
 
@@ -714,16 +704,14 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     return [sub_t[c][rv] for c, rv in zip(coeffs, rem)]
 
 
-def _rs_decode(spec: CodeSpec, received: Word) -> Word:
-    """The corrected word of a received rs word (1-D Berlekamp-Massey)."""
+def _rs_decode(spec: CodeSpec, received: Word, s: list[Elt]) -> Word:
+    """The corrected word of a received rs word with syndromes s (1-D
+    Berlekamp-Massey)."""
     f = spec.field
     add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
     neg = sub_t[ZERO]
     n = f.q - 1
     r = spec.r
-    if len(received) != n:
-        raise ValueError(f"received word must have length {n}")
-    s = dft1(f, received)[:r]
     if all(v == ZERO for v in s):
         return list(received)
     # 1-D Berlekamp-Massey on the syndrome prefix

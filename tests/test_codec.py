@@ -385,7 +385,7 @@ def test_syndromes_match_check_matrix_all_families(herm, hcrs, rs4):
             # the lengthened word's tail holds the zero-point values
             word = [rng.randrange(-1, 8) for _ in range(length)]
             sv = codec.syndromes(spec, word[: spec.n])
-            lsv = codec.lengthened_syndromes(spec, word)
+            lsv = codec.syndromes(spec, word)
             for l in range(len(spec.phi)):
                 acc = ZERO
                 for pos in range(spec.n):
@@ -600,7 +600,7 @@ def test_hermitian_gf49_scale_point():
         assert codec.decode(spec, corrupt(word, t)) == (word, info)
     ext = info + [rng.randrange(-1, f.q - 1) for _ in spec.zero_points]
     lengthened = codec.encode_systematic_extended(spec, ext)
-    assert codec.lengthened_syndromes(spec, lengthened) == [ZERO] * len(spec.phi)
+    assert codec.syndromes(spec, lengthened) == [ZERO] * len(spec.phi)
     rx = corrupt(word, t + 1)
     try:
         got, _ = codec.decode(spec, rx)
@@ -632,6 +632,13 @@ def test_analogue_dft_rejects_nonzero_point(herm):
         codec.analogue_dft(herm, Point(0, 4), 5)
 
 
+def test_analogue_dft_rejects_a_point_off_the_zero_points(herm, hcrs, rs4):
+    # (0, 1) is off the Hermitian curve; hcrs and rs have no zero points
+    for spec, point in ((herm, Point(ZERO, 1)), (hcrs, Point(ZERO, 3)), (rs4, Point(ZERO, 3))):
+        with pytest.raises(ValueError, match="not a zero point of this code"):
+            codec.analogue_dft(spec, point, 2)
+
+
 def test_extended_systematic_single_symbol(herm):
     nz = len(herm.zero_points)
     info = [ZERO] * (herm.k + nz)
@@ -654,7 +661,7 @@ def test_extended_systematic_builds_no_check_matrix(herm, monkeypatch):
     monkeypatch.setattr(codec, "check_matrix", refuse)
     info = rand_info(random.Random(13), herm.k + len(herm.zero_points))
     word = codec.encode_systematic_extended(herm, info)
-    assert codec.lengthened_syndromes(herm, word) == [ZERO] * len(herm.phi)
+    assert codec.syndromes(herm, word) == [ZERO] * len(herm.phi)
 
 
 def test_extended_systematic_random(herm):
@@ -879,7 +886,10 @@ def test_rs_decode_refuses_where_the_dropped_checks_fired():
 
 
 def test_rs_layout_and_nonsystematic_dispatch(rs4):
-    # parity on the first r positions, as rs_encode_euclid places it
+    # location h is the point (alpha^h, 1), and the parity sits on the
+    # first r positions, as rs_encode_euclid places it
+    assert rs4.points == tuple(Point(h, ONE) for h in range(8))
+    assert rs4.wp == rs4.points[:4] and rs4.wp_prime == rs4.points[4:]
     assert rs4.parity_positions() == [0, 1, 2, 3]
     assert rs4.info_positions() == [4, 5, 6, 7]
     rng = random.Random(21)
@@ -987,20 +997,36 @@ def test_decode_rejects_non_element_symbols(name, bad):
     with pytest.raises(ValueError, match="element log"):
         codec.syndromes(spec, [bad] * spec.n)
     with pytest.raises(ValueError, match="element log"):
-        codec.lengthened_syndromes(spec, [bad] * (spec.n + len(spec.zero_points)))
+        codec.syndromes(spec, [bad] * (spec.n + len(spec.zero_points)))
     for zp in spec.zero_points:
         with pytest.raises(ValueError, match="element log"):
             codec.analogue_dft(spec, zp, bad)
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)
-def test_lengthened_syndromes_rejects_wrong_length(name):
+def test_syndromes_reject_wrong_length(name):
+    # a word is the n point values, optionally followed by the zero-point
+    # values; any other length is refused, rs included
     spec = codec.preset(name)
-    full = spec.n + len(spec.zero_points)
-    assert codec.lengthened_syndromes(spec, [ZERO] * full) == [ZERO] * len(spec.phi)
-    for length in (3, full - 1, full + 1):
+    n, full = spec.n, spec.n + len(spec.zero_points)
+    for length in (n, full):
+        assert codec.syndromes(spec, [ZERO] * length) == [ZERO] * len(spec.phi)
+    for length in sorted({3, n - 1, n + 1, full - 1, full + 1} - {n, full}):
         with pytest.raises(ValueError, match="length"):
-            codec.lengthened_syndromes(spec, [ZERO] * length)
+            codec.syndromes(spec, [ZERO] * length)
+
+
+@pytest.mark.parametrize("name", codec.PRESETS)
+def test_decode_rejects_unknown_mode_before_decoding(name):
+    # a word beyond t, which a known mode refuses
+    spec = codec.preset(name)
+    rng = random.Random(1)
+    sent = codec.encode_systematic(spec, rand_info(rng, spec.k))
+    received = add_errors(rng, spec.field, sent, spec.t_capability + 2)
+    with pytest.raises(DecodingFailure):
+        codec.decode(spec, received)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        codec.decode(spec, received, mode="bogus")
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)
