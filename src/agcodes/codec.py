@@ -373,8 +373,7 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
     """One row per location of a lengthened word, spec.points then
     spec.zero_points, and one column per defining-set cell: entry =
     x(P)^i * y(P)^j with 0^0 = 1."""
-    f, phi = spec.field, spec.phi
-    return [monomial_logs(f, p, phi) for p in spec.points + spec.zero_points]
+    return [monomial_logs(spec.field, p, spec.phi) for p in spec.points + spec.zero_points]
 
 
 def point_array(spec: CodeSpec, word: Word) -> Array2D:
