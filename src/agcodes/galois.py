@@ -55,9 +55,13 @@ class Field:
     without any call; row and column q-1 are the zero element (see the
     module docstring).  The three tables cost O(q^2) memory and build
     time: q tuples of q small ints each, about 0.5 MB per table at
-    q = MAX_Q = 256.  Larger fields are rejected.
+    q = MAX_Q = 256.  Larger fields are rejected.  The first full
+    transform over the field adds transform_table, the packed DFT tables
+    of the transform module; they grow with about q^3 (about 20 MB at
+    q = 256) and go with the field.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction except for transform_table, which is
+    set once; threads racing to set it build equal tables.
     """
 
     def __init__(self, p: int, m: int, primitive_poly: Sequence[int]):
@@ -113,6 +117,8 @@ class Field:
         self.mul_table = tuple(
             tuple(logs[a:] + logs[:a]) + (ZERO,) for a in range(n)
         ) + ((ZERO,) * self.q,)
+        # transform's packed tables, built by the first full transform
+        self.transform_table = None
 
     # -- representation helpers ------------------------------------------
 

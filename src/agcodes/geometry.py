@@ -67,11 +67,6 @@ def poly_values(f: Field, coeffs: PolyDict, points: Iterable[Point]) -> list[Elt
     return out
 
 
-def eval_poly(f: Field, coeffs: PolyDict, x: Elt, y: Elt) -> Elt:
-    """Evaluate a sparse bivariate polynomial at (x, y); 0^0 = 1."""
-    return poly_values(f, coeffs, [(x, y)])[0]
-
-
 # -- monomial orders -------------------------------------------------------
 
 

@@ -20,13 +20,24 @@ parity-check rows and interpolation columns and bms._certificate's
 columns alpha^(k.z)) and poly_values (a polynomial's value at each
 point, the certificate's filter and construction's vanishing checks).
 
-Transforms are computed by row-column decomposition into 1-D transforms,
-each evaluated by Horner's rule.  dft2_cells evaluates dft2 only at a
-list of cells, for the syndromes on a defining set.  All functions are
-pure and return fresh arrays.
+Full transforms are computed by row-column decomposition into 1-D
+transforms, all four by one packed kernel.  For each field a table packs
+the GF(p) coordinates of alpha^(v+i*h) for every output i into one
+Python int, so a 1-D transform of length n is n big-int additions (XORs
+in characteristic 2) run in C, then one unpacking of the n slots.  The
+table is built by the first full transform of a field, never by Field()
+or code construction, and is cached on the field; it holds about
+n^2 * q slots.  dft2_cells evaluates dft2 only at a list of cells, for
+the syndromes on a defining set, by Horner's rule: for a few cells that
+beats a packed full transform.  All functions are pure and return fresh
+arrays.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import partial, reduce
+from operator import xor
 
 from .errors import DimensionMismatch
 from .galois import Elt, Field, ZERO
@@ -73,19 +84,87 @@ class Array2D:
         return f"Array2D(q={self.q})\n{rows}"
 
 
-def _transform1(f: Field, a: list[Elt], sign: int) -> list[Elt]:
-    """out[i] = sum_h a[h] * alpha^(sign*ih), by Horner at alpha^(sign*i)."""
-    n = f.q - 1
-    add_t, mul_t = f.add_table, f.mul_table
-    top, rest = a[-1], a[:-1][::-1]
-    out = [ZERO] * n
-    for i in range(n):
-        mw = mul_t[(sign * i) % n]
-        acc = top
-        for v in rest:
-            acc = add_t[mw[acc]][v]
-        out[i] = acc
-    return out
+def _packed_kernels(f: Field) -> dict:
+    """f's packed 1-D transform of each sign: {+1: dft, -1: idft}.
+
+    rows[h][v] packs the GF(p) coordinates of alpha^(v+i*h) for every
+    output i into one int, slot i at bits i*S, S = 8*slot_bytes.  Each
+    coordinate is a digit of w bits: one XOR bit for p = 2, otherwise wide
+    enough that a sum of n digits below p cannot carry out of it.  Entry
+    q-1, the zero log, is 0.  out[i] = sum_h a[h] * alpha^(sign*ih) is the slot-wise sum
+    of rows[sign*h][a[h]] over h, n big-int additions (XORs for p = 2),
+    unpacked once.  The table holds n*q ints of n*S bits: about 0.2 MB at
+    q = 25, 2.4 MB at q = 81, 20 MB at q = 256 and 93 MB at q = 243.
+    """
+    p, m, q = f.p, f.m, f.q
+    n = q - 1
+    w = 1 if p == 2 else (n * (p - 1)).bit_length()
+    direct = m * w <= 16
+    if direct:  # a slot is one cell, decoded by one lookup
+        cell, stride = (8 if m * w <= 8 else 16), 1
+    else:  # a slot is `stride` cells, decoded digit by digit
+        cell = 8 if w <= 8 else 16
+        stride = -(-m * w // cell)
+    slot_bytes = stride * cell // 8
+    nbytes = n * slot_bytes
+    fmt = "B" if cell == 8 else "H"
+    # cells are read in host byte order; a big-endian host sees the slots
+    # last first, so it steps through them backwards
+    order = sys.byteorder
+    step = stride if order == "little" else -stride
+
+    # log_at[sum c_d p^d] is the log of the element with coordinates c
+    log_at = [ZERO] * q
+    packed = []
+    for e, c in enumerate(f.exp_table):
+        log_at[sum(c[d] * p**d for d in range(m))] = e
+        packed.append(sum(c[d] << (d * w) for d in range(m)))
+    # digit_pos[d][x]: where a value x of digit d moves the sum c_d p^d
+    digit_pos = [[(x % p) * p**d for x in range(1 << w)] for d in range(m)]
+
+    enc = [x.to_bytes(slot_bytes, "little") for x in packed]
+    rots = [enc[v:] + enc[:v] for v in range(n)]
+    rows = []
+    for h in range(n):
+        at = [i * h % n for i in range(n)]
+        rows.append(tuple(
+            [int.from_bytes(b"".join(map(rot.__getitem__, at)), "little") for rot in rots] + [0]
+        ))
+    combine = partial(reduce, xor) if p == 2 else sum
+
+    if direct:
+        sums = [0]
+        for table in digit_pos:
+            sums = [hi + lo for hi in table for lo in sums]
+        slot_log = [log_at[k] for k in sums]
+
+        def decode(total: int) -> list[Elt]:
+            view = memoryview(total.to_bytes(nbytes, order)).cast(fmt)[::step]
+            return list(map(slot_log.__getitem__, view))
+    else:
+        mask = int.from_bytes(((1 << w) - 1).to_bytes(slot_bytes, "little") * n, "little")
+        digits = [(d * w, table.__getitem__) for d, table in enumerate(digit_pos)]
+
+        def decode(total: int) -> list[Elt]:
+            # digit d shifted to the bottom of each slot, the rest masked
+            parts = [
+                map(pos, memoryview(((total >> s) & mask).to_bytes(nbytes, order)).cast(fmt)[::step])
+                for s, pos in digits
+            ]
+            return list(map(log_at.__getitem__, map(sum, zip(*parts))))
+
+    def kernel(tabs):
+        return lambda a: decode(combine(map(tuple.__getitem__, tabs, a)))
+
+    return {+1: kernel(rows), -1: kernel([rows[-h % n] for h in range(n)])}
+
+
+def _kernel(f: Field, sign: int):
+    """f's packed 1-D transform of the given sign; the first call builds
+    the table and caches it on the field."""
+    if f.transform_table is None:
+        f.transform_table = _packed_kernels(f)
+    return f.transform_table[sign]
 
 
 def _check1(f: Field, a: list[Elt]) -> None:
@@ -96,29 +175,23 @@ def _check1(f: Field, a: list[Elt]) -> None:
 def dft1(f: Field, a: Array1D) -> Array1D:
     """Evaluate a as a polynomial at alpha^i for every i."""
     _check1(f, a)
-    return _transform1(f, list(a), +1)
+    return _kernel(f, +1)(a)
 
 
 def idft1(f: Field, a: Array1D) -> Array1D:
     """Inverse of dft1, including the -1 normalization (see module doc)."""
     _check1(f, a)
     neg = f.sub_table[ZERO]
-    return [neg[v] for v in _transform1(f, list(a), -1)]
+    return [neg[v] for v in _kernel(f, -1)(a)]
 
 
 def _transform2(f: Field, a: Array2D, sign: int) -> Array2D:
     if a.q != f.q:
         raise DimensionMismatch("array built for a different field size")
-    n = f.q - 1
-    # rows: transform along the second index
-    mid = [_transform1(f, a.data[r], sign) for r in range(n)]
-    # columns: transform along the first index
-    out = Array2D.zeros(f.q)
-    for j in range(n):
-        col = _transform1(f, [mid[r][j] for r in range(n)], sign)
-        for i in range(n):
-            out.data[i][j] = col[i]
-    return out
+    t = _kernel(f, sign)
+    # rows along the second index, then columns along the first
+    cols = map(t, zip(*map(t, a.data)))
+    return Array2D(f.q, [list(row) for row in zip(*cols)])
 
 
 def dft2(f: Field, a: Array2D) -> Array2D:

@@ -15,7 +15,7 @@ from agcodes.cli import (
     write_array_file,
 )
 from agcodes.galois import ZERO, gf9
-from agcodes.geometry import eval_poly
+from agcodes.geometry import poly_values
 from agcodes.transform import Array2D, dft2
 
 F9 = gf9()
@@ -715,8 +715,7 @@ def test_groebner_errors(tmp_path, capsys):
         for triple in poly.strip("()").split(") ("):
             i, j, c = map(int, triple.split())
             coeffs[(i, j)] = c
-        for p in err_points:
-            assert eval_poly(F9, coeffs, p.x, p.y) == ZERO
+        assert poly_values(F9, coeffs, err_points) == [ZERO] * len(err_points)
 
 
 def test_array_file_value_range(tmp_path):

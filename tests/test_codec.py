@@ -173,12 +173,25 @@ def test_construction_basis_checks_fire(herm, monkeypatch):
         codec.preset("hermitian-q9")
 
 
-def test_hermitian_gf256_builds():
+@pytest.fixture(scope="module")
+def herm256():
     # the largest field: GF(2^8) from x^8 + x^4 + x^3 + x^2 + 1, m = 300
-    spec = _hermitian(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1], 300)
+    return _hermitian(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1], 300)
+
+
+def test_hermitian_gf256_builds(herm256):
+    spec = herm256
     assert (spec.n, spec.k, spec.t_capability) == (4080, 3899, 30)
     assert [g.lt for g in spec.basis_all.elements] == [(0, 16), (255, 0)]
     assert len(spec.basis_all.delta) == 4080
+
+
+def test_construction_builds_no_transform_table(herm256):
+    # the packed transform tables grow with about q^3 (20 MB at q = 256),
+    # so only a full transform builds them, never a code's construction
+    specs = [herm256, _hermitian(5, 2, [2, 1, 1], 30)]
+    specs += [codec.preset(name) for name in codec.PRESETS]
+    assert [spec.field.transform_table for spec in specs] == [None] * len(specs)
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)

@@ -13,7 +13,6 @@ from agcodes.geometry import (
     curve_spec,
     defining_set,
     enumerate_points,
-    eval_poly,
     hermitian_curve,
     is_downward_closed,
     minimal_outside,
@@ -72,18 +71,14 @@ def test_hermitian_point_census(f9, herm):
 def test_point_enumeration_matches_brute_force(f9, herm):
     # redundant full scan over all 81 coordinate pairs
     poly = herm.poly_dict()
-    count = 0
-    for x in [ZERO] + list(range(8)):
-        for y in [ZERO] + list(range(8)):
-            if eval_poly(f9, poly, x, y) == ZERO:
-                count += 1
-    assert count == 27
+    grid = [Point(x, y) for x in [ZERO] + list(range(8)) for y in [ZERO] + list(range(8))]
+    assert poly_values(f9, poly, grid).count(ZERO) == 27
 
 
 def test_points_on_curve(f9, herm):
     poly = herm.poly_dict()
-    for p in enumerate_points(herm, f9, include_zero=True):
-        assert eval_poly(f9, poly, p.x, p.y) == ZERO
+    pts = enumerate_points(herm, f9, include_zero=True)
+    assert poly_values(f9, poly, pts) == [ZERO] * len(pts)
 
 
 def test_degenerate_diagonal_curve(f9):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,10 +14,17 @@ def f9():
     return gf9()
 
 
-# A characteristic-2 and a characteristic-5 field beside GF(9)
+# Fields beside GF(9), one for each way the packed kernel reads its
+# slots: whole slots of one byte (GF(16), GF(64), characteristic 2) or two
+# (GF(25), the prime field GF(31)), and slots read digit by digit from
+# one-byte (GF(27)) or two-byte (GF(49)) cells
 LARGER_FIELDS = {
     "GF(16)": (2, 4, [1, 1, 0, 0, 1]),
     "GF(25)": (5, 2, [2, 1, 1]),
+    "GF(27)": (3, 3, [1, 2, 0, 1]),
+    "GF(31)": (31, 1, [28, 1]),
+    "GF(49)": (7, 2, [3, 6, 1]),
+    "GF(64)": (2, 6, [1, 1, 0, 0, 0, 0, 1]),
 }
 
 
@@ -24,8 +32,8 @@ def coord_sum(f, logs, negate=False):
     """Log of the sum of alpha^e over the logs, added in GF(p) coordinates
     from exp_table, so it shares no arithmetic table with the transforms."""
     acc = [0] * f.m
-    for e in logs:
-        acc = [(c + d) % f.p for c, d in zip(acc, f.exp_table[e])]
+    for e, k in Counter(logs).items():
+        acc = [(c + k * d) % f.p for c, d in zip(acc, f.exp_table[e])]
     if negate:
         acc = [-c % f.p for c in acc]
     return f.log_table.get(tuple(acc), ZERO)
@@ -35,17 +43,12 @@ def coord_sum(f, logs, negate=False):
 # row-column split, additions in coordinates.
 def dft2_oracle(f, a, sign):
     n = f.q - 1
+    terms = [(r, s, v) for r, row in enumerate(a.data) for s, v in enumerate(row) if v != ZERO]
     out = Array2D.zeros(f.q)
     for i in range(n):
         for j in range(n):
             out.data[i][j] = coord_sum(
-                f,
-                (
-                    (a.data[r][s] + sign * (r * i + s * j)) % n
-                    for r in range(n)
-                    for s in range(n)
-                    if a.data[r][s] != ZERO
-                ),
+                f, ((v + sign * (r * i + s * j)) % n for r, s, v in terms)
             )
     return out
 
@@ -58,9 +61,19 @@ def dft1_oracle(f, a, sign, negate=False):
     ]
 
 
-def random_array(f, rng):
+def random_array(f, rng, cross=False):
+    """Random entries everywhere, or with cross=True only on one random row
+    and one random column: 2n-1 cells from which both passes of the
+    row-column transform still see full vectors."""
     n = f.q - 1
-    return Array2D(f.q, [[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)])
+    r0, s0 = rng.randrange(n), rng.randrange(n)
+    return Array2D(
+        f.q,
+        [
+            [rng.randrange(-1, n) if not cross or r == r0 or s == s0 else ZERO for s in range(n)]
+            for r in range(n)
+        ],
+    )
 
 
 def test_dft2_zero_and_delta(f9):
@@ -83,10 +96,10 @@ def test_dft2_single_cell_row_pattern(f9):
     assert out == dft2_oracle(f9, a, +1)
 
 
-def check_dft2_oracle(f, draws):
+def check_dft2_oracle(f, draws, cross=False):
     rng = random.Random(7)
     for _ in range(draws):
-        a = random_array(f, rng)
+        a = random_array(f, rng, cross)
         assert dft2(f, a) == dft2_oracle(f, a, +1)
         assert idft2(f, a) == dft2_oracle(f, a, -1)
 
@@ -187,12 +200,45 @@ def test_dft1_idft1_roundtrip_1000(f9):
 
 @pytest.mark.parametrize("name", sorted(LARGER_FIELDS))
 def test_transforms_larger_field(name):
-    # the oracle is O(q^4), so two random arrays per field
+    # the oracle costs n^2 per nonzero cell: two full random arrays up
+    # to GF(25), one cross-shaped array past it
     f = field_new(*LARGER_FIELDS[name])
-    check_dft2_oracle(f, 2)
+    if f.q <= 25:
+        check_dft2_oracle(f, 2)
+    else:
+        check_dft2_oracle(f, 1, cross=True)
     check_dft2_roundtrip(f)
     check_dft1_oracle(f)
     check_dft1_roundtrip(f)
+
+
+@pytest.mark.parametrize("name", ["GF(9)"] + sorted(LARGER_FIELDS))
+def test_transforms_of_the_largest_coordinate_sums(name):
+    # c has every coordinate p-1, so output 0 of the constant vector sums
+    # n copies of the largest digit in every coordinate
+    f = gf9() if name == "GF(9)" else field_new(*LARGER_FIELDS[name])
+    n = f.q - 1
+    c = f.from_coords([f.p - 1] * f.m)
+    assert dft1(f, [c] * n) == dft1_oracle(f, [c] * n, +1)
+    assert idft1(f, [c] * n) == dft1_oracle(f, [c] * n, -1, negate=True)
+    # and the constant array transforms to c at the origin: n^2 = 1 mod p
+    delta = Array2D.zeros(f.q)
+    delta.data[0][0] = c
+    const = Array2D(f.q, [[c] * n for _ in range(n)])
+    assert dft2(f, const) == delta
+    assert idft2(f, const) == delta
+
+
+def test_second_transform_reuses_the_table():
+    f = field_new(*LARGER_FIELDS["GF(16)"])
+    assert f.transform_table is None
+    a = random_array(f, random.Random(29))
+    out = dft2(f, a)
+    table = f.transform_table
+    assert table is not None
+    assert idft2(f, out) == a
+    assert dft1(f, idft1(f, a.data[0])) == a.data[0]
+    assert f.transform_table is table
 
 
 # (order, m) of each benchmarked 2-D code on the field; every field also
