@@ -91,10 +91,11 @@ def _packed_kernels(f: Field) -> dict:
     output i into one int, slot i at bits i*S, S = 8*slot_bytes.  Each
     coordinate is a digit of w bits: one XOR bit for p = 2, otherwise wide
     enough that a sum of n digits below p cannot carry out of it.  Entry
-    q-1, the zero log, is 0.  out[i] = sum_h a[h] * alpha^(sign*ih) is the slot-wise sum
-    of rows[sign*h][a[h]] over h, n big-int additions (XORs for p = 2),
-    unpacked once.  The table holds n*q ints of n*S bits: about 0.2 MB at
-    q = 25, 2.4 MB at q = 81, 20 MB at q = 256 and 93 MB at q = 243.
+    q-1, the zero log, is 0.  out[i] = sum_h a[h] * alpha^(sign*ih) is the
+    slot-wise sum of rows[sign*h][a[h]] over h, n big-int additions (XORs
+    for p = 2), unpacked once.  The table holds n*q ints of n*S bits:
+    about 0.2 MB at q = 25, 2.4 MB at q = 81, 20 MB at q = 256 and 93 MB
+    at q = 243.
     """
     p, m, q = f.p, f.m, f.q
     n = q - 1
@@ -146,11 +147,11 @@ def _packed_kernels(f: Field) -> dict:
         digits = [(d * w, table.__getitem__) for d, table in enumerate(digit_pos)]
 
         def decode(total: int) -> list[Elt]:
-            # digit d shifted to the bottom of each slot, the rest masked
-            parts = [
-                map(pos, memoryview(((total >> s) & mask).to_bytes(nbytes, order)).cast(fmt)[::step])
-                for s, pos in digits
-            ]
+            parts = []
+            for s, pos in digits:
+                # digit d shifted to the bottom of each slot, the rest masked
+                cells = memoryview(((total >> s) & mask).to_bytes(nbytes, order)).cast(fmt)
+                parts.append(map(pos, cells[::step]))
             return list(map(log_at.__getitem__, map(sum, zip(*parts))))
 
     def kernel(tabs):
