@@ -44,9 +44,12 @@ Three synthesis entry points:
   The cells processed are the order prefix of N^2 up to the last grid
   cell, the domain that Sakata's update and the Feng-Rao vote assume
   (Sakata, Justesen, Madelung, Jensen and Hoeholdt 1995); the (q-1) x
-  (q-1) torus is not one.  The hyperbolic order of hcrs codes is not
-  translation invariant, so their cells are processed in
-  WeightedCurveOrder(1, 1).
+  (q-1) torus is not one.
+
+Every order is a WeightedCurveOrder, translation invariant (s < t implies
+s + d < t + d), and takes one code path through Buchberger, Sakata's
+update, the vote and extend(): a curve code's own weights, or the graded
+WeightedCurveOrder(1, 1) of hcrs codes.
 
 Construction takes its two point-ideal bases without any synthesis.
 groebner_basis() runs Buchberger's algorithm on generators, which gives
@@ -67,13 +70,13 @@ decoder derives with it every cell the ambient recurrences reach.
 
 The grid's enumeration under an order depends only on q and the order,
 never on a word, so grid_cells() memoizes it, keyed by the value of
-(q, order): one entry per (q, order) in use, filled on first use.  The
-entry also holds the processed prefix and its weight classes, which the
-vote scans.  At q = 256 the prefix holds 2.0 times the grid's 65,025
-cells, and an entry of a weighted order holds 13.6-14.5 MB, measured
-with tracemalloc, most of it the cell tuples; the hyperbolic order's,
-with no prefix, 4.2 MB.  Every cell a caller hands in must lie in the
-grid; extend() and bms_with_voting() reject any other with ValueError.
+(q, order): one entry per (q, order) in use, filled on first use, which
+extend() and the decoder of a code share.  The entry also holds the
+processed prefix and its weight classes, which the vote scans.  At
+q = 256 the prefix holds 2.0 times the grid's 65,025 cells, and an entry
+holds 13.6-14.5 MB, measured with tracemalloc, most of it the cell
+tuples.  Every cell a caller hands in must lie in the grid; extend() and
+bms_with_voting() reject any other with ValueError.
 """
 
 from __future__ import annotations
@@ -94,10 +97,9 @@ from .errors import (
 from .galois import Elt, Field, ONE, ZERO
 from .geometry import (
     Cell,
-    HyperbolicOrder,
-    MonomialOrder,
     Point,
     WeightedCurveOrder,
+    is_downward_closed,
     minimal_outside,
     monomial_logs,
     poly_values,
@@ -115,7 +117,7 @@ class BivariatePoly:
 
     __slots__ = ("coeffs", "lt")
 
-    def __init__(self, coeffs: dict[Cell, Elt], order: MonomialOrder):
+    def __init__(self, coeffs: dict[Cell, Elt], order: WeightedCurveOrder):
         self.coeffs = {s: c for s, c in coeffs.items() if c != ZERO}
         if not self.coeffs:
             raise ValueError("the zero polynomial has no leading term")
@@ -135,7 +137,7 @@ class GroebnerBasis:
 
     elements: tuple[BivariatePoly, ...]
     delta: tuple[Cell, ...]
-    order: MonomialOrder
+    order: WeightedCurveOrder
 
     def serialize(self) -> str:
         """Text form: one block per polynomial, lines of 'i j coefflog'."""
@@ -164,8 +166,7 @@ class _Enumeration(NamedTuple):
 
     The prefix is every cell of N^2 whose key is at most the last grid
     cell's.  It is finite, since every weight is positive, and holds the
-    grid.  Only a translation-invariant order is processed, so the
-    hyperbolic order's entry has an empty prefix and no classes.
+    grid.
     """
 
     grid: tuple[Cell, ...]
@@ -174,19 +175,17 @@ class _Enumeration(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _enumeration(q: int, order: MonomialOrder) -> _Enumeration:
+def _enumeration(q: int, order: WeightedCurveOrder) -> _Enumeration:
     n = q - 1
     grid = sorted(((i, j) for i in range(n) for j in range(n)), key=order.key)
-    prefix: list[Cell] = []
-    if isinstance(order, WeightedCurveOrder):
-        last = order.key(grid[-1])
-        box = product(range(last[0] // order.a + 1), range(last[0] // order.b + 1))
-        prefix = sorted((c for c in box if order.key(c) <= last), key=order.key)
+    last = order.key(grid[-1])
+    box = product(range(last[0] // order.a + 1), range(last[0] // order.b + 1))
+    prefix = sorted((c for c in box if order.key(c) <= last), key=order.key)
     classes = {w: tuple(cs) for w, cs in groupby(prefix, key=order.weight)}
     return _Enumeration(tuple(grid), tuple(prefix), MappingProxyType(classes))
 
 
-def grid_cells(q: int, order: MonomialOrder) -> tuple[Cell, ...]:
+def grid_cells(q: int, order: WeightedCurveOrder) -> tuple[Cell, ...]:
     """Every grid cell, sorted by the order's key.
 
     Memoized together with the processed prefix and its weight classes,
@@ -252,7 +251,9 @@ class _Echelon:
 # exact synthesis on a fully known (cyclic) array
 
 
-def _synthesize_full(f: Field, data: list[list[Elt]], order: MonomialOrder) -> GroebnerBasis:
+def _synthesize_full(
+    f: Field, data: list[list[Elt]], order: WeightedCurveOrder
+) -> GroebnerBasis:
     """Reduced Groebner basis of all recurrences valid on the whole array.
 
     Monomial x^t maps to the shift functional vec(t)[d] = u[(t+d) mod n];
@@ -293,7 +294,7 @@ def _synthesize_full(f: Field, data: list[list[Elt]], order: MonomialOrder) -> G
 
 
 def vanishing_ideal_basis(
-    points: Sequence[Point], order: MonomialOrder, f: Field
+    points: Sequence[Point], order: WeightedCurveOrder, f: Field
 ) -> GroebnerBasis:
     """Groebner basis of the ideal of polynomials vanishing at all points.
 
@@ -370,7 +371,7 @@ def _monic(f: Field, coeffs: dict[Cell, Elt], key) -> tuple[Cell, dict[Cell, Elt
 
 
 def groebner_basis(
-    f: Field, gens: Iterable[dict[Cell, Elt]], order: MonomialOrder
+    f: Field, gens: Iterable[dict[Cell, Elt]], order: WeightedCurveOrder
 ) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal the nonzero polynomials gens
     generate, with its staircase (Buchberger 1965).
@@ -382,11 +383,7 @@ def groebner_basis(
     tail is reduced by the rest.  The elements are monic and sorted by
     the key of their leading cells; delta holds the cells at or above no
     leading cell, in key order.  The ideal must be zero-dimensional
-    (leading cells on both axes), as the ideals of point sets are.  The
-    order must be translation invariant (see _normal_form).  The
-    hyperbolic order is not, but under it construction passes only
-    x^(q-1) - 1 and y^(q-1) - 1, whose leading cells are coprime and whose
-    tails are constants: no S-polynomial is formed and no term reduced.
+    (leading cells on both axes), as the ideals of point sets are.
     """
     key = order.key
     sub_t = f.sub_table
@@ -447,12 +444,11 @@ class SakataState:
     arrays only).  Cells arrive in the order's enumeration, and the array
     is periodic with period q-1 in each index: a value is kept in grid at
     the cell mod q-1 (None until processed), and every read takes its
-    indices mod q-1.  The order must be translation invariant (s < t
-    implies s+d < t+d), so the hyperbolic one is refused.  Each element of
-    F is monic at its leading cell, and the leading cells are the corners
-    of the staircase delta.  A test at w reads only cells s + w - lt, each
-    with key at most w's by translation invariance, so on an order prefix
-    every test is computed and none is skipped.
+    indices mod q-1.  Each element of F is monic at its leading cell, and
+    the leading cells are the corners of the staircase delta.  A test at
+    w reads only cells s + w - lt, each with key at most w's by
+    translation invariance, so on an order prefix every test is computed
+    and none is skipped.
 
     When polynomials fail at cell c, each new corner t2 gets a surviving
     polynomial shifted to t2 if one lies below it.  Otherwise a failing
@@ -470,9 +466,7 @@ class SakataState:
     spans the older record, with the smaller leading cell, is kept.
     """
 
-    def __init__(self, f: Field, order: MonomialOrder):
-        if isinstance(order, HyperbolicOrder):
-            raise ValueError("Sakata's update needs a translation-invariant order")
+    def __init__(self, f: Field, order: WeightedCurveOrder):
         self.f = f
         self.order = order
         self.n = f.q - 1
@@ -576,7 +570,7 @@ class SakataState:
         return GroebnerBasis(elems, delta, order)
 
 
-def bms(f: Field, values: dict[Cell, Elt], order: MonomialOrder) -> GroebnerBasis:
+def bms(f: Field, values: dict[Cell, Elt], order: WeightedCurveOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the recurrences of a fully known array.
 
     ValueError unless every grid cell has a value; an order prefix is fed
@@ -850,7 +844,7 @@ def _vote(
 def bms_with_voting(
     f: Field,
     known: dict[Cell, Elt],
-    order: MonomialOrder,
+    order: WeightedCurveOrder,
     max_errors: int,
     ambient: GroebnerBasis,
     support: AbstractSet[Cell],
@@ -858,10 +852,9 @@ def bms_with_voting(
 ) -> Array2D:
     """The error array from syndrome values on the defining set.
 
-    The cells processed are the order prefix of N^2 up to the key of the
-    last grid cell, in a translation-invariant enumeration: the code's
-    own order when it is weighted, WeightedCurveOrder(1, 1) (total
-    degree, ties by smaller j) for the hyperbolic order of hcrs codes.
+    The known cells must form a lower set (ValueError otherwise), as
+    every defining set does.  The cells processed are the order prefix of
+    N^2 up to the key of the last grid cell, in the order's enumeration.
     The prefix is finite because every weight is positive.  On it every
     cell a minimal polynomial's test touches is already processed, and
     every basis split of a cell is a valid prediction pair.  The
@@ -907,18 +900,8 @@ def bms_with_voting(
     # no basis monomial of the order domain; the grid holds none for hcrs
     top = next((lt for lt, _ in amb_rules if lt[0] == 0 and lt[1] < n), None)
     _check_in_grid(known, n)
-    # the known cells must cover an enumeration prefix, except for gaps an
-    # ambient recurrence can fill (e.g. off-strip cells under the curve)
-    if known:
-        maxkey = max(order.key(c) for c in known)
-        for cell in grid_cells(q, order):
-            if order.key(cell) > maxkey:
-                break
-            if cell in known or any(_leq(lt, cell) for lt, _ in amb_rules):
-                continue
-            raise ValueError("syndromes must cover a prefix of the order enumeration")
-    if not isinstance(order, WeightedCurveOrder):
-        order = WeightedCurveOrder(1, 1)
+    if not is_downward_closed(known):
+        raise ValueError("the known syndrome cells must form a lower set")
     _, prefix, classes = _enumeration(q, order)
 
     state = SakataState(f, order)

@@ -5,8 +5,8 @@ defining set, the code locations, the redundant/information point split
 with its precomputed vanishing-ideal bases, and the derived (n, k).  The
 basis of all code points is the reduced Groebner basis of its generators
 (bms.groebner_basis); that of the redundant points is interpolated on
-the defining set, which is its staircase.  Neither needs the (q-1)^2-long
-synthesis that bms.vanishing_ideal_basis runs.
+the defining set, and checked to have it as its staircase.  Neither
+needs the (q-1)^2-long synthesis that bms.vanishing_ideal_basis runs.
 
 Families:
 
@@ -14,7 +14,9 @@ Families:
            curve (Hermitian over GF(9) is the shipped preset), weighted
            monomial order, parity on the cells of weight <= m.
 * hcrs   - hyperbolic cascaded RS code on all (q-1)^2 grid positions,
-           hyperbolic order, parity on the cells of product weight < m.
+           graded order WeightedCurveOrder(1, 1), parity on the cells of
+           product weight (i+1)(j+1) < m, which lists the defining set
+           and the nonsystematic carriers by that weight.
 * rs     - classical RS code of length q-1, one-dimensional.
 
 Codewords are lists of element logs, one per location (kind rs/curve/
@@ -61,8 +63,6 @@ from .galois import Elt, Field, ONE, ZERO, field_new, gf9
 from .geometry import (
     Cell,
     CurveSpec,
-    HyperbolicOrder,
-    MonomialOrder,
     Point,
     WeightedCurveOrder,
     code_params,
@@ -70,6 +70,7 @@ from .geometry import (
     defining_set,
     enumerate_points,
     hermitian_curve,
+    hyperbolic_set,
     minimal_outside,
     monomial_logs,
     poly_values,
@@ -87,7 +88,7 @@ class CodeSpec:
 
     field: Field
     kind: str  # "curve" | "hcrs" | "rs"
-    order: MonomialOrder | None
+    order: WeightedCurveOrder | None
     m: int  # degree parameter; for rs this is the redundancy r
     curve: CurveSpec | None
     points: tuple[Point, ...]
@@ -119,7 +120,10 @@ class CodeSpec:
             return [(p.x, p.y) for p in self.wp_prime]
         if mode == "nonsystematic":
             phi = set(self.phi)
-            return [c for c in self.basis_all.delta if c not in phi]
+            cells = self.basis_all.delta
+            if self.kind == "hcrs":  # every grid cell, listed as hcrs lists phi
+                cells = hyperbolic_set(self.field.q ** 2, self.field)
+            return [c for c in cells if c not in phi]
         raise ValueError(f"unknown mode {mode!r}")
 
     def point_cells(self) -> frozenset[Cell]:
@@ -179,23 +183,24 @@ def _check_redundancy(f: Field, r: int) -> None:
 
 
 def _select_redundant_points(
-    f: Field, points: Sequence[Point], phi: Sequence[Cell], order: MonomialOrder
+    f: Field, points: Sequence[Point], phi: Sequence[Cell], order: WeightedCurveOrder
 ) -> tuple[list[Point], list[Point], GroebnerBasis]:
     """Pick the redundant-point set whose vanishing-ideal staircase is the
     defining set, and that ideal's reduced Groebner basis.
 
     Greedy rank selection: walk the points in order and keep each one
     whose defining-set evaluation column is independent of the columns
-    kept so far, until n-k are kept.  The defining set is a prefix, in the
-    order, of the staircase of all code points, so an invertible
-    evaluation matrix on it is exactly the condition that the kept
-    points' staircase is the defining set.
+    kept so far, until n-k are kept, so that the kept points' evaluation
+    matrix on phi is invertible.
 
     The basis is then read off by interpolation on phi: for each corner t
     of phi in [0, q-1]^2, x^t minus the one combination of phi's
-    monomials that agrees with it at the kept points.  That is the
-    reduced basis element led by t, since its tail lies in the staircase.
-    Each element is checked to vanish at every kept point.
+    monomials that agrees with it at the kept points.  Each element is
+    checked to vanish at every kept point and to be led by its corner t
+    in the order.  Then every corner leads an element of the kept points'
+    ideal, so its staircase lies in phi; it holds one cell per kept point,
+    |phi| cells, so it is phi, and the elements, monic at the corners
+    with tails in phi, are its reduced basis.
     """
     nk = len(phi)
     chosen: list[Point] = []
@@ -218,14 +223,16 @@ def _select_redundant_points(
     elements = [BivariatePoly(echelon.add(list(col), t), order) for t, col in pairs]
     if any(v != ZERO for g in elements for v in poly_values(f, g.coeffs, chosen)):
         raise AssertionError("a redundant-point basis element does not vanish")
+    if any(g.lt != t for g, t in zip(elements, corners)):
+        raise AssertionError("a redundant-point basis element is not led by its corner")
     elements.sort(key=lambda g: order.key(g.lt))
-    basis = GroebnerBasis(tuple(elements), tuple(phi), order)
+    basis = GroebnerBasis(tuple(elements), tuple(sorted(phi, key=order.key)), order)
     wpset = set(chosen)
     return chosen, [p for p in points if p not in wpset], basis
 
 
 def _ambient_basis(
-    f: Field, order: MonomialOrder, curve: CurveSpec | None, points: Sequence[Point]
+    f: Field, order: WeightedCurveOrder, curve: CurveSpec | None, points: Sequence[Point]
 ) -> GroebnerBasis:
     """The reduced Groebner basis of the ideal of all code points.
 
@@ -252,7 +259,7 @@ def _ambient_basis(
 def _make_2d_code(
     f: Field,
     kind: str,
-    order: MonomialOrder,
+    order: WeightedCurveOrder,
     m: int,
     curve: CurveSpec | None,
     points: Sequence[Point],
@@ -299,14 +306,16 @@ def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
 
 
 def make_hcrs_code(f: Field, m: int) -> CodeSpec:
-    """Hyperbolic cascaded RS code on all (q-1)^2 grid positions."""
-    order = HyperbolicOrder()
+    """Hyperbolic cascaded RS code on all (q-1)^2 grid positions, under
+    the graded order."""
     n_side = f.q - 1
     points = [Point(i, j) for i in range(n_side) for j in range(n_side)]
-    phi = defining_set(order, m, f)
+    phi = hyperbolic_set(m, f)
     if not 0 < len(phi) < len(points):
         raise ValueError(f"m={m} gives a degenerate defining set")
-    return _make_2d_code(f, "hcrs", order, m, None, points, (), phi, (m - 1) // 2)
+    return _make_2d_code(
+        f, "hcrs", WeightedCurveOrder(1, 1), m, None, points, (), phi, (m - 1) // 2
+    )
 
 
 def make_rs_code(f: Field, r: int) -> CodeSpec:

@@ -1,4 +1,8 @@
-"""Curves, rational points, monomial orders and defining sets.
+"""Curves, rational points, the monomial order and defining sets.
+
+A curve code's defining set is a weight bound in its own order.  An hcrs
+code takes the graded order WeightedCurveOrder(1, 1), and its defining
+set is the product-weight rule of hyperbolic_set, which also lists it.
 
 Cells of the (q-1) x (q-1) exponent grid are plain (i, j) tuples.  A
 bivariate polynomial is a sparse dict mapping cells to nonzero
@@ -67,7 +71,7 @@ def poly_values(f: Field, coeffs: PolyDict, points: Iterable[Point]) -> list[Elt
     return out
 
 
-# -- monomial orders -------------------------------------------------------
+# -- the monomial order ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,10 @@ class WeightedCurveOrder:
 
     On the strip j < a the weights are all distinct (gcd(a, b) = 1 forces
     equal weights to share j), so the tie-break only matters off-strip,
-    where it ranks y^a above x^b.  Orders are values: equal and equally
-    hashed when their fields are, as the memoized grid enumeration needs.
+    where it ranks y^a above x^b.  WeightedCurveOrder(1, 1) is the graded
+    order (total degree, ties by smaller j) that hcrs codes take.  Orders
+    are values: equal and equally hashed when their fields are, as the
+    memoized grid enumeration needs.
     """
 
     a: int
@@ -88,20 +94,6 @@ class WeightedCurveOrder:
 
     def key(self, cell: Cell):
         return (self.a * cell[0] + self.b * cell[1], cell[1])
-
-
-@dataclass(frozen=True)
-class HyperbolicOrder:
-    """Total order by the product weight (i+1)(j+1), ties by smaller j."""
-
-    def weight(self, cell: Cell) -> int:
-        return (cell[0] + 1) * (cell[1] + 1)
-
-    def key(self, cell: Cell):
-        return ((cell[0] + 1) * (cell[1] + 1), cell[1])
-
-
-MonomialOrder = WeightedCurveOrder | HyperbolicOrder
 
 
 # -- curves ----------------------------------------------------------------
@@ -170,36 +162,41 @@ def enumerate_points(c: CurveSpec, f: Field, include_zero: bool = False) -> list
 # -- defining sets ---------------------------------------------------------
 
 
-def defining_set(order: MonomialOrder, m: int, f: Field) -> list[Cell]:
-    """The cells where a codeword's 2-D DFT must vanish, sorted by the order.
-
-    Weighted order: i < q-1, j < a, a*i + b*j <= m.
-    Hyperbolic order: i, j < q-1, (i+1)(j+1) < m.
-    """
+def defining_set(order: WeightedCurveOrder, m: int, f: Field) -> list[Cell]:
+    """A curve code's defining set, the cells where a codeword's 2-D DFT
+    must vanish: i < q-1, j < a, a*i + b*j <= m, sorted by the order."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     n = f.q - 1
-    if isinstance(order, WeightedCurveOrder):
-        cells = [
-            (i, j)
-            for j in range(order.a)
-            for i in range(n)
-            if order.a * i + order.b * j <= m
-        ]
-    else:
-        cells = [(i, j) for i in range(n) for j in range(n) if (i + 1) * (j + 1) < m]
+    cells = [
+        (i, j)
+        for j in range(order.a)
+        for i in range(n)
+        if order.a * i + order.b * j <= m
+    ]
     cells.sort(key=order.key)
     return cells
 
 
-def code_params(
-    n_points: int, order: MonomialOrder, m: int, f: Field, genus: int | None = None
-) -> tuple[int, int]:
-    """(n, k) for a code on n_points locations with the given defining set.
+def hyperbolic_set(m: int, f: Field) -> list[Cell]:
+    """An hcrs code's defining set: the grid cells of product weight
+    (i+1)(j+1) < m, listed by that weight, ties by smaller j.
 
-    For curve codes pass the genus; m <= 2g-2 is rejected.
+    The listing is only a listing: hcrs codes take the graded order for
+    their bases and decoder, since the product weight is no monomial
+    order (it is not translation invariant).
     """
-    if genus is not None and m <= 2 * genus - 2:
+    n = f.q - 1
+    cells = [(i, j) for i in range(n) for j in range(n) if (i + 1) * (j + 1) < m]
+    cells.sort(key=lambda c: ((c[0] + 1) * (c[1] + 1), c[1]))
+    return cells
+
+
+def code_params(
+    n_points: int, order: WeightedCurveOrder, m: int, f: Field, genus: int
+) -> tuple[int, int]:
+    """(n, k) of a curve code on n_points locations; m <= 2g-2 is rejected."""
+    if m <= 2 * genus - 2:
         raise MTooSmall(f"m={m} must exceed 2g-2={2 * genus - 2}")
     phi = defining_set(order, m, f)
     n = n_points
@@ -213,10 +210,11 @@ def code_params(
 
 
 def is_downward_closed(cells: Iterable[Cell]) -> bool:
+    """Whether the cells form a lower set: each (i, j) has (i-1, j) and
+    (i, j-1) with it where they exist, which by induction puts every cell
+    componentwise below it in the set."""
     s = set(cells)
-    return all(
-        (i2, j2) in s for (i, j) in s for i2 in range(i + 1) for j2 in range(j + 1)
-    )
+    return all((i == 0 or (i - 1, j) in s) and (j == 0 or (i, j - 1) in s) for i, j in s)
 
 
 def minimal_outside(cells: Iterable[Cell], bound: int) -> list[Cell]:

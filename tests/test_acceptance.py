@@ -14,13 +14,13 @@ from agcodes.cli import run_simulation
 from agcodes.errors import MTooSmall
 from agcodes.galois import ZERO, gf9
 from agcodes.geometry import (
-    HyperbolicOrder,
     Point,
     WeightedCurveOrder,
     code_params,
     defining_set,
     enumerate_points,
     hermitian_curve,
+    hyperbolic_set,
 )
 from agcodes.transform import dft1, idft2
 
@@ -63,9 +63,8 @@ def test_03_code_parameters():
     phi = defining_set(worder, 11, F9)
     assert len(phi) == 11 - 3 + 1 == 9
     assert code_params(24, worder, 11, F9, genus=3) == (24, 15)
-    horder = HyperbolicOrder()
-    assert len(defining_set(horder, 9, F9)) == 20
-    assert code_params(64, horder, 9, F9) == (64, 44)
+    assert len(hyperbolic_set(9, F9)) == 20
+    assert (HCRS.n, HCRS.k) == (64, 44)
     with pytest.raises(MTooSmall):
         code_params(24, worder, 4, F9, genus=3)
     ok(3, "C(11): #phi=9, (n,k)=(24,15); HCRS C(9): #phi=20, (n,k)=(64,44)")

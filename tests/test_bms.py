@@ -33,8 +33,6 @@ from agcodes.errors import (
 from agcodes.galois import ONE, ZERO, Elt, Field, field_new, gf9
 from agcodes.geometry import (
     Cell,
-    HyperbolicOrder,
-    MonomialOrder,
     Point,
     WeightedCurveOrder,
     curve_spec,
@@ -47,7 +45,6 @@ from agcodes.transform import Array2D, dft2, idft2
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
-HORDER = HyperbolicOrder()
 HERM_POINTS = enumerate_points(hermitian_curve(F9), F9)
 STRIP = [(i, j) for i in range(8) for j in range(3)]
 
@@ -175,6 +172,8 @@ def test_bms_full_array_single_error():
         assert poly.evaluate(F9, 3, 5) == ZERO
     lts = sorted(p.lt for p in basis.elements)
     assert lts == [(0, 1), (1, 0)]
+    with pytest.raises(ValueError, match="every grid cell"):
+        bms(F9, values_of(u, grid_cells(9, WORDER)[:10]), WORDER)
 
 
 def test_bms_empty_and_constant_prefixes():
@@ -227,7 +226,7 @@ def test_bms_determinism():
     assert b1.serialize() == b2.serialize()
 
 
-def parse_basis(text: str, order: MonomialOrder) -> GroebnerBasis:
+def parse_basis(text: str, order: WeightedCurveOrder) -> GroebnerBasis:
     """Inverse of GroebnerBasis.serialize (delta recomputed from LTs)."""
     polys: list[BivariatePoly] = []
     cur: dict[Cell, Elt] | None = None
@@ -443,11 +442,28 @@ def test_voting_three_errors_matches_truth(basis_all):
 
 def test_voting_prefix_validation(basis_all):
     arr = Array2D.zeros(9)
-    with pytest.raises(ValueError):
-        bms_with_voting(
-            F9, values_of(arr, [(7, 7)]), WORDER, 3,
-            ambient=basis_all, support={(p.x, p.y) for p in HERM_POINTS},
-        )
+    support = {(p.x, p.y) for p in HERM_POINTS}
+    # a lone far cell, and the hermitian defining set with a hole at (1, 0)
+    holed = [c for c in defining_set(WORDER, 11, F9) if c != (1, 0)]
+    for cells in ([(7, 7)], holed):
+        with pytest.raises(ValueError, match="lower set"):
+            bms_with_voting(
+                F9, values_of(arr, cells), WORDER, 3, ambient=basis_all, support=support
+            )
+
+
+def test_hcrs_defining_set_passes_the_cover_check():
+    # hcrs-q9's defining set is a lower set, though no prefix of the graded
+    # order it is decoded in: (2, 2) of degree 4 lies outside it, (7, 0) in it
+    spec = codec.preset("hcrs-q9")
+    assert spec.order == WeightedCurveOrder(1, 1)
+    assert (2, 2) not in spec.phi and (7, 0) in spec.phi
+    known = {c: ZERO for c in spec.phi}
+    err = bms_with_voting(
+        F9, known, spec.order, spec.t_capability,
+        ambient=spec.basis_all, support=spec.point_cells(),
+    )
+    assert err == Array2D.zeros(9)
 
 
 @pytest.mark.parametrize(
@@ -555,21 +571,6 @@ def test_error_support_locator_equals_full_synthesis(name):
             locator = vanishing_ideal_basis(located, spec.order, f).serialize()
             full = dft2(f, err)
             assert locator == _synthesize_full(f, full.data, spec.order).serialize()
-
-
-def test_sakata_refuses_hyperbolic_order():
-    with pytest.raises(ValueError, match="translation-invariant"):
-        SakataState(F9, HORDER)
-    e = Array2D.zeros(9)
-    e[(3, 5)] = 0
-    u = dft2(F9, e)
-    prefix = grid_cells(9, HORDER)[:10]
-    with pytest.raises(ValueError, match="every grid cell"):
-        bms(F9, values_of(u, prefix), HORDER)
-    basis = bms(F9, values_of(u, all_cells()), HORDER)
-    assert basis.delta == ((0, 0),)
-    for poly in basis.elements:
-        assert poly.evaluate(F9, 3, 5) == ZERO
 
 
 def test_voting_collinear_errors(basis_all):
@@ -1076,13 +1077,12 @@ def test_out_of_grid_cells_rejected(bad):
 
 # -- the memoized enumeration ---------------------------------------------------
 
-# q -> constructors of the three order kinds; each is called twice to
-# build equal orders separately
+# q -> constructors of the orders of the Hermitian and hcrs codes over
+# GF(q); each is called twice to build equal orders separately
 MEMO_ORDERS = {
     q: (
         partial(WeightedCurveOrder, u, u + 1),
-        HyperbolicOrder,
-        partial(WeightedCurveOrder, 1, 1),  # the processing order of hcrs decodes
+        partial(WeightedCurveOrder, 1, 1),  # the graded order of hcrs codes
     )
     for q, u in ((9, 3), (16, 4), (25, 5))
 }
@@ -1101,13 +1101,9 @@ def test_grid_cells_memo_matches_fresh_sort(q):
         assert twin == order and hash(twin) == hash(order)
         assert grid_cells(q, order) is cells
         assert grid_cells(q, twin) is cells
-        # a translation-invariant order's prefix is every cell of N^2 up to
-        # the last grid cell's key, and its weight classes, in ascending
-        # weight, concatenate to it; the hyperbolic order has neither
+        # the prefix is every cell of N^2 up to the last grid cell's key,
+        # and its weight classes, in ascending weight, concatenate to it
         _, prefix, classes = _enumeration(q, order)
-        if isinstance(order, HyperbolicOrder):
-            assert prefix == () and not classes
-            continue
         last = order.key(fresh[-1])
         box = [(i, j) for i in range(last[0] + 1) for j in range(last[0] + 1)]
         assert list(prefix) == sorted((c for c in box if order.key(c) <= last), key=order.key)

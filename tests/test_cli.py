@@ -820,7 +820,7 @@ def test_cli_outputs_pinned(cli_pinned_digests):
     # meant to keep every output byte-identical keeps this digest; a
     # change that moves it says why.
     assert cli_pinned_digests[0] == (
-        "dd0805ced6c55404cf02dd023f1e31f1fd8a5fd02e191f2b56a1a8e77592565d"
+        "4b0d4eb6d2d0b0442f0933c1dcbd215f320cb9edba177c5da880fd29159f8dd9"
     )
 
 

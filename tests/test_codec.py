@@ -15,7 +15,7 @@ from agcodes.errors import (
     RankDeficient,
 )
 from agcodes.galois import ONE, ZERO, field_new, gf9
-from agcodes.geometry import Point, curve_spec, hermitian_curve
+from agcodes.geometry import Point, curve_spec, hermitian_curve, minimal_outside
 from agcodes.transform import dft1
 
 F9 = gf9()
@@ -172,6 +172,42 @@ def test_construction_basis_checks_fire(herm, monkeypatch):
     with pytest.raises(AssertionError, match="redundant-point basis element does not vanish"):
         codec.preset("hermitian-q9")
 
+    class Lifted(bms._Echelon):
+        # moves the leading term x^t of every interpolation relation to
+        # x^(q-1) x^t: the same function at the points, which all have
+        # x != 0, so the elements still vanish there, but led elsewhere
+        def add(self, vec, label):
+            relation = super().add(vec, label)
+            if relation is not None and not isinstance(label, Point):
+                relation[(label[0] + 8, label[1])] = relation.pop(label)
+            return relation
+
+    monkeypatch.setattr(codec, "_Echelon", Lifted)
+    for name in ("hermitian-q9", "hcrs-q9"):
+        with pytest.raises(AssertionError, match="not led by its corner"):
+            codec.preset(name)
+
+
+def test_hcrs_bases_lie_below_their_leading_cells():
+    # The redundant points of an hcrs code are the grid cells of its
+    # defining set, a lower set, and every term of every basis element
+    # lies componentwise at or below the element's leading cell, a corner
+    # of the staircase.  So the ideals' initial ideals are the same under
+    # every monomial order, and the bases do not depend on which one hcrs
+    # takes.  hcrs-q9 at every m that constructs, and hcrs-q16 up to the
+    # largest m the suite builds.
+    f16 = field_new(2, 4, [1, 1, 0, 0, 1])
+    specs = [codec.make_hcrs_code(F9, m) for m in range(2, 65)]
+    specs += [codec.make_hcrs_code(f16, m) for m in (5, 12, 30, 60, 120, 200)]
+    for spec in specs:
+        where = (spec.field.q, spec.m)
+        assert {(p.x, p.y) for p in spec.wp} == set(spec.phi), where
+        for basis in (spec.basis_wp, spec.basis_all):
+            corners = set(minimal_outside(basis.delta, spec.field.q - 1))
+            for g in basis.elements:
+                assert g.lt in corners, (where, g.lt)
+                assert all(i <= g.lt[0] and j <= g.lt[1] for i, j in g.coeffs), (where, g)
+
 
 @pytest.fixture(scope="module")
 def herm256():
@@ -199,8 +235,6 @@ def test_spec_hashable_and_sets_not_shared_mutably(name):
     spec = codec.preset(name)
     assert hash(spec) == hash(spec)
     assert {spec: name}[spec] == name
-    if spec.kind == "rs":
-        return  # rs carries its positions by index, not by points
     parity, info = spec.parity_positions(), spec.info_positions()
     assert sorted(parity + info) == list(range(spec.n))
     parity.append(-1)

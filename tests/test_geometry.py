@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -6,7 +7,6 @@ from agcodes.errors import MTooSmall
 from agcodes.galois import ZERO, field_new, gf9
 from agcodes.geometry import (
     CurveSpec,
-    HyperbolicOrder,
     Point,
     WeightedCurveOrder,
     code_params,
@@ -14,6 +14,7 @@ from agcodes.geometry import (
     defining_set,
     enumerate_points,
     hermitian_curve,
+    hyperbolic_set,
     is_downward_closed,
     minimal_outside,
     monomial_logs,
@@ -114,11 +115,18 @@ def test_defining_set_weighted(f9):
     assert len(phi) == 11 - 3 + 1  # m - g + 1
 
 
-def test_defining_set_hyperbolic(f9):
-    phi = defining_set(HyperbolicOrder(), 9, f9)
+def test_hyperbolic_set(f9):
+    phi = hyperbolic_set(9, f9)
     assert len(phi) == 20
     rows = [sum(1 for (i, j) in phi if j == jj) for jj in range(8)]
     assert rows == [8, 4, 2, 2, 1, 1, 1, 1]
+    # listed by product weight (i+1)(j+1), ties by smaller j: (3, 0) and
+    # (1, 1) tie at weight 4
+    assert phi[:6] == [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0)]
+    assert phi.index((3, 0)) < phi.index((1, 1))
+    # no prefix of the graded order: (2, 2) has degree 4 but lies outside,
+    # while (7, 0), of degree 7, lies inside
+    assert (2, 2) not in phi and (7, 0) in phi
 
 
 def test_defining_set_trivial(f9):
@@ -127,14 +135,35 @@ def test_defining_set_trivial(f9):
 
 def test_defining_set_monotone_and_downward_closed(f9):
     worder = WeightedCurveOrder(3, 4)
-    horder = HyperbolicOrder()
-    for order in (worder, horder):
+    for rule in (partial(defining_set, worder), hyperbolic_set):
         prev = set()
         for m in range(0, 30):
-            phi = set(defining_set(order, m, f9))
+            phi = set(rule(m, f9))
             assert prev <= phi
             assert is_downward_closed(phi)
             prev = phi
+
+
+def is_downward_closed_scan(cells):
+    """Oracle: every cell componentwise below a member is a member."""
+    s = set(cells)
+    return all((a, b) in s for i, j in s for a in range(i + 1) for b in range(j + 1))
+
+
+def test_is_downward_closed_matches_scan():
+    rng = random.Random(31)
+    box = [(i, j) for i in range(6) for j in range(6)]
+    sets = [set(), {(0, 0)}, {(1, 0)}, {(0, 0), (1, 1)}, set(box)]
+    sets += [set(rng.sample(box, rng.randrange(len(box)))) for _ in range(200)]
+    for h in range(1, 6):
+        # lower sets, and each with one cell removed
+        lower = {(i, j) for i in range(6) for j in range(6) if (i + 1) * (j + 1) <= h * 3}
+        sets.append(lower)
+        sets += [lower - {c} for c in lower]
+    assert any(is_downward_closed(s) for s in sets)
+    assert not all(is_downward_closed(s) for s in sets)
+    for cells in sets:
+        assert is_downward_closed(cells) == is_downward_closed_scan(cells), cells
 
 
 def test_weighted_order_no_ties_on_strip(f9):
@@ -148,15 +177,11 @@ def test_order_tiebreak_off_strip():
     order = WeightedCurveOrder(3, 4)
     # x^4 and y^3 tie at weight 12; smaller j comes first
     assert order.key((4, 0)) < order.key((0, 3))
-    h = HyperbolicOrder()
-    assert h.key((3, 0)) < h.key((1, 1))  # weight 4 tie, j=0 first
 
 
 def test_code_params(f9, herm):
     n, k = code_params(24, WeightedCurveOrder(3, 4), 11, f9, genus=herm.genus)
     assert (n, k) == (24, 15)
-    n, k = code_params(64, HyperbolicOrder(), 9, f9)
-    assert (n, k) == (64, 44)
     with pytest.raises(MTooSmall):
         code_params(24, WeightedCurveOrder(3, 4), 3, f9, genus=3)
     with pytest.raises(MTooSmall):
@@ -198,7 +223,6 @@ def test_orders_hash_by_value():
     assert WeightedCurveOrder(3, 4) == WeightedCurveOrder(3, 4)
     assert hash(WeightedCurveOrder(3, 4)) == hash(WeightedCurveOrder(3, 4))
     assert WeightedCurveOrder(3, 4) != WeightedCurveOrder(4, 5)
-    assert HyperbolicOrder() == HyperbolicOrder()
-    assert hash(HyperbolicOrder()) == hash(HyperbolicOrder())
-    assert WeightedCurveOrder(3, 4) != HyperbolicOrder()
-    assert len({WeightedCurveOrder(3, 4), WeightedCurveOrder(3, 4), HyperbolicOrder()}) == 2
+    assert WeightedCurveOrder(3, 4) != WeightedCurveOrder(1, 1)
+    orders = {WeightedCurveOrder(3, 4), WeightedCurveOrder(3, 4), WeightedCurveOrder(1, 1)}
+    assert len(orders) == 2

@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from agcodes.errors import DimensionMismatch
 from agcodes.galois import ZERO, field_new, gf9
-from agcodes.geometry import HyperbolicOrder, WeightedCurveOrder, defining_set
+from agcodes.geometry import WeightedCurveOrder, defining_set, hyperbolic_set
 from agcodes.transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
 
 
@@ -246,12 +247,12 @@ def test_second_transform_reuses_the_table():
     assert f.transform_table is table
 
 
-# (order, m) of each benchmarked 2-D code on the field; every field also
-# gets the rs-q9 defining set (i, 0), i < 4
+# (defining-set rule, m) of each benchmarked 2-D code on the field; every
+# field also gets the rs-q9 defining set (i, 0), i < 4
 PHI_PARAMS = {
-    "GF(9)": [(WeightedCurveOrder(3, 4), 11), (HyperbolicOrder(), 9)],
-    "GF(16)": [(WeightedCurveOrder(4, 5), 20), (HyperbolicOrder(), 12)],
-    "GF(25)": [(WeightedCurveOrder(5, 6), 30)],
+    "GF(9)": [(partial(defining_set, WeightedCurveOrder(3, 4)), 11), (hyperbolic_set, 9)],
+    "GF(16)": [(partial(defining_set, WeightedCurveOrder(4, 5)), 20), (hyperbolic_set, 12)],
+    "GF(25)": [(partial(defining_set, WeightedCurveOrder(5, 6)), 30)],
 }
 
 
@@ -261,7 +262,7 @@ def test_dft2_cells_matches_dft2(name):
     n = f.q - 1
     rng = random.Random(19)
     grid = [(i, j) for i in range(n) for j in range(n)]
-    cell_lists = [defining_set(order, m, f) for order, m in PHI_PARAMS[name]]
+    cell_lists = [rule(m, f) for rule, m in PHI_PARAMS[name]]
     cell_lists += [[(i, 0) for i in range(4)], [], grid]
     for _ in range(4):
         a = random_array(f, rng)
