@@ -7,13 +7,7 @@ a polynomial with leading cell t "holds at shift w" when
 
     sum_s f_s * u[(s + w - t) mod (q-1)] = 0.
 
-Three synthesis entry points:
-
-* bms() on a fully known array returns the exact reduced Groebner basis
-  of the ideal of all cyclically valid recurrences, computed by linear
-  algebra on shift functionals (Buchberger-Moeller style).  For the DFT
-  of a point indicator this ideal is the vanishing ideal of the points.
-  It is full-array only and raises ValueError unless every cell is known.
+Two synthesis entry points:
 
 * SakataState is the entry point for an order prefix of N^2: cells fed
   to process() in the enumeration of a translation-invariant order run
@@ -54,10 +48,10 @@ WeightedCurveOrder(1, 1) of hcrs codes.
 Construction takes its two point-ideal bases without any synthesis.
 groebner_basis() runs Buchberger's algorithm on generators, which gives
 the ideal of all code points from x^(q-1) - 1, y^(q-1) - 1 and the curve
-equation; codec reads the redundant points' basis off the defining set
-by interpolation.  vanishing_ideal_basis(), the synthesis on the point
-indicator's (q-1) x (q-1) transform, serves the CLI's error locator and
-is the tests' oracle for both.
+equation.  vanishing_ideal_basis() is the one routine for the ideal of a
+given point set: a monomial scan on the points' evaluation columns.
+codec runs it on the redundant points, and the CLI on the located error
+points.
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -104,8 +98,8 @@ from .geometry import (
     monomial_logs,
     poly_values,
 )
-# idft2 stays bound here although no bms path calls it: perfbench/tracer.py
-# and the transform-count test rebind it
+# dft2 and idft2 stay bound here although no bms path calls them:
+# perfbench/tracer.py and the transform-count test rebind them
 from .transform import Array2D, dft2, idft2
 
 # ---------------------------------------------------------------------------
@@ -248,74 +242,56 @@ class _Echelon:
 
 
 # ---------------------------------------------------------------------------
-# exact synthesis on a fully known (cyclic) array
-
-
-def _synthesize_full(
-    f: Field, data: list[list[Elt]], order: WeightedCurveOrder
-) -> GroebnerBasis:
-    """Reduced Groebner basis of all recurrences valid on the whole array.
-
-    Monomial x^t maps to the shift functional vec(t)[d] = u[(t+d) mod n];
-    a polynomial is a valid recurrence exactly when its functional
-    combination vanishes.  Monomials are scanned in the order, skipping
-    multiples of found leading terms; dependent monomials yield reduced
-    basis elements, independent ones join the staircase.
-    """
-    n = f.q - 1
-
-    def vec(t: Cell) -> list[Elt]:
-        i0, j0 = t
-        return [
-            data[(i0 + di) % n][(j0 + dj) % n] for di in range(n) for dj in range(n)
-        ]
-
-    candidates = sorted(
-        ((i, j) for i in range(n + 1) for j in range(n + 1)), key=order.key
-    )
-    lts: list[Cell] = []
-    basis: list[BivariatePoly] = []
-    delta: list[Cell] = []
-    echelon = _Echelon(f)
-
-    for t in candidates:
-        if any(_leq(lt, t) for lt in lts):
-            continue
-        relation = echelon.add(vec(t), t)
-        if relation is None:
-            delta.append(t)
-        else:
-            # monic at t with tail in delta
-            basis.append(BivariatePoly(relation, order))
-            lts.append(t)
-
-    basis.sort(key=lambda p: order.key(p.lt))
-    return GroebnerBasis(tuple(basis), tuple(delta), order)
+# the ideal of a point set
 
 
 def vanishing_ideal_basis(
     points: Sequence[Point], order: WeightedCurveOrder, f: Field
 ) -> GroebnerBasis:
-    """Groebner basis of the ideal of polynomials vanishing at all points.
+    """The reduced Groebner basis of the ideal of polynomials vanishing at
+    all points, with its staircase (Moeller and Buchberger 1982).
 
-    Computed by synthesizing the recurrences of the full DFT array of the
-    point indicator; the staircase then has exactly one cell per point.
-    It serves the CLI's error locator and the tests, where it is the
-    oracle for the bases construction takes from groebner_basis() and by
-    interpolation on the defining set.
+    Monomial x^t maps to its evaluation column, x^t at each point; a
+    polynomial lies in the ideal exactly when its combination of columns
+    vanishes.  Cells are taken from a heap in the order, starting at
+    (0, 0); one at or above a found leading cell is skipped.  An
+    independent column joins the staircase and pushes (i+1, j) and
+    (i, j+1).  A dependent column's relation, monic at t with its tail in
+    the staircase, is the reduced element led by t.  So only the
+    staircase cells and its corners are evaluated.  The points need
+    nonzero coordinates, so x^(q-1) - 1 and y^(q-1) - 1 lie in the ideal
+    and the scan ends; the staircase holds one cell per point.
     """
     if any(p.x == ZERO or p.y == ZERO for p in points):
         raise ZeroCoordinatePoint("vanishing ideal needs nonzero coordinates")
     if len(set(points)) != len(points):
         raise ValueError("duplicate points")
-    indicator = Array2D.zeros(f.q)
-    for p in points:
-        indicator[(p.x, p.y)] = ONE
-    u = dft2(f, indicator)
-    basis = _synthesize_full(f, u.data, order)
-    if len(basis.delta) != len(points):
+    key = order.key
+    heap = [(key((0, 0)), (0, 0))]
+    pushed = {(0, 0)}
+    lts: list[Cell] = []
+    basis: list[BivariatePoly] = []
+    delta: list[Cell] = []
+    echelon = _Echelon(f)
+    while heap:
+        t = heappop(heap)[1]
+        if any(_leq(lt, t) for lt in lts):
+            continue
+        # x(P)^i * y(P)^j is symmetric in the cell and the point's logs,
+        # so the kernel gives the column of t over the points
+        relation = echelon.add(monomial_logs(f, t, points), t)
+        if relation is not None:
+            basis.append(BivariatePoly(relation, order))
+            lts.append(t)
+            continue
+        delta.append(t)
+        for s in ((t[0] + 1, t[1]), (t[0], t[1] + 1)):
+            if s not in pushed:
+                pushed.add(s)
+                heappush(heap, (key(s), s))
+    if len(delta) != len(points):
         raise AssertionError("staircase size must equal the point count")
-    return basis
+    return GroebnerBasis(tuple(basis), tuple(delta), order)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +416,12 @@ class _Record:
 class SakataState:
     """Minimal polynomial set F and auxiliary failures G, updated per cell.
 
-    This is the entry point for an order prefix of N^2 (bms() takes full
-    arrays only).  Cells arrive in the order's enumeration, and the array
-    is periodic with period q-1 in each index: a value is kept in grid at
-    the cell mod q-1 (None until processed), and every read takes its
-    indices mod q-1.  Each element of F is monic at its leading cell, and
-    the leading cells are the corners of the staircase delta.  A test at
+    This is the entry point for an order prefix of N^2.  Cells arrive in
+    the order's enumeration, and the array is periodic with period q-1 in
+    each index: a value is kept in grid at the cell mod q-1 (None until
+    processed), and every read takes its indices mod q-1.  Each element
+    of F is monic at its leading cell, and the leading cells are the
+    corners of the staircase delta.  A test at
     w reads only cells s + w - lt, each with key at most w's by
     translation invariance, so on an order prefix every test is computed
     and none is skipped.
@@ -562,26 +538,6 @@ class SakataState:
 
     def _shift(self, coeffs: dict[Cell, Elt], d: Cell) -> dict[Cell, Elt]:
         return {(s[0] + d[0], s[1] + d[1]): c for s, c in coeffs.items()}
-
-    def basis(self) -> GroebnerBasis:
-        order = self.order
-        elems = tuple(BivariatePoly(co, order) for _, co in self.F)
-        delta = tuple(sorted(self.delta, key=order.key))
-        return GroebnerBasis(elems, delta, order)
-
-
-def bms(f: Field, values: dict[Cell, Elt], order: WeightedCurveOrder) -> GroebnerBasis:
-    """Reduced Groebner basis of the recurrences of a fully known array.
-
-    ValueError unless every grid cell has a value; an order prefix is fed
-    to SakataState.process() instead.
-    """
-    n = f.q - 1
-    try:
-        data = [[values[(i, j)] for j in range(n)] for i in range(n)]
-    except KeyError as e:
-        raise ValueError(f"bms needs every grid cell; {e.args[0]} is unknown") from None
-    return _synthesize_full(f, data, order)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ A CodeSpec fully instantiates a code: the field, the monomial order and
 defining set, the code locations, the redundant/information point split
 with its precomputed vanishing-ideal bases, and the derived (n, k).  The
 basis of all code points is the reduced Groebner basis of its generators
-(bms.groebner_basis); that of the redundant points is interpolated on
-the defining set, and checked to have it as its staircase.  Neither
-needs the (q-1)^2-long synthesis that bms.vanishing_ideal_basis runs.
+(bms.groebner_basis); that of the redundant points is the monomial scan
+of bms.vanishing_ideal_basis on them, checked to have the defining set
+as its staircase.
 
 Families:
 
@@ -42,13 +42,11 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .bms import (
-    BivariatePoly,
     GroebnerBasis,
     _Echelon,
     bms_with_voting,
     extend,
     groebner_basis,
-    # bound although construction no longer calls it: perfbench/tracer.py rebinds it
     vanishing_ideal_basis,
 )
 from .errors import (
@@ -71,7 +69,6 @@ from .geometry import (
     enumerate_points,
     hermitian_curve,
     hyperbolic_set,
-    minimal_outside,
     monomial_logs,
     poly_values,
 )
@@ -193,14 +190,9 @@ def _select_redundant_points(
     kept so far, until n-k are kept, so that the kept points' evaluation
     matrix on phi is invertible.
 
-    The basis is then read off by interpolation on phi: for each corner t
-    of phi in [0, q-1]^2, x^t minus the one combination of phi's
-    monomials that agrees with it at the kept points.  Each element is
-    checked to vanish at every kept point and to be led by its corner t
-    in the order.  Then every corner leads an element of the kept points'
-    ideal, so its staircase lies in phi; it holds one cell per kept point,
-    |phi| cells, so it is phi, and the elements, monic at the corners
-    with tails in phi, are its reduced basis.
+    The basis is vanishing_ideal_basis() of the kept points.  Its
+    staircase is checked to be phi and each element to vanish at every
+    kept point.
     """
     nk = len(phi)
     chosen: list[Point] = []
@@ -212,21 +204,11 @@ def _select_redundant_points(
                 break
     if len(chosen) < nk:
         raise NonGenericSupport("defining-set evaluation matrix is rank deficient")
-    corners = minimal_outside(phi, f.q - 1)
-    # the column of cell s holds x^s at each kept point
-    columns = list(zip(*(monomial_logs(f, p, [*phi, *corners]) for p in chosen)))
-    echelon = _Echelon(f)
-    for s, col in zip(phi, columns):  # independent: the evaluation matrix is invertible
-        echelon.add(list(col), s)
-    # a relation col_t + sum c_s * col_s = 0 is the element x^t + sum c_s x^s
-    pairs = zip(corners, columns[nk:])
-    elements = [BivariatePoly(echelon.add(list(col), t), order) for t, col in pairs]
-    if any(v != ZERO for g in elements for v in poly_values(f, g.coeffs, chosen)):
+    basis = vanishing_ideal_basis(chosen, order, f)
+    if set(basis.delta) != set(phi):
+        raise AssertionError("the redundant-point staircase is not the defining set")
+    if any(v != ZERO for g in basis.elements for v in poly_values(f, g.coeffs, chosen)):
         raise AssertionError("a redundant-point basis element does not vanish")
-    if any(g.lt != t for g, t in zip(elements, corners)):
-        raise AssertionError("a redundant-point basis element is not led by its corner")
-    elements.sort(key=lambda g: order.key(g.lt))
-    basis = GroebnerBasis(tuple(elements), tuple(sorted(phi, key=order.key)), order)
     wpset = set(chosen)
     return chosen, [p for p in points if p not in wpset], basis
 

@@ -16,9 +16,10 @@ The 1-D inverse carries the single normalization factor
 The signs are fixed here.  Outside this module the dft2 kernel is also
 evaluated directly, with the same sign, and only by two kernels in
 geometry: monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
-parity-check rows and interpolation columns and bms._certificate's
-columns alpha^(k.z)) and poly_values (a polynomial's value at each
-point, the certificate's filter and construction's vanishing checks).
+parity-check rows, the evaluation columns of bms.vanishing_ideal_basis
+and bms._certificate's columns alpha^(k.z)) and poly_values (a
+polynomial's value at each point, the certificate's filter and
+construction's vanishing checks).
 
 Full transforms are computed by row-column decomposition into 1-D
 transforms, all four by one packed kernel.  For each field a table packs

@@ -16,8 +16,6 @@ from agcodes.bms import (
     _fill_by_recurrences,
     _leq,
     _solved_rules,
-    _synthesize_full,
-    bms,
     bms_with_voting,
     extend,
     grid_cells,
@@ -42,6 +40,7 @@ from agcodes.geometry import (
     minimal_outside,
 )
 from agcodes.transform import Array2D, dft2, idft2
+from oracles import bms, sakata_basis, synthesis_basis, synthesize_full
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
@@ -126,16 +125,42 @@ def test_vanishing_basis_hermitian_exact():
     assert len(basis.delta) == 24
 
 
+F16 = field_new(2, 4, [1, 1, 0, 0, 1])
+F25 = field_new(5, 2, [2, 1, 1])
+# (field, order, points): the Hermitian points over GF(9), the hcrs grid
+# over GF(16) under the graded order and the Hermitian points over GF(25)
+ORACLE_POINT_SETS = [
+    (F9, WORDER, HERM_POINTS),
+    (F16, WeightedCurveOrder(1, 1), [Point(x, y) for x in range(15) for y in range(15)]),
+    (F25, WeightedCurveOrder(5, 6), enumerate_points(hermitian_curve(F25), F25)),
+]
+
+
 def test_vanishing_basis_matches_independent_oracle():
+    # the monomial scan equals the full-array synthesis, element by element
+    # and delta by delta, on random subsets and on the full point sets,
+    # whose bases are led at (q-1, 0); on GF(9) it also equals a
+    # Buchberger-Moeller elimination written with field powers
     rng = random.Random(3)
-    for size in (1, 2, 3, 5, 9, 16, 24):
-        pts = rng.sample(HERM_POINTS, size)
-        basis = vanishing_ideal_basis(pts, WORDER, F9)
-        oracle_basis, oracle_delta = bm_moeller_oracle(pts, WORDER, F9)
-        assert list(basis.delta) == oracle_delta
-        got = sorted(tuple(sorted(p.coeffs.items())) for p in basis.elements)
-        want = sorted(tuple(sorted(b.items())) for b in oracle_basis)
-        assert got == want
+    for f, order, points in ORACLE_POINT_SETS:
+        for size in (1, 2, 3, 5, 9, 16, 24, len(points) // 2, len(points)):
+            pts = rng.sample(points, size)
+            basis = vanishing_ideal_basis(pts, order, f)
+            oracle = synthesis_basis(pts, order, f)
+            assert basis.serialize() == oracle.serialize(), (f.q, size)
+            assert basis.delta == oracle.delta, (f.q, size)
+            if f is F9:
+                oracle_basis, oracle_delta = bm_moeller_oracle(pts, order, f)
+                assert list(basis.delta) == oracle_delta
+                got = sorted(tuple(sorted(p.coeffs.items())) for p in basis.elements)
+                want = sorted(tuple(sorted(b.items())) for b in oracle_basis)
+                assert got == want
+        assert (f.q - 1, 0) in [g.lt for g in basis.elements]
+        # no points: the ideal is everything, with basis {1}
+        empty = vanishing_ideal_basis([], order, f)
+        assert empty.serialize() == synthesis_basis([], order, f).serialize()
+        assert [g.coeffs for g in empty.elements] == [{(0, 0): ONE}]
+        assert empty.delta == ()
 
 
 def test_vanishing_basis_single_point():
@@ -178,7 +203,7 @@ def test_bms_full_array_single_error():
 
 def test_bms_empty_and_constant_prefixes():
     arr = Array2D.zeros(9)
-    basis = SakataState(F9, WORDER).basis()
+    basis = sakata_basis(SakataState(F9, WORDER))
     assert basis.delta == ()
     # all-zero full array: no failures, trivial ideal (basis contains 1)
     basis = bms(F9, values_of(arr, all_cells()), WORDER)
@@ -187,7 +212,7 @@ def test_bms_empty_and_constant_prefixes():
     # single known nonzero value must not crash
     state = SakataState(F9, WORDER)
     state.process((0, 0), 5)
-    assert (0, 0) in state.basis().delta
+    assert (0, 0) in sakata_basis(state).delta
 
 
 def test_bms_prefix_requires_enumeration_prefix():
@@ -211,7 +236,7 @@ def test_bms_three_error_prefix_locators():
     state = SakataState(F9, WORDER)
     for c in prefix:
         state.process(c, u[c])
-    basis = state.basis()
+    basis = sakata_basis(state)
     assert len(basis.delta) == 3
     for poly in basis.elements:
         for p in err_pts:
@@ -570,7 +595,7 @@ def test_error_support_locator_equals_full_synthesis(name):
             assert len(located) == weight
             locator = vanishing_ideal_basis(located, spec.order, f).serialize()
             full = dft2(f, err)
-            assert locator == _synthesize_full(f, full.data, spec.order).serialize()
+            assert locator == synthesize_full(f, full.data, spec.order).serialize()
 
 
 def test_voting_collinear_errors(basis_all):

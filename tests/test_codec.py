@@ -2,6 +2,7 @@ import ast
 import functools
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from agcodes.errors import (
 from agcodes.galois import ONE, ZERO, field_new, gf9
 from agcodes.geometry import Point, curve_spec, hermitian_curve, minimal_outside
 from agcodes.transform import dft1
+from oracles import synthesis_basis
 
 F9 = gf9()
 
@@ -84,11 +86,12 @@ def test_redundant_positions_pinned(herm, hcrs):
 
 
 def _assert_bases_equal_synthesis(spec):
-    # a reduced Groebner basis is unique, so the bases construction reads
-    # off its generators and the defining set must equal the full-array
-    # synthesis of the same points, element by element and cell by cell
+    # a reduced Groebner basis is unique, so the bases construction takes
+    # from its generators and from the redundant points' monomial scan
+    # must equal the full-array synthesis of the same points, element by
+    # element and cell by cell
     for basis, points in ((spec.basis_all, spec.points), (spec.basis_wp, spec.wp)):
-        oracle = bms.vanishing_ideal_basis(points, spec.order, spec.field)
+        oracle = synthesis_basis(points, spec.order, spec.field)
         assert basis.serialize() == oracle.serialize()
         assert basis.delta == oracle.delta
 
@@ -161,30 +164,28 @@ def test_construction_basis_checks_fire(herm, monkeypatch):
         codec._ambient_basis(F9, herm.order, herm.curve, moved)
 
     class Skewed(bms._Echelon):
-        # scales the leading coefficient of every interpolation relation
+        # scales the leading coefficient of every relation of the
+        # vanishing-ideal scan, whose labels are cells
         def add(self, vec, label):
             relation = super().add(vec, label)
-            if relation is not None and not isinstance(label, Point):
+            if relation is not None:
                 relation[label] = 1
             return relation
 
-    monkeypatch.setattr(codec, "_Echelon", Skewed)
-    with pytest.raises(AssertionError, match="redundant-point basis element does not vanish"):
-        codec.preset("hermitian-q9")
+    with monkeypatch.context() as patched:
+        patched.setattr(bms, "_Echelon", Skewed)
+        with pytest.raises(AssertionError, match="redundant-point basis element does not vanish"):
+            codec.preset("hermitian-q9")
 
-    class Lifted(bms._Echelon):
-        # moves the leading term x^t of every interpolation relation to
-        # x^(q-1) x^t: the same function at the points, which all have
-        # x != 0, so the elements still vanish there, but led elsewhere
-        def add(self, vec, label):
-            relation = super().add(vec, label)
-            if relation is not None and not isinstance(label, Point):
-                relation[(label[0] + 8, label[1])] = relation.pop(label)
-            return relation
+    def elsewhere(points, order, f):
+        # the basis of as many grid points, filling whole x-lines first:
+        # its staircase is no hermitian or hcrs defining set
+        grid = [Point(x, y) for x in range(8) for y in range(8)]
+        return bms.vanishing_ideal_basis(grid[: len(points)], order, f)
 
-    monkeypatch.setattr(codec, "_Echelon", Lifted)
+    monkeypatch.setattr(codec, "vanishing_ideal_basis", elsewhere)
     for name in ("hermitian-q9", "hcrs-q9"):
-        with pytest.raises(AssertionError, match="not led by its corner"):
+        with pytest.raises(AssertionError, match="staircase is not the defining set"):
             codec.preset(name)
 
 
@@ -207,6 +208,24 @@ def test_hcrs_bases_lie_below_their_leading_cells():
             for g in basis.elements:
                 assert g.lt in corners, (where, g.lt)
                 assert all(i <= g.lt[0] and j <= g.lt[1] for i, j in g.coeffs), (where, g)
+
+
+def test_hermitian_walk_keeps_the_first_points_of_each_x_line():
+    # The greedy walk keeps, on the c-th distinct x of spec.points in walk
+    # order, the first h_c points of that x-line, where h_c is the height
+    # of column c of the defining set.  Every x-line of a Hermitian curve
+    # is long enough, so the walk never mixes lines; hcrs is pinned by
+    # test_hcrs_bases_lie_below_their_leading_cells.
+    specs = [codec.preset("hermitian-q9", m=m) for m in range(5, 30)]
+    specs.append(_hermitian(2, 4, [1, 1, 0, 0, 1], 20))
+    specs += [_hermitian(5, 2, [2, 1, 1], m) for m in (30, 40, 70, 100)]
+    for spec in specs:
+        lines: dict = {}
+        for p in spec.points:
+            lines.setdefault(p.x, []).append(p)
+        heights = Counter(i for i, _ in spec.phi)
+        kept = [p for c, line in enumerate(lines.values()) for p in line[: heights[c]]]
+        assert list(spec.wp) == kept, (spec.field.q, spec.m)
 
 
 @pytest.fixture(scope="module")
