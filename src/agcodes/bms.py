@@ -16,6 +16,8 @@ Two synthesis entry points:
   q-1.  A polynomial failing at cell c and moved to a new corner t2 is
   kept as it is when t2 is not <= c, and otherwise corrected by a
   failure recorded before c.  Every test reads only processed cells.
+  The state is the grid, F, the failure records G and the column
+  heights of the staircase, the union of G's rectangles [0, span].
 
 * bms_with_voting() decodes syndrome arrays known only on the defining
   set: unknown cells are inferred one at a time by majority voting over
@@ -94,7 +96,6 @@ from .geometry import (
     Point,
     WeightedCurveOrder,
     is_downward_closed,
-    minimal_outside,
     monomial_logs,
     poly_values,
 )
@@ -421,10 +422,15 @@ class SakataState:
     each index: a value is kept in grid at the cell mod q-1 (None until
     processed), and every read takes its indices mod q-1.  Each element
     of F is monic at its leading cell, and the leading cells are the
-    corners of the staircase delta.  A test at
-    w reads only cells s + w - lt, each with key at most w's by
-    translation invariance, so on an order prefix every test is computed
-    and none is skipped.
+    corners of the staircase.  A test at w reads only cells s + w - lt,
+    each with key at most w's by translation invariance, so on an order
+    prefix every test is computed and none is skipped.
+
+    The staircase is kept as column heights, (i, j) in it iff
+    j < heights[i]: a failure at c of the polynomial led by lt raises
+    heights[0 .. c0 - lt0] to at least c1 - lt1 + 1.  They do not
+    increase, so the corners are (i, h_i) wherever h_i drops below
+    h_(i-1), then (len(heights), 0).
 
     When polynomials fail at cell c, each new corner t2 gets a surviving
     polynomial shifted to t2 if one lies below it.  Otherwise a failing
@@ -447,7 +453,7 @@ class SakataState:
         self.order = order
         self.n = f.q - 1
         self.grid: list[list[Elt | None]] = [[None] * self.n for _ in range(self.n)]
-        self.delta: set[Cell] = set()
+        self.heights: list[int] = []
         # F as (lt, coeffs) pairs, kept sorted by order key of lt
         self.F: list[tuple[Cell, dict[Cell, Elt]]] = [((0, 0), {(0, 0): ONE})]
         self.G: list[_Record] = []
@@ -479,19 +485,19 @@ class SakataState:
             return
         self.version += 1
         records = []
+        heights = self.heights
         for lt, coeffs, d in fails:
             span = (c[0] - lt[0], c[1] - lt[1])
-            self.delta.update(
-                (i, j) for i in range(span[0] + 1) for j in range(span[1] + 1)
-            )
+            heights.extend([0] * (span[0] + 1 - len(heights)))
+            for i in range(span[0] + 1):
+                heights[i] = max(heights[i], span[1] + 1)
             records.append(_Record(coeffs, lt, d, span))
         failed_lts = {lt for lt, _, _ in fails}
         kept = [(lt, co) for lt, co in self.F if lt not in failed_lts]
-        # a downward-closed set of k cells lies in [0, k-1]^2, so its
-        # corners lie in [0, k]^2
-        corners = minimal_outside(self.delta, len(self.delta))
+        corners = [(i, h) for i, h in enumerate(heights) if i == 0 or h < heights[i - 1]]
+        corners.append((len(heights), 0))
         self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners]
-        # minimal_outside lists the corners by ascending i, not in the order
+        # the corners come by ascending i, not in the order
         self.F.sort(key=lambda e: self.order.key(e[0]))
         # only failures at cells before c may correct a failure at c
         for r in records:
@@ -743,7 +749,7 @@ def _vote(
     vote raises DecodingFailure.  On return or raise, c and the open
     class cells hold None again.
     """
-    f, grid, n, F, delta = state.f, state.grid, state.n, state.F, state.delta
+    f, grid, n, F, heights = state.f, state.grid, state.n, state.F, state.heights
     add_t, mul_t, sub_t = f.add_table, f.mul_table, f.sub_table
 
     def recurrence_sum(lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
@@ -777,13 +783,15 @@ def _vote(
     tally: dict[Elt, int] = {}
     for w in voters:
         w0, w1 = w
+        # zero past the staircase, for every column a split reads
+        h = heights + [0] * (w0 + 1 - len(heights))
         for a0 in range(w0 + 1):
             for a1 in range(w1 + 1):
                 a, b = (a0, a1), (w0 - a0, w1 - a1)
-                if a in delta or b in delta or top and (_leq(top, a) or _leq(top, b)):
+                if a1 < h[a0] or b[1] < h[b[0]] or top and (_leq(top, a) or _leq(top, b)):
                     continue
-                # a lies outside delta, so the leading cell of some polynomial
-                # of F, a corner of delta, lies at or below it
+                # a lies outside the staircase, so the leading cell of some
+                # polynomial of F, a corner of it, lies at or below it
                 fi = next(fi for fi, (lt, _) in enumerate(F) if lt[0] <= a0 and lt[1] <= a1)
                 v0, v1 = sums[0][fi, w], sums[1][fi, w]
                 if v0 is not None and v1 != v0:
@@ -872,7 +880,7 @@ def bms_with_voting(
             v = _forced(add_t, amb_rules, state.grid, c)
         if v is None:
             # try the certificate once per F; the refusal below keeps
-            # |delta| <= max_errors here
+            # the staircase at most max_errors cells here
             if state.version != last_attempt:
                 last_attempt = state.version
                 err = _certificate(state, known, support, max_errors)
@@ -885,7 +893,7 @@ def bms_with_voting(
             if stats is not None:
                 stats["voted_cells"] = voted
         state.process(c, v)
-        if len(state.delta) > max_errors:
+        if sum(state.heights) > max_errors:
             _refuse_beyond_radius(c)
 
     # the whole prefix is processed, so the grid is full

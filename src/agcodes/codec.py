@@ -53,6 +53,7 @@ from .errors import (
     BadRedundancy,
     DecodingFailure,
     ExtendedDecodeUnsupported,
+    MTooSmall,
     NonGenericSupport,
     NotAZeroPoint,
     RankDeficient,
@@ -63,7 +64,6 @@ from .geometry import (
     CurveSpec,
     Point,
     WeightedCurveOrder,
-    code_params,
     curve_spec,
     defining_set,
     enumerate_points,
@@ -281,8 +281,11 @@ def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
     all_points = enumerate_points(curve, f, include_zero=True)
     points = [p for p in all_points if p.x != ZERO and p.y != ZERO]
     zero_points = [p for p in all_points if p.x == ZERO or p.y == ZERO]
-    code_params(len(points), order, m, f, genus=curve.genus)  # rejects a bad m
+    if m <= 2 * curve.genus - 2:
+        raise MTooSmall(f"m={m} must exceed 2g-2={2 * curve.genus - 2}")
     phi = defining_set(order, m, f)
+    if len(phi) > len(points):
+        raise ValueError("defining set larger than the code length")
     t = max((m - 2 * curve.genus + 1) // 2, 0)
     return _make_2d_code(f, "curve", order, m, curve, points, zero_points, phi, t)
 
@@ -340,6 +343,8 @@ def make_code(f: Field, kind: str, param: int, curve: CurveSpec | None = None) -
 # preset name -> (kind, default m, or r for rs), over the canonical GF(9)
 _PRESET_KINDS = {"hermitian-q9": ("curve", 11), "hcrs-q9": ("hcrs", 9), "rs-q9": ("rs", 4)}
 PRESETS = tuple(_PRESET_KINDS)
+# built once: every preset runs over this field and shares its transform tables
+_PRESET_FIELD = gf9()
 
 
 def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
@@ -351,7 +356,7 @@ def preset(name: str, m: int | None = None, r: int | None = None) -> CodeSpec:
     param, other = (r, m) if kind == "rs" else (m, r)
     if other is not None:
         raise ValueError(f"preset {name} takes {'r, not m' if kind == 'rs' else 'm, not r'}")
-    f = gf9()
+    f = _PRESET_FIELD
     curve = hermitian_curve(f) if kind == "curve" else None
     return make_code(f, kind, default if param is None else param, curve)
 

@@ -10,6 +10,9 @@ coefficient logs; that representation is shared with the recurrence
 machinery in bms.py.  monomial_logs and poly_values are the one place
 outside the transforms where x(P)^i * y(P)^j, the 2-D DFT kernel, is
 evaluated at points.
+
+The one support-set helper, is_downward_closed, tests whether cells form
+a lower set, as the decoder requires of the known syndrome cells.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import MTooSmall
 from .galois import Elt, Field, ZERO
 
 Cell = tuple[int, int]
@@ -192,20 +194,6 @@ def hyperbolic_set(m: int, f: Field) -> list[Cell]:
     return cells
 
 
-def code_params(
-    n_points: int, order: WeightedCurveOrder, m: int, f: Field, genus: int
-) -> tuple[int, int]:
-    """(n, k) of a curve code on n_points locations; m <= 2g-2 is rejected."""
-    if m <= 2 * genus - 2:
-        raise MTooSmall(f"m={m} must exceed 2g-2={2 * genus - 2}")
-    phi = defining_set(order, m, f)
-    n = n_points
-    k = n - len(phi)
-    if k < 0:
-        raise ValueError("defining set larger than the code length")
-    return n, k
-
-
 # -- support-set helpers ----------------------------------------------------
 
 
@@ -215,24 +203,3 @@ def is_downward_closed(cells: Iterable[Cell]) -> bool:
     componentwise below it in the set."""
     s = set(cells)
     return all((i == 0 or (i - 1, j) in s) and (j == 0 or (i, j - 1) in s) for i, j in s)
-
-
-def minimal_outside(cells: Iterable[Cell], bound: int) -> list[Cell]:
-    """Minimal elements (under componentwise <=) of the complement of a
-    downward-closed set, searched within [0, bound]^2, by ascending i.
-
-    Column i of the set is (i, 0), ..., (i, h_i - 1), and h is
-    non-increasing, so column i has a corner (i, h_i) exactly when its
-    height drops below the previous column's.
-    """
-    height = [0] * (bound + 1)
-    for i, j in cells:
-        if i <= bound and j >= height[i]:
-            height[i] = j + 1
-    out = []
-    prev = bound + 1
-    for i, h in enumerate(height):
-        if h < prev and h <= bound:
-            out.append((i, h))
-        prev = h
-    return out

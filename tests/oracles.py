@@ -9,7 +9,7 @@ the package.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from agcodes.bms import BivariatePoly, GroebnerBasis, SakataState, _Echelon, _leq
 from agcodes.galois import ONE, Elt, Field
@@ -85,9 +85,32 @@ def bms(f: Field, values: dict[Cell, Elt], order: WeightedCurveOrder) -> Groebne
     return synthesize_full(f, data, order)
 
 
+def minimal_outside_scan(cells: Iterable[Cell], bound: int) -> list[Cell]:
+    """Scan every cell of [0, bound]^2 for a minimal non-member of a lower
+    set, by ascending i."""
+    s = set(cells)
+    out = []
+    for i in range(bound + 1):
+        for j in range(bound + 1):
+            if (i, j) in s:
+                continue
+            if (i == 0 or (i - 1, j) in s) and (j == 0 or (i, j - 1) in s):
+                out.append((i, j))
+    return out
+
+
+def staircase(state: SakataState) -> tuple[set[Cell], list[Cell]]:
+    """A Sakata state's staircase cells, read off its column heights, and
+    their corners by the scan.  Every corner lies within one step of a
+    cell, so the scan bound is one past the largest coordinate."""
+    cells = {(i, j) for i, h in enumerate(state.heights) for j in range(h)}
+    bound = max((max(c) for c in cells), default=-1) + 1
+    return cells, minimal_outside_scan(cells, bound)
+
+
 def sakata_basis(state: SakataState) -> GroebnerBasis:
     """A Sakata state's minimal polynomial set F with its staircase."""
     order = state.order
     elems = tuple(BivariatePoly(co, order) for _, co in state.F)
-    delta = tuple(sorted(state.delta, key=order.key))
+    delta = tuple(sorted(staircase(state)[0], key=order.key))
     return GroebnerBasis(elems, delta, order)

@@ -16,7 +16,6 @@ from agcodes.galois import ZERO, gf9
 from agcodes.geometry import (
     Point,
     WeightedCurveOrder,
-    code_params,
     defining_set,
     enumerate_points,
     hermitian_curve,
@@ -62,11 +61,15 @@ def test_03_code_parameters():
     worder = WeightedCurveOrder(3, 4)
     phi = defining_set(worder, 11, F9)
     assert len(phi) == 11 - 3 + 1 == 9
-    assert code_params(24, worder, 11, F9, genus=3) == (24, 15)
+    herm = hermitian_curve(F9)
+    spec = codec.make_curve_code(F9, herm, 11)
+    assert (spec.n, spec.k) == (24, 15)
     assert len(hyperbolic_set(9, F9)) == 20
     assert (HCRS.n, HCRS.k) == (64, 44)
     with pytest.raises(MTooSmall):
-        code_params(24, worder, 4, F9, genus=3)
+        codec.make_curve_code(F9, herm, 3)
+    with pytest.raises(MTooSmall):
+        codec.make_curve_code(F9, herm, 4)
     ok(3, "C(11): #phi=9, (n,k)=(24,15); HCRS C(9): #phi=20, (n,k)=(64,44)")
 
 

@@ -37,10 +37,9 @@ from agcodes.geometry import (
     defining_set,
     enumerate_points,
     hermitian_curve,
-    minimal_outside,
 )
 from agcodes.transform import Array2D, dft2, idft2
-from oracles import bms, sakata_basis, synthesis_basis, synthesize_full
+from oracles import bms, sakata_basis, staircase, synthesis_basis, synthesize_full
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
@@ -509,7 +508,7 @@ def test_sakata_validity_invariant_weighted_order(order):
             spans = [r.span for r in state.G]
             for k, s in enumerate(spans):
                 assert not any(_leq(s, o) for o in spans[:k] + spans[k + 1 :]), spans
-            corners = sorted(minimal_outside(state.delta, 8), key=order.key)
+            corners = sorted(staircase(state)[1], key=order.key)
             assert [lt for lt, _ in state.F] == corners
             for lt, co in state.F:
                 assert co[lt] == ONE
@@ -519,6 +518,45 @@ def test_sakata_validity_invariant_weighted_order(order):
                         continue
                     d = state._test(lt, co, w)
                     assert d is None or d == ZERO, (lt, w)
+
+
+F16 = field_new(2, 4, [1, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "f, order",
+    [
+        (F9, WeightedCurveOrder(1, 1)),
+        (F9, WORDER),
+        (F16, WeightedCurveOrder(1, 1)),
+        (F16, WeightedCurveOrder(4, 5)),
+    ],
+    ids=["gf9-graded", "gf9-curve", "gf16-graded", "gf16-curve"],
+)
+def test_sakata_staircase_is_the_union_of_the_record_spans(f, order):
+    # On the order prefix the decoder processes, fed a periodic random
+    # array (the value at c is arr[c mod n], as the decoder reads it),
+    # after every process() the cells under the column heights are the
+    # union of the rectangles [0, g.span] over the records G, F leads at
+    # their corners by the scan oracle, and sum(heights) counts them.
+    n = f.q - 1
+    prefix = _enumeration(f.q, order).prefix
+    rng = random.Random(f"staircase-{f.q}-{order}")
+    for _ in range(5):
+        arr = [[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)]
+        state = SakataState(f, order)
+        for c in prefix:
+            state.process(c, arr[c[0] % n][c[1] % n])
+            cells, corners = staircase(state)
+            spans = {
+                (i, j)
+                for g in state.G
+                for i in range(g.span[0] + 1)
+                for j in range(g.span[1] + 1)
+            }
+            assert cells == spans, c
+            assert [lt for lt, _ in state.F] == sorted(corners, key=order.key), c
+            assert sum(state.heights) == len(cells), c
 
 
 def _hermitian_q16():
@@ -709,7 +747,7 @@ def test_staircase_never_exceeds_error_weight(monkeypatch, name):
 
     def recording(self, c, value):
         process(self, c, value)
-        sizes.append(len(self.delta))
+        sizes.append(len(staircase(self)[0]))
 
     monkeypatch.setattr(SakataState, "process", recording)
     rng = random.Random(f"staircase-lemma-{name}")
@@ -924,7 +962,7 @@ def _symbolic_vote(state, amb_rules, top, cls, c):
         pred_memo[fi, w] = result
         return result
 
-    delta = state.delta
+    delta, _ = staircase(state)
 
     def basis_part(a):
         return a not in delta and not (top is not None and _leq(top, a))
@@ -1051,7 +1089,7 @@ def test_vote_counts_a_split_through_an_ambient_cell_off_the_y_axis():
     state = SakataState(f, spec.order)
     for cell in prefix[: prefix.index(c)]:
         state.process(cell, u[(cell[0] % 15, cell[1] % 15)])
-    assert sorted(state.delta) == [(i, j) for i in range(6) for j in range(2)]
+    assert sorted(staircase(state)[0]) == [(i, j) for i in range(6) for j in range(2)]
     amb_rules = _solved_rules(f, [(g.lt, g.coeffs) for g in spec.basis_all.elements])
     cls = classes[spec.order.weight(c)]
     assert bms_module._vote(state, amb_rules, (0, 2), cls, c) == u[c]

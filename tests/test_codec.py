@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from agcodes import bms, codec
+from agcodes import bms, codec, transform
 from agcodes.errors import (
     BadRedundancy,
     DecodingFailure,
@@ -16,9 +16,9 @@ from agcodes.errors import (
     RankDeficient,
 )
 from agcodes.galois import ONE, ZERO, field_new, gf9
-from agcodes.geometry import Point, curve_spec, hermitian_curve, minimal_outside
+from agcodes.geometry import Point, curve_spec, defining_set, hermitian_curve
 from agcodes.transform import dft1
-from oracles import synthesis_basis
+from oracles import minimal_outside_scan, synthesis_basis
 
 F9 = gf9()
 
@@ -204,7 +204,7 @@ def test_hcrs_bases_lie_below_their_leading_cells():
         where = (spec.field.q, spec.m)
         assert {(p.x, p.y) for p in spec.wp} == set(spec.phi), where
         for basis in (spec.basis_wp, spec.basis_all):
-            corners = set(minimal_outside(basis.delta, spec.field.q - 1))
+            corners = set(minimal_outside_scan(basis.delta, spec.field.q - 1))
             for g in basis.elements:
                 assert g.lt in corners, (where, g.lt)
                 assert all(i <= g.lt[0] and j <= g.lt[1] for i, j in g.coeffs), (where, g)
@@ -241,12 +241,37 @@ def test_hermitian_gf256_builds(herm256):
     assert len(spec.basis_all.delta) == 4080
 
 
-def test_construction_builds_no_transform_table(herm256):
+def test_construction_builds_no_transform_table(monkeypatch, herm256):
     # the packed transform tables grow with about q^3 (20 MB at q = 256),
-    # so only a full transform builds them, never a code's construction
-    specs = [herm256, _hermitian(5, 2, [2, 1, 1], 30)]
-    specs += [codec.preset(name) for name in codec.PRESETS]
-    assert [spec.field.transform_table for spec in specs] == [None] * len(specs)
+    # so only a full transform builds them, never a code's construction.
+    # The presets share one GF(9), which an earlier test may have
+    # transformed, so its table is cleared and the table builder raises
+    # while the codes are built.
+    assert herm256.field.transform_table is None
+
+    def refuse(f):
+        raise AssertionError(f"construction built a transform table over GF({f.q})")
+
+    monkeypatch.setattr(transform, "_packed_kernels", refuse)
+    monkeypatch.setattr(codec._PRESET_FIELD, "transform_table", None)
+    _hermitian(5, 2, [2, 1, 1], 30)
+    for name in codec.PRESETS:
+        codec.preset(name)
+
+
+def test_presets_share_one_field_and_gf9_stays_fresh():
+    fields = {id(codec.preset(name).field) for name in codec.PRESETS}
+    assert fields == {id(codec.preset("rs-q9").field)}
+    assert gf9() is not gf9()
+
+
+def test_curve_build_computes_the_defining_set_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        codec, "defining_set", lambda *args: calls.append(args) or defining_set(*args)
+    )
+    spec = codec.make_curve_code(F9, hermitian_curve(F9), 11)
+    assert len(calls) == 1 and len(spec.phi) == 9
 
 
 @pytest.mark.parametrize("name", codec.PRESETS)

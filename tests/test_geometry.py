@@ -3,20 +3,19 @@ from functools import partial
 
 import pytest
 
+from agcodes.codec import make_curve_code
 from agcodes.errors import MTooSmall
 from agcodes.galois import ZERO, field_new, gf9
 from agcodes.geometry import (
     CurveSpec,
     Point,
     WeightedCurveOrder,
-    code_params,
     curve_spec,
     defining_set,
     enumerate_points,
     hermitian_curve,
     hyperbolic_set,
     is_downward_closed,
-    minimal_outside,
     monomial_logs,
     poly_values,
 )
@@ -180,43 +179,12 @@ def test_order_tiebreak_off_strip():
 
 
 def test_code_params(f9, herm):
-    n, k = code_params(24, WeightedCurveOrder(3, 4), 11, f9, genus=herm.genus)
-    assert (n, k) == (24, 15)
+    spec = make_curve_code(f9, herm, 11)
+    assert (spec.n, spec.k) == (24, 15)
     with pytest.raises(MTooSmall):
-        code_params(24, WeightedCurveOrder(3, 4), 3, f9, genus=3)
+        make_curve_code(f9, herm, 3)
     with pytest.raises(MTooSmall):
-        code_params(24, WeightedCurveOrder(3, 4), 4, f9, genus=3)
-
-
-def minimal_outside_scan(cells, bound):
-    """Oracle: scan every cell of [0, bound]^2 for a minimal non-member."""
-    s = set(cells)
-    out = []
-    for i in range(bound + 1):
-        for j in range(bound + 1):
-            if (i, j) in s:
-                continue
-            if (i == 0 or (i - 1, j) in s) and (j == 0 or (i, j - 1) in s):
-                out.append((i, j))
-    return out
-
-
-def test_minimal_outside_matches_scan():
-    rng = random.Random(23)
-    for bound in range(10):
-        box = {(i, j) for i in range(bound + 1) for j in range(bound + 1)}
-        sets = [set(), box]
-        for _ in range(40):
-            # non-increasing column heights, some reaching past the box
-            heights = sorted(
-                (rng.randrange(bound + 3) for _ in range(bound + 3)), reverse=True
-            )
-            sets.append({(i, j) for i, h in enumerate(heights) for j in range(h)})
-        for cells in sets:
-            assert is_downward_closed(cells)
-            assert minimal_outside(cells, bound) == minimal_outside_scan(cells, bound)
-    assert minimal_outside(set(), 8) == [(0, 0)]
-    assert minimal_outside({(i, j) for i in range(9) for j in range(9)}, 8) == []
+        make_curve_code(f9, herm, 4)
 
 
 def test_orders_hash_by_value():
