@@ -121,6 +121,16 @@ class BivariatePoly:
     def evaluate(self, f: Field, x: Elt, y: Elt) -> Elt:
         return poly_values(f, self.coeffs, [(x, y)])[0]
 
+    # equal coefficients are the same polynomial; coeffs is never changed
+    # after construction, so the hash holds
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BivariatePoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
     def __repr__(self) -> str:
         terms = ", ".join(f"({i},{j}):{c}" for (i, j), c in sorted(self.coeffs.items()))
         return f"BivariatePoly[{terms}]"

@@ -36,6 +36,7 @@ and both raise ValueError for it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -190,16 +191,39 @@ def _select_redundant_points(
     kept so far, until n-k are kept, so that the kept points' evaluation
     matrix on phi is invertible.
 
+    The points come x-major (enumerate_points, make_hcrs_code), so the
+    walk meets the x-lines x_0, x_1, ... one after another.  While every
+    earlier line c' has given h_c' kept points, h_c' the height of column
+    c' of phi, a line that has given its h_c is skipped to its end
+    unevaluated: every point left on it is dependent.  This is the Newton
+    form (Gasca and Sauer 2000): V = span{x^i y^j : (i, j) in phi} has
+    the basis prod_{d<i} (x - x_d) * y^j, so g in V is sum_i r_i(y) *
+    prod_{d<i} (x - x_d) with deg r_i < h_i.  If g vanishes at the kept
+    points, then r_0(y) = g(x_0, y) has h_0 roots and is zero, then r_1,
+    ..., up to r_c, and g vanishes on the whole line x_c.  After the first
+    line that ends short of its height the proviso is off for good, and
+    every later point is evaluated.  The skip drops only points the full
+    walk would reject, so the choice is the same.
+
     The basis is vanishing_ideal_basis() of the kept points.  Its
     staircase is checked to be phi and each element to vanish at every
     kept point.
     """
     nk = len(phi)
+    heights = Counter(i for i, _ in phi)
     chosen: list[Point] = []
     echelon = _Echelon(f)
+    # newton: every x-line before line c gave its column height
+    newton, c, x, on_line = True, -1, None, 0
     for p in points:
+        if newton and p.x != x:
+            newton = c < 0 or on_line == heights[c]
+            c, x, on_line = c + 1, p.x, 0
+        if newton and on_line == heights[c]:
+            continue
         if echelon.add(monomial_logs(f, p, phi), p) is None:
             chosen.append(p)
+            on_line += 1
             if len(chosen) == nk:
                 break
     if len(chosen) < nk:

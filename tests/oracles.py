@@ -5,6 +5,9 @@ array, not on point evaluations, so it checks vanishing_ideal_basis and
 the bases construction builds without sharing their scan.  It costs a
 (q-1)^2-long vector per monomial, which is why it lives here and not in
 the package.
+
+plain_walk is construction's greedy walk without its skip of x-line
+tails: every point is evaluated until the defining set is covered.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable, Sequence
 
 from agcodes.bms import BivariatePoly, GroebnerBasis, SakataState, _Echelon, _leq
 from agcodes.galois import ONE, Elt, Field
-from agcodes.geometry import Cell, Point, WeightedCurveOrder
+from agcodes.geometry import Cell, Point, WeightedCurveOrder, monomial_logs
 from agcodes.transform import Array2D, dft2
 
 
@@ -69,6 +72,19 @@ def synthesis_basis(
     for p in points:
         indicator[(p.x, p.y)] = ONE
     return synthesize_full(f, dft2(f, indicator).data, order)
+
+
+def plain_walk(f: Field, points: Sequence[Point], phi: Sequence[Cell]) -> list[Point]:
+    """Keep each point, in order, whose evaluation row on phi is
+    independent of the rows kept so far, until len(phi) are kept."""
+    echelon = _Echelon(f)
+    chosen: list[Point] = []
+    for p in points:
+        if len(chosen) == len(phi):
+            break
+        if echelon.add(monomial_logs(f, p, phi), p) is None:
+            chosen.append(p)
+    return chosen
 
 
 def bms(f: Field, values: dict[Cell, Elt], order: WeightedCurveOrder) -> GroebnerBasis:

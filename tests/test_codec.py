@@ -12,13 +12,14 @@ from agcodes.errors import (
     BadRedundancy,
     DecodingFailure,
     ExtendedDecodeUnsupported,
+    NonGenericSupport,
     NotAZeroPoint,
     RankDeficient,
 )
 from agcodes.galois import ONE, ZERO, field_new, gf9
 from agcodes.geometry import Point, curve_spec, defining_set, hermitian_curve
 from agcodes.transform import dft1
-from oracles import minimal_outside_scan, synthesis_basis
+from oracles import minimal_outside_scan, plain_walk, synthesis_basis
 
 F9 = gf9()
 
@@ -226,6 +227,62 @@ def test_hermitian_walk_keeps_the_first_points_of_each_x_line():
         heights = Counter(i for i, _ in spec.phi)
         kept = [p for c, line in enumerate(lines.values()) for p in line[: heights[c]]]
         assert list(spec.wp) == kept, (spec.field.q, spec.m)
+
+
+def test_walk_adds_one_row_per_kept_point(monkeypatch):
+    # Every x-line of these codes holds at least its column height of
+    # points, so the walk skips each line's tail once the line has given
+    # its height: one _Echelon.add per defining-set cell, none for a
+    # point it rejects.  In a build only the walk calls codec's _Echelon;
+    # vanishing_ideal_basis takes bms's.
+    adds = []
+
+    class Counting(bms._Echelon):
+        def add(self, vec, label):
+            adds.append(label)
+            return super().add(vec, label)
+
+    monkeypatch.setattr(codec, "_Echelon", Counting)
+    f16, f25 = field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])
+    builds = [(codec.make_hcrs_code, F9, m) for m in range(2, 65)]
+    builds += [(codec.make_hcrs_code, f16, m) for m in (5, 12, 30, 60, 120, 200)]
+    builds += [(codec.make_curve_code, F9, hermitian_curve(F9), m) for m in range(5, 30)]
+    builds += [
+        (codec.make_curve_code, f16, hermitian_curve(f16), 20),
+        (codec.make_curve_code, f25, hermitian_curve(f25), 30),
+    ]
+    for build, *args in builds:
+        adds.clear()
+        spec = build(*args)
+        assert adds == list(spec.wp), (spec.kind, spec.field.q, spec.m)
+
+
+def test_walk_matches_the_plain_walk_on_random_cab_curves(monkeypatch):
+    # On a C_ab curve an x-line can hold fewer points than the height of
+    # its defining-set column; from the first such line on the walk
+    # evaluates every point.  Its choice must still be the plain walk's.
+    # The ambient basis is stubbed out: Buchberger is no part of the walk,
+    # and on these curves it takes about 0.1 s a build over GF(25).
+    monkeypatch.setattr(codec, "_ambient_basis", lambda *args: None)
+    rng = random.Random(25)
+    for f in (F9, field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])):
+        built = short = 0
+        while built < 35:
+            a, b = rng.choice([(2, 3), (2, 5), (3, 4)])
+            terms = {(0, a): rng.randrange(f.q - 1), (b, 0): rng.randrange(f.q - 1)}
+            low = [(i, j) for i in range(b) for j in range(a) if a * i + b * j < a * b]
+            terms.update((c, rng.randrange(f.q - 1)) for c in rng.sample(low, rng.randrange(1, 4)))
+            curve = curve_spec(a, b, terms)
+            try:
+                spec = codec.make_curve_code(f, curve, rng.randrange(2 * curve.genus - 1, 3 * b))
+            except (NonGenericSupport, ValueError):  # rank deficient, or phi too large
+                continue
+            built += 1
+            assert list(spec.wp) == plain_walk(f, spec.points, spec.phi), (f.q, curve, spec.m)
+            lines = Counter(p.x for p in spec.points)
+            heights = Counter(i for i, _ in spec.phi)
+            short += any(len_c < heights[c] for c, len_c in enumerate(lines.values()))
+        assert short >= 3, (f.q, short)  # the walk's fallback ran on these
 
 
 @pytest.fixture(scope="module")
@@ -1055,10 +1112,13 @@ def test_encode_systematic_checks_full_support(herm, monkeypatch):
 
 def test_spec_save_load_roundtrip(tmp_path, herm, hcrs, rs4):
     rng = random.Random(20)
-    for spec in (herm, hcrs, rs4):
+    for spec in (herm, hcrs, rs4, _hermitian(2, 4, [1, 1, 0, 0, 1], 20)):
         path = str(tmp_path / f"{spec.kind}.spec")
         codec.save_spec(spec, path)
         again = codec.load_spec(path)
+        # equal by value: a fresh field and fresh basis polynomials
+        assert again.field is not spec.field
+        assert again == spec and hash(again) == hash(spec)
         assert (again.n, again.k, again.kind) == (spec.n, spec.k, spec.kind)
         assert again.points == spec.points
         assert again.wp == spec.wp
@@ -1066,6 +1126,32 @@ def test_spec_save_load_roundtrip(tmp_path, herm, hcrs, rs4):
         assert codec.encode_systematic(again, info) == codec.encode_systematic(
             spec, info
         )
+
+
+@pytest.mark.parametrize(
+    ("build", "digest"),
+    [
+        (
+            lambda: _hermitian(2, 4, [1, 1, 0, 0, 1], 20),
+            "edd0975b819d18c3c11796311b65084e5ad3e796c21b463c711c1cb0523ce26c",
+        ),
+        (
+            lambda: codec.make_hcrs_code(field_new(2, 4, [1, 1, 0, 0, 1]), 12),
+            "245e7566b4fad4b69e05d10a551c06f0366ffaf20229d466080698c76611b8fe",
+        ),
+        (
+            lambda: _hermitian(5, 2, [2, 1, 1], 30),
+            "97ec893b324db96e3e71d43c12c0368e6e042a69481aa3669e44bf6fa6291388",
+        ),
+    ],
+    ids=["hermitian-q16", "hcrs-q16", "hermitian-q25"],
+)
+def test_scale_spec_files_pinned(tmp_path, build, digest):
+    # the larger-field codes the benchmark builds: their redundant points,
+    # both bases and every other line of the spec file stay byte-identical
+    path = tmp_path / "code.spec"
+    codec.save_spec(build(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_curve_spec_without_zero_points_rejected(tmp_path, herm):

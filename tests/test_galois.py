@@ -162,6 +162,11 @@ FIELDS = {
     "GF(9)": (3, 2, [2, 1, 1]),
     "GF(16)": (2, 4, [1, 1, 0, 0, 1]),  # x^4 + x + 1
     "GF(25)": (5, 2, [2, 1, 1]),  # x^2 + x + 2
+    # odd p with m >= 3, a second odd p and a larger binary field: the
+    # Zech rows and log(-1) away from the small cases
+    "GF(27)": (3, 3, [1, 2, 0, 1]),  # x^3 + 2x + 1
+    "GF(49)": (7, 2, [3, 6, 1]),  # x^2 + 6x + 3
+    "GF(64)": (2, 6, [1, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 1
 }
 
 
@@ -219,6 +224,15 @@ def test_tables_shape_and_zero_index(name):
         assert f.add_table[a][ZERO] == f.add_table[ZERO][a] == a
         assert f.mul_table[a][ZERO] == f.mul_table[ZERO][a] == ZERO
         assert f.sub_table[a][ZERO] == a
+
+
+def test_fields_compare_by_construction():
+    # a field is its (p, m, primitive_poly): equal tables and equal hash
+    a, b = field_new(3, 2, [2, 1, 1]), gf9()
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a.add_table == b.add_table and a.sub_table == b.sub_table
+    assert a != field_new(3, 2, [2, 2, 1])  # x^2 + 2x + 2, the other GF(9)
+    assert a != field_new(2, 4, [1, 1, 0, 0, 1]) and a != (3, 2, (2, 1, 1))
 
 
 def test_field_size_limit():
