@@ -8,13 +8,25 @@ the package.
 
 plain_walk is construction's greedy walk without its skip of x-line
 tails: every point is evaluated until the defining set is covered.
+
+fill_by_recurrences is extend()'s fill on values: passes over a schedule
+to a fixpoint, every pass rescanning the rules at each unknown cell,
+where extend() replays a plan built once per basis and schedule.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from agcodes.bms import BivariatePoly, GroebnerBasis, SakataState, _Echelon, _leq
+from agcodes.bms import (
+    BivariatePoly,
+    GroebnerBasis,
+    SakataState,
+    _Echelon,
+    _forced,
+    _leq,
+    _solved_rules,
+)
 from agcodes.galois import ONE, Elt, Field
 from agcodes.geometry import Cell, Point, WeightedCurveOrder, monomial_logs
 from agcodes.transform import Array2D, dft2
@@ -85,6 +97,33 @@ def plain_walk(f: Field, points: Sequence[Point], phi: Sequence[Cell]) -> list[P
         if echelon.add(monomial_logs(f, p, phi), p) is None:
             chosen.append(p)
     return chosen
+
+
+def fill_by_recurrences(
+    f: Field,
+    grid: list[list[Elt | None]],
+    elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
+    schedule: Iterable[Cell],
+) -> bool:
+    """Fill the unknown (None) cells of the grid in place by the
+    recurrences; False if some cell stays unreachable.  Repeats passes
+    over the schedule until a fixpoint, so schedule order cannot change
+    reachability."""
+    add_t = f.add_table
+    rules = _solved_rules(f, elems)
+    missing = [w for w in schedule if grid[w[0]][w[1]] is None]
+    while missing:
+        still: list[Cell] = []
+        for w in missing:
+            v = _forced(add_t, rules, grid, w)
+            if v is None:
+                still.append(w)
+            else:
+                grid[w[0]][w[1]] = v
+        if len(still) == len(missing):
+            return False
+        missing = still
+    return True
 
 
 def bms(f: Field, values: dict[Cell, Elt], order: WeightedCurveOrder) -> GroebnerBasis:

@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from functools import partial
+from itertools import product
 from typing import Iterable
 
 import pytest
@@ -13,7 +14,6 @@ from agcodes.bms import (
     SakataState,
     _Echelon,
     _enumeration,
-    _fill_by_recurrences,
     _leq,
     _solved_rules,
     bms_with_voting,
@@ -39,7 +39,15 @@ from agcodes.geometry import (
     hermitian_curve,
 )
 from agcodes.transform import Array2D, dft2, idft2
-from oracles import bms, sakata_basis, staircase, synthesis_basis, synthesize_full
+from test_codec import CAB_GF16_TAILS
+from oracles import (
+    bms,
+    fill_by_recurrences,
+    sakata_basis,
+    staircase,
+    synthesis_basis,
+    synthesize_full,
+)
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
@@ -406,6 +414,115 @@ def test_extend_agrees_with_cyclic_oracle(name, ideal):
             extend(vals, basis, f)
 
 
+# every family, on fields up to GF(64)
+PLAN_CODES = {
+    "hermitian-q9": lambda: codec.preset("hermitian-q9"),
+    "hermitian-q16": lambda: _hermitian_q16(),
+    "hermitian-q25": lambda: _code("hermitian-q25"),
+    "hermitian-q64": lambda: _hermitian_code(2, 6, [1, 1, 0, 0, 0, 0, 1], 72),
+    "hcrs-q9": lambda: codec.preset("hcrs-q9"),
+    "hcrs-q16": lambda: _code("hcrs-q16"),
+    "hcrs-q27": lambda: codec.make_hcrs_code(field_new(3, 3, [1, 2, 0, 1]), 20),
+    "cab-q16-tails": lambda: codec.make_curve_code(
+        field_new(2, 4, [1, 1, 0, 0, 1]), curve_spec(*CAB_GF16_TAILS), 7
+    ),
+}
+
+
+def _hermitian_code(p, deg, poly, m):
+    f = field_new(p, deg, poly)
+    return codec.make_curve_code(f, hermitian_curve(f), m)
+
+
+@pytest.mark.parametrize("name", PLAN_CODES)
+def test_extend_plan_agrees_with_value_fixpoint(name):
+    # the plan replay against the fill it replaces, run on the values: on
+    # random staircase values, under both schedules, for both bases
+    spec = PLAN_CODES[name]()
+    f = spec.field
+    n = f.q - 1
+    rng = random.Random(f"plan-{name}")
+    for ideal in ("basis_wp", "basis_all"):
+        basis = getattr(spec, ideal)
+        elems = [(p.lt, p.coeffs) for p in basis.elements]
+        delta = list(basis.delta)
+        every = list(product(range(n), range(n)))
+        outside = sorted(set(every) - set(delta))
+        for schedule, cells in (("order", grid_cells(f.q, basis.order)), ("rowmajor", every)):
+            for _ in range(3):
+                vals = {c: rng.randrange(-1, n) for c in delta}
+                grid = [[None] * n for _ in range(n)]
+                for (i, j), v in vals.items():
+                    grid[i][j] = v
+                assert fill_by_recurrences(f, grid, elems, cells)
+                arr = extend(vals, basis, f, schedule)
+                assert arr == Array2D(f.q, grid), (ideal, schedule)
+            if outside:  # hcrs codes have a point on every cell: basis_all's delta is the grid
+                bad = arr.copy()
+                c = rng.choice(outside)
+                bad[c] = f.add(bad[c], rng.randrange(n))
+                with pytest.raises(InconsistentKnownValues):
+                    extend(values_of(bad, every), basis, f, schedule)
+            dropped = dict(vals)
+            cell = rng.choice(delta)
+            del dropped[cell]
+            with pytest.raises(IncompleteCover, match=re.escape(f"staircase cell {cell}")):
+                extend(dropped, basis, f, schedule)
+            # the grid check comes first
+            dropped[(n, 0)] = ZERO
+            with pytest.raises(ValueError, match="outside the"):
+                extend(dropped, basis, f, schedule)
+
+
+@pytest.mark.parametrize("bad", [-2, 8, "x"])
+def test_extend_rejects_values_that_are_no_element_logs(bad):
+    # -2 read row[-2] of a mul_table row, another element, and 8 (= q-1)
+    # its ZERO entry; 'x' raised TypeError
+    spec = codec.preset("hermitian-q9")
+    values = {c: ZERO for c in spec.phi}
+    cell = spec.phi[3]
+    values[cell] = bad
+    msg = rf"value {re.escape(repr(bad))} at cell \({cell[0]}, {cell[1]}\) is not an element log"
+    with pytest.raises(ValueError, match=msg):
+        extend(values, spec.basis_wp, F9)
+
+
+def test_fill_plan_is_built_once_per_basis_and_schedule(monkeypatch, tmp_path):
+    built = []
+    build = bms_module._build_fill_plan
+
+    def spy(basis, f, schedule):
+        built.append((id(basis), schedule))
+        return build(basis, f, schedule)
+
+    monkeypatch.setattr(bms_module, "_build_fill_plan", spy)
+    spec = codec.make_curve_code(F9, hermitian_curve(F9), 11)
+    text = spec.basis_wp.serialize()
+    r = repr(spec.basis_wp)
+    h = hash(spec.basis_wp)
+    rng = random.Random(41)
+    for schedule in ("order", "rowmajor", "order", "rowmajor"):
+        extend({c: rng.randrange(-1, 8) for c in spec.phi}, spec.basis_wp, F9, schedule)
+    assert built == [(id(spec.basis_wp), "order"), (id(spec.basis_wp), "rowmajor")]
+    # the plans are no part of the basis's value, text form or spec file
+    assert spec.basis_wp.serialize() == text
+    assert repr(spec.basis_wp) == r
+    assert hash(spec.basis_wp) == h
+    path = tmp_path / "spec"
+    codec.save_spec(spec, str(path))
+    again = codec.load_spec(str(path))
+    codec.save_spec(again, str(tmp_path / "again"))
+    assert (tmp_path / "again").read_bytes() == path.read_bytes()
+    basis = again.basis_wp
+    assert basis is not spec.basis_wp and basis._plans == {}
+    vals = {c: rng.randrange(-1, 8) for c in spec.phi}
+    assert extend(vals, basis, F9) == extend(vals, spec.basis_wp, F9)
+    assert built[2:] == [(id(basis), "order")]
+    assert basis._plans[F9, "order"] is not spec.basis_wp._plans[F9, "order"]
+    assert basis == spec.basis_wp and hash(basis) == h
+    assert again == spec
+
+
 # -- voting ------------------------------------------------------------------
 
 
@@ -663,7 +780,7 @@ def _fill_certificate(state, known, support, max_errors):
     full = [row[:] for row in state.grid]
     for (i, j), v in known.items():
         full[i][j] = v
-    if not _fill_by_recurrences(f, full, state.F, grid_cells(f.q, state.order)):
+    if not fill_by_recurrences(f, full, state.F, grid_cells(f.q, state.order)):
         return None
     err = idft2(f, Array2D(f.q, full))
     hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
