@@ -50,10 +50,11 @@ WeightedCurveOrder(1, 1) of hcrs codes.
 Construction takes its two point-ideal bases without any synthesis.
 groebner_basis() runs Buchberger's algorithm on generators, which gives
 the ideal of all code points from x^(q-1) - 1, y^(q-1) - 1 and the curve
-equation.  vanishing_ideal_basis() is the one routine for the ideal of a
-given point set: a monomial scan on the points' evaluation columns.
-codec runs it on the redundant points, and the CLI on the located error
-points.
+equation.  The redundant points' basis is read off the elimination of
+codec's greedy walk, whose _Echelon rows carry each point's corner
+monomials.  vanishing_ideal_basis() is the routine for the ideal of an
+arbitrary point set: a monomial scan on the points' evaluation columns.
+The CLI runs it on the located error points.
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -100,6 +101,7 @@ from .geometry import (
     Cell,
     Point,
     WeightedCurveOrder,
+    corners,
     is_downward_closed,
     monomial_logs,
     poly_values,
@@ -220,16 +222,22 @@ def _check_in_grid(cells: Iterable[Cell], n: int) -> None:
 
 
 class _Echelon:
-    """Incremental Gaussian elimination over a field, with labelled inputs.
+    """Incremental Gaussian elimination over a field, each row carrying a
+    sparse vector of the caller's.
 
-    add(vec, label) reduces vec (in place; the caller hands it over)
-    against the rows kept so far.  If something nonzero is left, it is
-    kept as a new row together with the labelled combination of inputs
-    that formed it, and None is returned.  Otherwise vec depends on the
-    vectors kept before it, and the relation {label: ONE, other: coeff}
-    is returned: sum(coeff * input vector) = 0, where every other label
-    is one of a kept vector.  Coefficients may be ZERO.  Dependent
-    vectors are not kept, so len(rows) is the rank of everything added.
+    add(vec, combo) reduces vec against the rows kept so far and applies
+    the same row operations to combo, a dict from keys to elements (both
+    in place; the caller hands them over).  If something nonzero is left
+    of vec, it is kept as a new row with its combo, and None is returned.
+    Otherwise vec depends on the vectors kept before it, and its reduced
+    combo is returned.  Coefficients may be ZERO.  Dependent vectors are
+    not kept, so len(rows) is the rank of everything added, and a row is
+    zero at the pivots of the rows before it.
+
+    With combo = {label: ONE} a row carries the labelled combination of
+    inputs that formed it, and a returned relation {label: ONE, other:
+    coeff} says sum(coeff * input vector) = 0, where every other label is
+    one of a kept vector.
     """
 
     __slots__ = ("f", "rows")
@@ -237,13 +245,12 @@ class _Echelon:
     def __init__(self, f: Field):
         self.f = f
         # (reduced vector, indices of its nonzero entries with the pivot
-        # first, combination of labels forming it)
+        # first, the combo reduced with it)
         self.rows: list[tuple[list[Elt], list[int], dict]] = []
 
-    def add(self, vec: list[Elt], label) -> dict | None:
+    def add(self, vec: list[Elt], combo: dict) -> dict | None:
         f = self.f
         sub_t, mul_t = f.sub_table, f.mul_table
-        combo = {label: ONE}
         for rvec, support, rcombo in self.rows:
             c = vec[support[0]]
             if c == ZERO:
@@ -298,7 +305,7 @@ def vanishing_ideal_basis(
             continue
         # x(P)^i * y(P)^j is symmetric in the cell and the point's logs,
         # so the kernel gives the column of t over the points
-        relation = echelon.add(monomial_logs(f, t, points), t)
+        relation = echelon.add(monomial_logs(f, t, points), {t: ONE})
         if relation is not None:
             basis.append(BivariatePoly(relation, order))
             lts.append(t)
@@ -447,8 +454,7 @@ class SakataState:
     The staircase is kept as column heights, (i, j) in it iff
     j < heights[i]: a failure at c of the polynomial led by lt raises
     heights[0 .. c0 - lt0] to at least c1 - lt1 + 1.  They do not
-    increase, so the corners are (i, h_i) wherever h_i drops below
-    h_(i-1), then (len(heights), 0).
+    increase, and geometry.corners lists the corners from them.
 
     When polynomials fail at cell c, each new corner t2 gets a surviving
     polynomial shifted to t2 if one lies below it.  Otherwise a failing
@@ -512,9 +518,7 @@ class SakataState:
             records.append(_Record(coeffs, lt, d, span))
         failed_lts = {lt for lt, _, _ in fails}
         kept = [(lt, co) for lt, co in self.F if lt not in failed_lts]
-        corners = [(i, h) for i, h in enumerate(heights) if i == 0 or h < heights[i - 1]]
-        corners.append((len(heights), 0))
-        self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners]
+        self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners(heights)]
         # the corners come by ascending i, not in the order
         self.F.sort(key=lambda e: self.order.key(e[0]))
         # only failures at cells before c may correct a failure at c
@@ -792,10 +796,10 @@ def _certificate(
     kcells = list(known)
     echelon = _Echelon(f)
     for z in zeros:
-        echelon.add(monomial_logs(f, z, kcells), z)
+        echelon.add(monomial_logs(f, z, kcells), {z: ONE})
     # with the syndromes as the last column, a relation
     # u + sum c_z * col_z = 0 gives e_z = -c_z
-    relation = echelon.add([known[k] for k in kcells], None)
+    relation = echelon.add([known[k] for k in kcells], {None: ONE})
     if relation is None:
         return None
     neg = f.sub_table[ZERO]

@@ -4,9 +4,11 @@ A CodeSpec fully instantiates a code: the field, the monomial order and
 defining set, the code locations, the redundant/information point split
 with its precomputed vanishing-ideal bases, and the derived (n, k).  The
 basis of all code points is the reduced Groebner basis of its generators
-(bms.groebner_basis); that of the redundant points is the monomial scan
-of bms.vanishing_ideal_basis on them, checked to have the defining set
-as its staircase.
+(bms.groebner_basis).  That of the redundant points is read off the
+greedy walk that picks them: the elimination of their evaluation rows on
+the defining set also reduces their corner monomials, and
+back-substitution gives each element's tail on the defining set, which
+the checks prove is the staircase.
 
 Families:
 
@@ -43,12 +45,13 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .bms import (
+    BivariatePoly,
     GroebnerBasis,
     _Echelon,
     bms_with_voting,
     extend,
     groebner_basis,
-    vanishing_ideal_basis,
+    vanishing_ideal_basis,  # bound for perfbench/tracer.py; no codec path calls it
 )
 from .errors import (
     BadRedundancy,
@@ -65,6 +68,7 @@ from .geometry import (
     CurveSpec,
     Point,
     WeightedCurveOrder,
+    corners,
     curve_spec,
     defining_set,
     enumerate_points,
@@ -180,6 +184,33 @@ def _check_redundancy(f: Field, r: int) -> None:
 # construction
 
 
+def _corner_tails(
+    f: Field, rows: Sequence[tuple[list[Elt], list[int], dict]], lead: Sequence[Cell]
+) -> dict[Cell, list[Elt]]:
+    """For each corner L, the a_L indexed like phi with M a_L = (x(P)^L)_P,
+    from the echelon rows of M, the kept points' square, invertible
+    evaluation matrix on phi.
+
+    The walk's row operations act on each row's combo as on its vector,
+    so the rows are R = T M and the combos C = T B, B the points' corner
+    monomials, for one invertible T, and R a_L = C_L.  A row is zero at
+    the pivots of the rows before it and every column is a pivot, so the
+    rows solved last first give each pivot's entry of a_L from entries
+    already found.
+    """
+    sub_t, mul_t = f.sub_table, f.mul_table
+    tails = {L: [ZERO] * len(rows) for L in lead}
+    for rvec, support, combo in reversed(rows):
+        piv, rest = support[0], support[1:]
+        scale = mul_t[f.inv(rvec[piv])]
+        for L, a in tails.items():
+            acc = combo[L]
+            for k in rest:
+                acc = sub_t[acc][mul_t[rvec[k]][a[k]]]
+            a[piv] = scale[acc]
+    return tails
+
+
 def _select_redundant_points(
     f: Field, points: Sequence[Point], phi: Sequence[Cell], order: WeightedCurveOrder
 ) -> tuple[list[Point], list[Point], GroebnerBasis]:
@@ -187,9 +218,9 @@ def _select_redundant_points(
     defining set, and that ideal's reduced Groebner basis.
 
     Greedy rank selection: walk the points in order and keep each one
-    whose defining-set evaluation column is independent of the columns
-    kept so far, until n-k are kept, so that the kept points' evaluation
-    matrix on phi is invertible.
+    whose defining-set evaluation row is independent of the rows kept so
+    far, until n-k are kept, so that the kept points' evaluation matrix M
+    on phi is invertible.
 
     The points come x-major (enumerate_points, make_hcrs_code), so the
     walk meets the x-lines x_0, x_1, ... one after another.  While every
@@ -205,12 +236,27 @@ def _select_redundant_points(
     every later point is evaluated.  The skip drops only points the full
     walk would reject, so the choice is the same.
 
-    The basis is vanishing_ideal_basis() of the kept points.  Its
-    staircase is checked to be phi and each element to vanish at every
-    kept point.
+    The basis comes from the walk's own elimination.  Each point's row
+    carries its corner monomials {L: x(P)^L}, L over the corners of the
+    lower set phi, and once M is complete _corner_tails solves
+    M a_L = (x(P)^L)_P for every L.  So g_L = x^L - sum_c a_L[c] x^c
+    vanishes at the kept points wp.  Each g_L is checked to be led by L
+    and to vanish at every point of wp, and these checks prove that the
+    g_L are the reduced basis of I(wp) with staircase phi:
+
+    * every cell outside phi lies at or above a corner of phi, so LT(I(wp))
+      holds every cell outside phi, and the staircase of I(wp) lies in phi;
+    * a point ideal's staircase holds one cell per point, here |wp| =
+      |phi| of them, so the staircase is phi;
+    * the reduced element led by a corner L is the one element of I(wp)
+      monic at L with its tail in the staircase: g_L.
+
+    Elements come in the key order of their corners and delta is phi in
+    key order, as bms.vanishing_ideal_basis() gives them.
     """
     nk = len(phi)
     heights = Counter(i for i, _ in phi)
+    lead = corners([heights[i] for i in range(len(heights))])
     chosen: list[Point] = []
     echelon = _Echelon(f)
     # newton: every x-line before line c gave its column height
@@ -221,18 +267,27 @@ def _select_redundant_points(
             c, x, on_line = c + 1, p.x, 0
         if newton and on_line == heights[c]:
             continue
-        if echelon.add(monomial_logs(f, p, phi), p) is None:
+        monomials = dict(zip(lead, monomial_logs(f, p, lead)))
+        if echelon.add(monomial_logs(f, p, phi), monomials) is None:
             chosen.append(p)
             on_line += 1
             if len(chosen) == nk:
                 break
     if len(chosen) < nk:
         raise NonGenericSupport("defining-set evaluation matrix is rank deficient")
-    basis = vanishing_ideal_basis(chosen, order, f)
-    if set(basis.delta) != set(phi):
-        raise AssertionError("the redundant-point staircase is not the defining set")
-    if any(v != ZERO for g in basis.elements for v in poly_values(f, g.coeffs, chosen)):
+    tails = _corner_tails(f, echelon.rows, lead)
+    neg = f.sub_table[ZERO]
+    elements = []
+    for L in sorted(lead, key=order.key):
+        coeffs = {cell: neg[a] for cell, a in zip(phi, tails[L])}
+        coeffs[L] = ONE
+        g = BivariatePoly(coeffs, order)
+        if g.lt != L:
+            raise AssertionError("a redundant-point basis element is not led by its corner")
+        elements.append(g)
+    if any(v != ZERO for g in elements for v in poly_values(f, g.coeffs, chosen)):
         raise AssertionError("a redundant-point basis element does not vanish")
+    basis = GroebnerBasis(tuple(elements), tuple(sorted(phi, key=order.key)), order)
     wpset = set(chosen)
     return chosen, [p for p in points if p not in wpset], basis
 
@@ -439,7 +494,7 @@ def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
 def matrix_rank(f: Field, rows: list[list[Elt]]) -> int:
     echelon = _Echelon(f)
     for k, row in enumerate(rows):
-        echelon.add(row[:], k)
+        echelon.add(row[:], {k: ONE})
     return len(echelon.rows)
 
 
@@ -448,10 +503,10 @@ def _solve_square(f: Field, a: list[list[Elt]], rhs: list[Elt]) -> list[Elt]:
     dim = len(a)
     echelon = _Echelon(f)
     for col in range(dim):
-        if echelon.add([row[col] for row in a], col) is not None:
+        if echelon.add([row[col] for row in a], {col: ONE}) is not None:
             raise RankDeficient("parity system is singular")
     # rhs + sum_col c_col * A[:, col] = 0, so x = -c
-    relation = echelon.add(list(rhs), dim)
+    relation = echelon.add(list(rhs), {dim: ONE})
     neg = f.sub_table[ZERO]
     return [neg[relation.get(col, ZERO)] for col in range(dim)]
 

@@ -9,17 +9,20 @@ bivariate polynomial is a sparse dict mapping cells to nonzero
 coefficient logs; that representation is shared with the recurrence
 machinery in bms.py.  monomial_logs and poly_values are the one place
 outside the transforms where x(P)^i * y(P)^j, the 2-D DFT kernel, is
-evaluated at points.
+evaluated at given points; enumerate_points sums the curve along whole
+x-lines of the grid itself.
 
-The one support-set helper, is_downward_closed, tests whether cells form
-a lower set, as the decoder requires of the known syndrome cells.
+Two support-set helpers: is_downward_closed tests whether cells form a
+lower set, as the decoder requires of the known syndrome cells, and
+corners lists a lower set's corners from its column heights, for
+Sakata's staircase and for construction's redundant-point basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .galois import Elt, Field, ZERO
 
@@ -153,10 +156,28 @@ def enumerate_points(c: CurveSpec, f: Field, include_zero: bool = False) -> list
     """All affine points of the curve, in ascending (log x, log y) order.
 
     include_zero=False keeps only points with both coordinates nonzero.
+    Those are found one x-line at a time: the curve's values along the
+    line are summed term by term, each term c*x^i*y^j being the log
+    c + i*x + j*y over every y at once.  The points with a zero
+    coordinate are tested with poly_values.
     """
-    logs = f.elements() if include_zero else list(f.nonzero())
-    grid = [Point(x, y) for x in logs for y in logs]
-    pts = [p for p, v in zip(grid, poly_values(f, c.poly_dict(), grid)) if v == ZERO]
+    n = f.q - 1
+    add_t, mul_t = f.add_table, f.mul_table
+    ys = range(n)
+    # per term: c, i and the log of y^j at each y
+    terms = [
+        (cf, i, [(j * y) % n for y in ys]) for (i, j), cf in c.defining_poly if cf != ZERO
+    ]
+    pts = []
+    for x in range(n):
+        line = [ZERO] * n
+        for cf, i, yj in terms:
+            times = mul_t[(cf + i * x) % n]  # times c*x^i
+            line = [add_t[v][times[w]] for v, w in zip(line, yj)]
+        pts += [Point(x, y) for y, v in zip(ys, line) if v == ZERO]
+    if include_zero:
+        axes = [Point(ZERO, y) for y in f.elements()] + [Point(x, ZERO) for x in ys]
+        pts += [p for p, v in zip(axes, poly_values(f, c.poly_dict(), axes)) if v == ZERO]
     pts.sort()
     return pts
 
@@ -195,6 +216,16 @@ def hyperbolic_set(m: int, f: Field) -> list[Cell]:
 
 
 # -- support-set helpers ----------------------------------------------------
+
+
+def corners(heights: Sequence[int]) -> list[Cell]:
+    """The corners of the lower set whose column i holds the cells (i, j)
+    with j < heights[i]: its minimal outside cells, by ascending i.  The
+    heights do not increase, so these are (i, h_i) wherever h_i drops
+    below h_(i-1), then (len(heights), 0)."""
+    out = [(i, h) for i, h in enumerate(heights) if i == 0 or h < heights[i - 1]]
+    out.append((len(heights), 0))
+    return out
 
 
 def is_downward_closed(cells: Iterable[Cell]) -> bool:

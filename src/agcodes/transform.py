@@ -14,12 +14,13 @@ The 2-D pair needs no normalization: the inversion constant (q-1)^2 is
 The 1-D inverse carries the single normalization factor
 (q-1)^(-1) = -1 inside idft1, so dft1(idft1(a)) = idft1(dft1(a)) = a.
 The signs are fixed here.  Outside this module the dft2 kernel is also
-evaluated directly, with the same sign, and only by two kernels in
-geometry: monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
-parity-check rows, the evaluation columns of bms.vanishing_ideal_basis
-and bms._certificate's columns alpha^(k.z)) and poly_values (a
-polynomial's value at each point, the certificate's filter and
-construction's vanishing checks).
+evaluated directly, with the same sign, and only in geometry: by two
+kernels, monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
+parity-check rows, the greedy walk's rows and corner monomials, the
+evaluation columns of bms.vanishing_ideal_basis and bms._certificate's
+columns alpha^(k.z)) and poly_values (a polynomial's value at each
+point, the certificate's filter and construction's vanishing checks),
+and by enumerate_points, which sums the curve along whole x-lines.
 
 Full transforms are computed by row-column decomposition into 1-D
 transforms, all four by one packed kernel.  For each field a table packs

@@ -62,7 +62,7 @@ def synthesize_full(
     for t in candidates:
         if any(_leq(lt, t) for lt in lts):
             continue
-        relation = echelon.add(vec(t), t)
+        relation = echelon.add(vec(t), {t: ONE})
         if relation is None:
             delta.append(t)
         else:
@@ -94,7 +94,7 @@ def plain_walk(f: Field, points: Sequence[Point], phi: Sequence[Cell]) -> list[P
     for p in points:
         if len(chosen) == len(phi):
             break
-        if echelon.add(monomial_logs(f, p, phi), p) is None:
+        if echelon.add(monomial_logs(f, p, phi), {p: ONE}) is None:
             chosen.append(p)
     return chosen
 

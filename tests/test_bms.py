@@ -105,7 +105,7 @@ def test_echelon_relations_and_rank():
         else:
             vec = [rng.randrange(-1, 8) for _ in range(6)]
         vecs[label] = vec
-        relation = echelon.add(list(vec), label)
+        relation = echelon.add(list(vec), {label: ONE})
         if relation is None:
             continue
         relations += 1

@@ -17,7 +17,14 @@ from agcodes.errors import (
     RankDeficient,
 )
 from agcodes.galois import ONE, ZERO, field_new, gf9
-from agcodes.geometry import Point, curve_spec, defining_set, hermitian_curve
+from agcodes.geometry import (
+    Point,
+    WeightedCurveOrder,
+    curve_spec,
+    defining_set,
+    hermitian_curve,
+    monomial_logs,
+)
 from agcodes.transform import dft1
 from oracles import minimal_outside_scan, plain_walk, synthesis_basis
 
@@ -164,30 +171,51 @@ def test_construction_basis_checks_fire(herm, monkeypatch):
     with pytest.raises(AssertionError, match="ambient basis element does not vanish"):
         codec._ambient_basis(F9, herm.order, herm.curve, moved)
 
-    class Skewed(bms._Echelon):
-        # scales the leading coefficient of every relation of the
-        # vanishing-ideal scan, whose labels are cells
-        def add(self, vec, label):
-            relation = super().add(vec, label)
-            if relation is not None:
-                relation[label] = 1
-            return relation
+    real_tails = codec._corner_tails
+
+    def skewed(f, rows, lead):
+        # every solved tail times alpha: each element keeps its terms and
+        # its corner, and is (1 - alpha) x^L at every kept point
+        tails = real_tails(f, rows, lead)
+        return {L: [v if v == ZERO else (v + 1) % (f.q - 1) for v in a] for L, a in tails.items()}
 
     with monkeypatch.context() as patched:
-        patched.setattr(bms, "_Echelon", Skewed)
-        with pytest.raises(AssertionError, match="redundant-point basis element does not vanish"):
-            codec.preset("hermitian-q9")
+        patched.setattr(codec, "_corner_tails", skewed)
+        for name in ("hermitian-q9", "hcrs-q9"):
+            with pytest.raises(AssertionError, match="basis element does not vanish"):
+                codec.preset(name)
 
-    def elsewhere(points, order, f):
-        # the basis of as many grid points, filling whole x-lines first:
-        # its staircase is no hermitian or hcrs defining set
-        grid = [Point(x, y) for x in range(8) for y in range(8)]
-        return bms.vanishing_ideal_basis(grid[: len(points)], order, f)
+    # phi = (0, 0) ... (3, 0) is a lower set, and four points with distinct
+    # x make its evaluation matrix invertible, so the walk keeps them all.
+    # But their staircase under the graded order is not phi: y minus the
+    # cubic in x through the points lies in the ideal, led by x^3, not by
+    # phi's corner (0, 1)
+    order = WeightedCurveOrder(1, 1)
+    points = [Point(0, 0), Point(1, 3), Point(2, 1), Point(3, 6)]
+    phi = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert set(bms.vanishing_ideal_basis(points, order, F9).delta) != set(phi)
+    with pytest.raises(AssertionError, match="basis element is not led by its corner"):
+        codec._select_redundant_points(F9, points, phi, order)
 
-    monkeypatch.setattr(codec, "vanishing_ideal_basis", elsewhere)
-    for name in ("hermitian-q9", "hcrs-q9"):
-        with pytest.raises(AssertionError, match="staircase is not the defining set"):
-            codec.preset(name)
+
+def test_redundant_point_basis_equals_the_scan():
+    # The walk's back-substitution and the monomial scan of the kept
+    # points (Moeller and Buchberger) give the same reduced basis, in the
+    # same element and staircase order.
+    f16, f25 = field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])
+    specs = [codec.make_hcrs_code(F9, m) for m in range(2, 65)]
+    specs += [codec.make_hcrs_code(f16, m) for m in (5, 12, 30, 60, 120, 200)]
+    specs += [codec.preset("hermitian-q9", m=m) for m in range(5, 30)]
+    specs.append(_hermitian(2, 4, [1, 1, 0, 0, 1], 20))
+    specs += [_hermitian(5, 2, [2, 1, 1], m) for m in (30, 40, 70, 100)]
+    specs.append(_hermitian(2, 6, [1, 1, 0, 0, 0, 0, 1], 72))
+    specs.append(_cab_gf16(7, CAB_GF16_TAILS))
+    for spec in specs:
+        scan = bms.vanishing_ideal_basis(list(spec.wp), spec.order, spec.field)
+        where = (spec.kind, spec.field.q, spec.m)
+        assert spec.basis_wp.elements == scan.elements, where
+        assert spec.basis_wp.delta == scan.delta, where
+        assert spec.basis_wp.serialize() == scan.serialize(), where
 
 
 def test_hcrs_bases_lie_below_their_leading_cells():
@@ -233,14 +261,15 @@ def test_walk_adds_one_row_per_kept_point(monkeypatch):
     # Every x-line of these codes holds at least its column height of
     # points, so the walk skips each line's tail once the line has given
     # its height: one _Echelon.add per defining-set cell, none for a
-    # point it rejects.  In a build only the walk calls codec's _Echelon;
-    # vanishing_ideal_basis takes bms's.
+    # point it rejects.  Each add hands over the kept point's row on phi
+    # and its monomials at phi's corners.  In a build only the walk calls
+    # codec's _Echelon.
     adds = []
 
     class Counting(bms._Echelon):
-        def add(self, vec, label):
-            adds.append(label)
-            return super().add(vec, label)
+        def add(self, vec, combo):
+            adds.append((list(vec), dict(combo)))
+            return super().add(vec, combo)
 
     monkeypatch.setattr(codec, "_Echelon", Counting)
     f16, f25 = field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])
@@ -254,7 +283,13 @@ def test_walk_adds_one_row_per_kept_point(monkeypatch):
     for build, *args in builds:
         adds.clear()
         spec = build(*args)
-        assert adds == list(spec.wp), (spec.kind, spec.field.q, spec.m)
+        f = spec.field
+        lead = minimal_outside_scan(spec.phi, f.q - 1)
+        kept = [
+            (monomial_logs(f, p, spec.phi), dict(zip(lead, monomial_logs(f, p, lead))))
+            for p in spec.wp
+        ]
+        assert adds == kept, (spec.kind, f.q, spec.m)
 
 
 def test_walk_matches_the_plain_walk_on_random_cab_curves(monkeypatch):

@@ -10,6 +10,7 @@ from agcodes.geometry import (
     CurveSpec,
     Point,
     WeightedCurveOrder,
+    corners,
     curve_spec,
     defining_set,
     enumerate_points,
@@ -19,6 +20,7 @@ from agcodes.geometry import (
     monomial_logs,
     poly_values,
 )
+from oracles import minimal_outside_scan
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,29 @@ def test_point_enumeration_matches_brute_force(f9, herm):
     poly = herm.poly_dict()
     grid = [Point(x, y) for x in [ZERO] + list(range(8)) for y in [ZERO] + list(range(8))]
     assert poly_values(f9, poly, grid).count(ZERO) == 27
+    # enumerate_points sums the curve along x-lines; the scan evaluates it
+    # with poly_values at every coordinate pair.  Hermitian curves and
+    # random C_ab curves, some with a ZERO coefficient, over five fields.
+    rng = random.Random(27)
+    fields = [
+        gf9(), field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1]),
+        field_new(3, 3, [1, 2, 0, 1]), field_new(2, 6, [1, 1, 0, 0, 0, 0, 1]),
+    ]
+    for f in fields:
+        curves = [hermitian_curve(f)] if f.q in (9, 16, 25, 64) else []
+        for _ in range(4):
+            a, b = rng.choice([(2, 3), (2, 5), (3, 4)])
+            terms = {(0, a): rng.randrange(f.q - 1), (b, 0): rng.randrange(f.q - 1)}
+            low = [(i, j) for i in range(b) for j in range(a) if a * i + b * j < a * b]
+            terms.update((c, rng.randrange(-1, f.q - 1)) for c in rng.sample(low, 3))
+            curves.append(curve_spec(a, b, terms))
+        for curve in curves:
+            logs = f.elements()
+            pairs = [Point(x, y) for x in logs for y in logs]
+            on = [p for p, v in zip(pairs, poly_values(f, curve.poly_dict(), pairs)) if v == ZERO]
+            assert enumerate_points(curve, f, include_zero=True) == on, (f.q, curve)
+            nonzero = [p for p in on if p.x != ZERO and p.y != ZERO]
+            assert enumerate_points(curve, f) == nonzero, (f.q, curve)
 
 
 def test_points_on_curve(f9, herm):
@@ -163,6 +188,25 @@ def test_is_downward_closed_matches_scan():
     assert not all(is_downward_closed(s) for s in sets)
     for cells in sets:
         assert is_downward_closed(cells) == is_downward_closed_scan(cells), cells
+
+
+def test_corners_match_the_scan():
+    # random lower sets by their non-increasing column heights, plus the
+    # defining sets the codes take
+    rng = random.Random(32)
+    columns = [[1], [5], [1, 1, 1, 1], [3, 3, 2, 2, 2, 1]]
+    for _ in range(200):
+        heights = [rng.randrange(1, 9) for _ in range(rng.randrange(1, 9))]
+        columns.append(sorted(heights, reverse=True))
+    f16 = field_new(2, 4, [1, 1, 0, 0, 1])
+    sets = [hyperbolic_set(m, f16) for m in (2, 5, 12, 30, 200)]
+    sets += [defining_set(WeightedCurveOrder(4, 5), m, f16) for m in (0, 7, 20, 60)]
+    for cells in sets:
+        heights = [sum(1 for i, _ in cells if i == c) for c in range(max(i for i, _ in cells) + 1)]
+        columns.append(heights)
+    for heights in columns:
+        cells = [(i, j) for i, h in enumerate(heights) for j in range(h)]
+        assert corners(heights) == minimal_outside_scan(cells, 10 + len(heights)), heights
 
 
 def test_weighted_order_no_ties_on_strip(f9):
