@@ -43,18 +43,18 @@ Two synthesis entry points:
   (q-1) torus is not one.
 
 Every order is a WeightedCurveOrder, translation invariant (s < t implies
-s + d < t + d), and takes one code path through Buchberger, Sakata's
-update, the vote and extend(): a curve code's own weights, or the graded
-WeightedCurveOrder(1, 1) of hcrs codes.
+s + d < t + d), and takes one code path through the point-ideal scan,
+Sakata's update, the vote and extend(): a curve code's own weights, or
+the graded WeightedCurveOrder(1, 1) of hcrs codes.
 
 Construction takes its two point-ideal bases without any synthesis.
-groebner_basis() runs Buchberger's algorithm on generators, which gives
-the ideal of all code points from x^(q-1) - 1, y^(q-1) - 1 and the curve
-equation.  The redundant points' basis is read off the elimination of
-codec's greedy walk, whose _Echelon rows carry each point's corner
-monomials.  vanishing_ideal_basis() is the routine for the ideal of an
-arbitrary point set: a monomial scan on the points' evaluation columns.
-The CLI runs it on the located error points.
+vanishing_ideal_basis() is the routine for the ideal of an arbitrary
+point set: a monomial scan on the points' evaluation columns.  For all
+code points codec scans only those off the curve's full x-lines, and
+_normal_form() reduces the curve by the products it forms.  The
+redundant points' basis is read off the elimination of codec's greedy
+walk, whose _Echelon rows carry each point's corner monomials.  The CLI
+runs the scan on the located error points.
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis, with both cyclic index
@@ -321,7 +321,7 @@ def vanishing_ideal_basis(
 
 
 # ---------------------------------------------------------------------------
-# Buchberger's algorithm on generators
+# reduction by a basis
 
 
 def _normal_form(
@@ -361,67 +361,6 @@ def _normal_form(
                 heappush(heap, (tuple(-v for v in key(s)), s))
             work[s] = sub_t[old][ma[gc]]
     return rem
-
-
-def _monic(f: Field, coeffs: dict[Cell, Elt], key) -> tuple[Cell, dict[Cell, Elt]]:
-    """(leading cell, coefficients divided by the leading one), zero
-    terms dropped."""
-    coeffs = {s: c for s, c in coeffs.items() if c != ZERO}
-    lt = max(coeffs, key=key)
-    lead = coeffs[lt]
-    return lt, {s: f.div(c, lead) for s, c in coeffs.items()}
-
-
-def groebner_basis(
-    f: Field, gens: Iterable[dict[Cell, Elt]], order: WeightedCurveOrder
-) -> GroebnerBasis:
-    """The reduced Groebner basis of the ideal the nonzero polynomials gens
-    generate, with its staircase (Buchberger 1965).
-
-    S-polynomials of pairs with coprime leading cells are skipped, since
-    they reduce to zero (Buchberger's first criterion); every other one
-    is fully reduced, and a nonzero remainder joins the basis.  Elements
-    led at or above another's leading cell are then dropped, and each
-    tail is reduced by the rest.  The elements are monic and sorted by
-    the key of their leading cells; delta holds the cells at or above no
-    leading cell, in key order.  The ideal must be zero-dimensional
-    (leading cells on both axes), as the ideals of point sets are.
-    """
-    key = order.key
-    sub_t = f.sub_table
-    basis = [_monic(f, g, key) for g in gens]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        i, j = pairs.pop()
-        (a, ga), (b, gb) = basis[i], basis[j]
-        if min(a[0], b[0]) == 0 and min(a[1], b[1]) == 0:
-            continue
-        top = (max(a[0], b[0]), max(a[1], b[1]))
-        s = {(c0 + top[0] - a[0], c1 + top[1] - a[1]): c for (c0, c1), c in ga.items()}
-        for (c0, c1), c in gb.items():
-            cell = (c0 + top[0] - b[0], c1 + top[1] - b[1])
-            s[cell] = sub_t[s.get(cell, ZERO)][c]
-        rem = _normal_form(f, s, basis, key)
-        if rem:
-            pairs += [(k, len(basis)) for k in range(len(basis))]
-            basis.append(_monic(f, rem, key))
-    # a divisor of a leading cell has a smaller key, so it is kept first
-    minimal: list[tuple[Cell, dict[Cell, Elt]]] = []
-    for lt, coeffs in sorted(basis, key=lambda g: key(g[0])):
-        if not any(_leq(m, lt) for m, _ in minimal):
-            minimal.append((lt, coeffs))
-    elements = tuple(
-        BivariatePoly(_normal_form(f, coeffs, minimal[:k] + minimal[k + 1 :], key), order)
-        for k, (_, coeffs) in enumerate(minimal)
-    )
-    lts = [g.lt for g in elements]
-    width = min(i for i, j in lts if j == 0)
-    height = min(j for i, j in lts if i == 0)
-    delta = sorted(
-        (c for c in product(range(width), range(height)) if not any(_leq(t, c) for t in lts)),
-        key=key,
-    )
-    return GroebnerBasis(elements, tuple(delta), order)
 
 
 # ---------------------------------------------------------------------------

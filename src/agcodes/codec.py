@@ -3,12 +3,14 @@
 A CodeSpec fully instantiates a code: the field, the monomial order and
 defining set, the code locations, the redundant/information point split
 with its precomputed vanishing-ideal bases, and the derived (n, k).  The
-basis of all code points is the reduced Groebner basis of its generators
-(bms.groebner_basis).  That of the redundant points is read off the
-greedy walk that picks them: the elimination of their evaluation rows on
-the defining set also reduces their corner monomials, and
-back-substitution gives each element's tail on the defining set, which
-the checks prove is the staircase.
+basis of all code points is built from the curve's x-lines: the full
+lines give a product of linear factors in x, and the point-ideal scan
+(bms.vanishing_ideal_basis) runs on the points of the other lines only.
+That of the redundant points is read off the greedy walk that picks
+them: the elimination of their evaluation rows on the defining set also
+reduces their corner monomials, and back-substitution gives each
+element's tail on the defining set, which the checks prove is the
+staircase.
 
 Families:
 
@@ -48,10 +50,10 @@ from .bms import (
     BivariatePoly,
     GroebnerBasis,
     _Echelon,
+    _normal_form,
     bms_with_voting,
     extend,
-    groebner_basis,
-    vanishing_ideal_basis,  # bound for perfbench/tracer.py; no codec path calls it
+    vanishing_ideal_basis,
 )
 from .errors import (
     BadRedundancy,
@@ -295,26 +297,81 @@ def _select_redundant_points(
 def _ambient_basis(
     f: Field, order: WeightedCurveOrder, curve: CurveSpec | None, points: Sequence[Point]
 ) -> GroebnerBasis:
-    """The reduced Groebner basis of the ideal of all code points.
+    """The reduced Groebner basis of the ideal of all code points, from the
+    curve's x-lines.
 
-    It is generated by x^(q-1) - 1, y^(q-1) - 1 and, for curve codes, the
-    curve equation: their common zeros are the code points, and the ideal
-    is radical, since both univariate generators are squarefree
-    (Seidenberg's lemma).  The staircase size and the vanishing of every
-    element at every point are checked; together they prove the basis is
-    that of the points' ideal.
+    C is the curve equation, or y^(q-1) - 1 for hcrs codes: of degree a in
+    y, and monic in y up to a constant.  An x-line is full when it holds a
+    points.  P(x) is the product of (x - x_c) over the F full lines, and
+    "partial" the points on the other lines.  Then I(all) = (C) + P *
+    I(partial): a polynomial reduced modulo C is sum_{j<a} r_j(x) y^j, and
+    it vanishes on a full line x_c exactly when every r_j has the root
+    x_c, since the line's a points are a distinct roots in y.  So P
+    divides every r_j, and the quotient vanishes at the partial points.
+
+    The basis is P * h for each element h of the partial points' basis
+    (bms.vanishing_ideal_basis) and, when F > 0, the monic C with its tail
+    reduced by the others, in place of the h led by (0, a) if there is
+    one.  Its staircase delta is [0, F) x [0, a) and (F, 0) + the partial
+    staircase.  A line of more than a points lies off C and is left out,
+    so the size check fails.  The checks prove the elements are the
+    reduced basis of I(all):
+
+    * each vanishes at every point, so it lies in I(all);
+    * each is monic at a corner of delta, one per corner, with its other
+      terms in delta, so the staircase of I(all) lies in delta;
+    * delta holds one cell per point, as that staircase does, so the two
+      are equal.
+
+    Elements come in the key order of their leading cells and delta in
+    key order, as bms.vanishing_ideal_basis() gives them.
     """
-    n = f.q - 1
-    minus_one = f.neg(ONE)
-    gens = [{(n, 0): ONE, (0, 0): minus_one}, {(0, n): ONE, (0, 0): minus_one}]
-    if curve is not None:
-        gens.append(curve.poly_dict())
-    basis = groebner_basis(f, gens, order)
-    if len(basis.delta) != len(points):
+    if curve is None:
+        a, c = f.q - 1, {(0, f.q - 1): ONE, (0, 0): f.neg(ONE)}
+    else:
+        a, c = curve.a, curve.poly_dict()
+    add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
+    lines = Counter(p.x for p in points)
+    # P(x), lowest degree first, one factor (x - x_c) per full line
+    p_coeffs = [ONE]
+    for x, size in lines.items():
+        if size == a:
+            pairs = zip_longest([ZERO] + p_coeffs, p_coeffs, fillvalue=ZERO)
+            p_coeffs = [sub_t[s][mul_t[x][v]] for s, v in pairs]
+    full = len(p_coeffs) - 1
+    partial = vanishing_ideal_basis([p for p in points if lines[p.x] < a], order, f)
+    elements = []
+    for h in partial.elements:
+        if full and h.lt == (0, a):
+            continue
+        coeffs: dict[Cell, Elt] = {}
+        for (i, j), v in h.coeffs.items():
+            mv = mul_t[v]
+            for k, pk in enumerate(p_coeffs):
+                coeffs[(i + k, j)] = add_t[coeffs.get((i + k, j), ZERO)][mv[pk]]
+        elements.append(BivariatePoly(coeffs, order))
+    if full:
+        scale = mul_t[f.inv(c[(0, a)])]
+        monic = {s: scale[v] for s, v in c.items()}
+        others = [(g.lt, g.coeffs) for g in elements]
+        elements.append(BivariatePoly(_normal_form(f, monic, others, order.key), order))
+    elements.sort(key=lambda g: order.key(g.lt))
+    cells = [(i, j) for i in range(full) for j in range(a)]
+    cells += [(full + i, j) for i, j in partial.delta]
+    delta = sorted(cells, key=order.key)
+    if len(delta) != len(points):
         raise AssertionError("staircase size must equal the point count")
-    if any(v != ZERO for g in basis.elements for v in poly_values(f, g.coeffs, points)):
+    heights = Counter(i for i, _ in delta)
+    lead = sorted(corners([heights[i] for i in range(len(heights))]), key=order.key)
+    inside = set(delta)
+    if [g.lt for g in elements] != lead or any(
+        g.coeffs[g.lt] != ONE or any(s not in inside for s in g.coeffs if s != g.lt)
+        for g in elements
+    ):
+        raise AssertionError("the ambient basis is not monic at each corner, tails in delta")
+    if any(v != ZERO for g in elements for v in poly_values(f, g.coeffs, points)):
         raise AssertionError("an ambient basis element does not vanish")
-    return basis
+    return GroebnerBasis(tuple(elements), tuple(delta), order)
 
 
 def _make_2d_code(

@@ -22,6 +22,7 @@ from agcodes.geometry import (
     WeightedCurveOrder,
     curve_spec,
     defining_set,
+    enumerate_points,
     hermitian_curve,
     monomial_logs,
 )
@@ -94,10 +95,10 @@ def test_redundant_positions_pinned(herm, hcrs):
 
 
 def _assert_bases_equal_synthesis(spec):
-    # a reduced Groebner basis is unique, so the bases construction takes
-    # from its generators and from the redundant points' monomial scan
-    # must equal the full-array synthesis of the same points, element by
-    # element and cell by cell
+    # a reduced Groebner basis is unique, so the bases construction builds
+    # from the curve's x-lines and reads off the greedy walk must equal
+    # the full-array synthesis of the same points, element by element and
+    # cell by cell
     for basis, points in ((spec.basis_all, spec.points), (spec.basis_wp, spec.wp)):
         oracle = synthesis_basis(points, spec.order, spec.field)
         assert basis.serialize() == oracle.serialize()
@@ -114,12 +115,16 @@ def test_construction_bases_equal_synthesis_every_gf9_m():
 
 # y^2 + y + x^3 + alpha^3 x over GF(16): the ambient basis keeps a third element
 CAB_GF16 = (2, 3, {(0, 2): ONE, (0, 1): ONE, (3, 0): ONE, (1, 0): 3})
-# a C_ab curve over GF(16) whose ambient basis has four elements, one of
-# which Buchberger's remainders leave unreduced until the tails are
-# reduced by the rest
+# a C_ab curve over GF(16) whose ambient basis has four elements: one of
+# its x-lines is full, and the point-ideal scan of the eight points on the
+# seven others gives the three beside the curve
 CAB_GF16_TAILS = (
     3, 4, {(0, 0): 2, (0, 1): 0, (0, 3): 6, (1, 0): 1, (1, 2): 1, (2, 1): 2, (4, 0): 10}
 )
+# a C_ab curve over GF(9) with one full x-line and one point on another,
+# whose monic equation has a term x^3 outside the ambient staircase, so
+# its tail is reduced by the other two elements
+CAB_GF9_REDUCED = (2, 3, {(0, 2): 7, (3, 0): 3, (0, 1): 0, (1, 1): 7})
 
 
 def _cab_gf16(m, curve=CAB_GF16):
@@ -162,14 +167,52 @@ def test_ambient_basis_of_a_curve_keeps_more_elements():
 
 
 def test_construction_basis_checks_fire(herm, monkeypatch):
-    # generators whose ideal has more zeros than the points
+    # an x-line with more points than the curve's y-degree is neither full
+    # nor partial: hermitian-q9's points and a fourth on its first line
+    x = herm.points[0].x
+    extra = next(Point(x, y) for y in range(8) if Point(x, y) not in herm.points)
     with pytest.raises(AssertionError, match="staircase size"):
-        codec._ambient_basis(F9, herm.order, herm.curve, herm.points[:-1])
-    # as many points as zeros, but off the curve: x times alpha turns
-    # x^4 into -x^4 over GF(9), and no point has y^3 + y = 0
+        codec._ambient_basis(F9, herm.order, herm.curve, list(herm.points) + [extra])
+    # three points on each of eight x-lines, but off the curve: x times
+    # alpha turns x^4 into -x^4 over GF(9), and no point has y^3 + y = 0
     moved = [Point((p.x + 1) % 8, p.y) for p in herm.points]
     with pytest.raises(AssertionError, match="ambient basis element does not vanish"):
         codec._ambient_basis(F9, herm.order, herm.curve, moved)
+
+    # each element still vanishes, but the curve keeps its term x^3
+    # outside the staircase, the element of the partial scan's last corner
+    # goes missing, or the scan's elements are scaled by alpha
+    a, b, terms = CAB_GF9_REDUCED
+    curve, order = curve_spec(a, b, terms), WeightedCurveOrder(a, b)
+    points = enumerate_points(curve, F9)
+    assert (3, 0) not in codec._ambient_basis(F9, order, curve, points).delta
+    real_scan = codec.vanishing_ideal_basis
+
+    def dropping(*args):
+        basis = real_scan(*args)
+        return bms.GroebnerBasis(basis.elements[:-1], basis.delta, basis.order)
+
+    def unreduced(f, poly, basis, key):
+        return poly
+
+    def scaled(*args):
+        basis = real_scan(*args)
+        elements = tuple(
+            bms.BivariatePoly({c: (v + 1) % 8 for c, v in g.coeffs.items()}, order)
+            for g in basis.elements
+        )
+        return bms.GroebnerBasis(elements, basis.delta, basis.order)
+
+    stubs = [
+        ("_normal_form", unreduced),
+        ("vanishing_ideal_basis", dropping),
+        ("vanishing_ideal_basis", scaled),
+    ]
+    for name, stub in stubs:
+        with monkeypatch.context() as patched:
+            patched.setattr(codec, name, stub)
+            with pytest.raises(AssertionError, match="not monic at each corner"):
+                codec._ambient_basis(F9, order, curve, points)
 
     real_tails = codec._corner_tails
 
@@ -292,24 +335,59 @@ def test_walk_adds_one_row_per_kept_point(monkeypatch):
         assert adds == kept, (spec.kind, f.q, spec.m)
 
 
-def test_walk_matches_the_plain_walk_on_random_cab_curves(monkeypatch):
+def _random_cab_curve(rng, f):
+    # y^a, x^b and one to three terms below their weight, each with a
+    # random nonzero coefficient
+    a, b = rng.choice([(2, 3), (2, 5), (3, 4)])
+    terms = {(0, a): rng.randrange(f.q - 1), (b, 0): rng.randrange(f.q - 1)}
+    low = [(i, j) for i in range(b) for j in range(a) if a * i + b * j < a * b]
+    terms.update((c, rng.randrange(f.q - 1)) for c in rng.sample(low, rng.randrange(1, 4)))
+    return curve_spec(a, b, terms)
+
+
+def test_ambient_basis_equals_synthesis_on_random_cab_curves():
+    # basis_all is the x-line construction on the code's points, and must
+    # equal the full-array synthesis of the same points.  The sample holds
+    # curves with every x-line full, with some full and with none full,
+    # and curves whose equation's tail is reduced by the other elements.
+    rng = random.Random(28)
+    cases = Counter()
+    for f in (F9, field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])):
+        n = f.q - 1
+        built = 0
+        while built < 40:
+            curve = _random_cab_curve(rng, f)
+            points = enumerate_points(curve, f)
+            if not points:
+                continue
+            built += 1
+            order = WeightedCurveOrder(curve.a, curve.b)
+            basis = codec._ambient_basis(f, order, curve, points)
+            oracle = synthesis_basis(points, order, f)
+            assert basis.serialize() == oracle.serialize(), (f.q, curve)
+            assert basis.delta == oracle.delta, (f.q, curve)
+            lines = Counter(p.x for p in points).values()
+            full = sum(size == curve.a for size in lines)
+            cases["all" if full == len(lines) else "some" if full else "none"] += 1
+            poly = curve.poly_dict()
+            lead = poly[(0, curve.a)]
+            monic = {c: (v - lead) % n for c, v in poly.items() if v != ZERO}
+            cases["reduced"] += full > 0 and monic not in [g.coeffs for g in basis.elements]
+    assert all(cases[c] >= 3 for c in ("all", "some", "none", "reduced")), cases
+
+
+def test_walk_matches_the_plain_walk_on_random_cab_curves():
     # On a C_ab curve an x-line can hold fewer points than the height of
     # its defining-set column; from the first such line on the walk
     # evaluates every point.  Its choice must still be the plain walk's.
-    # The ambient basis is stubbed out: Buchberger is no part of the walk,
-    # and on these curves it takes about 0.1 s a build over GF(25).
-    monkeypatch.setattr(codec, "_ambient_basis", lambda *args: None)
     rng = random.Random(25)
     for f in (F9, field_new(2, 4, [1, 1, 0, 0, 1]), field_new(5, 2, [2, 1, 1])):
         built = short = 0
         while built < 35:
-            a, b = rng.choice([(2, 3), (2, 5), (3, 4)])
-            terms = {(0, a): rng.randrange(f.q - 1), (b, 0): rng.randrange(f.q - 1)}
-            low = [(i, j) for i in range(b) for j in range(a) if a * i + b * j < a * b]
-            terms.update((c, rng.randrange(f.q - 1)) for c in rng.sample(low, rng.randrange(1, 4)))
-            curve = curve_spec(a, b, terms)
+            curve = _random_cab_curve(rng, f)
             try:
-                spec = codec.make_curve_code(f, curve, rng.randrange(2 * curve.genus - 1, 3 * b))
+                m = rng.randrange(2 * curve.genus - 1, 3 * curve.b)
+                spec = codec.make_curve_code(f, curve, m)
             except (NonGenericSupport, ValueError):  # rank deficient, or phi too large
                 continue
             built += 1
