@@ -57,16 +57,16 @@ walk, whose _Echelon rows carry each point's corner monomials.  The CLI
 runs the scan on the located error points.
 
 extend() fills a partially known array from its values on the basis
-staircase, using the recurrences of the basis, with both cyclic index
-wrap and schedule independence; no recurrence is re-checked afterwards,
-since the staircase values determine the array.  Partial arrays
-are dicts from cell to value; a grid (a list of rows, None where the
-value is unknown) is the working store.  One rule scan, _rule_reads(),
-decides which solved recurrence fills a cell: the first one led at or
-below it whose cells are known.  Which recurrence fills which cell
-depends only on the basis and the schedule, never on the values, so
-extend() runs the scan to a fixpoint once per basis and schedule, on
-known/unknown flags, and replays the fill plan it gives on every call.
+staircase, using the recurrences of the basis with cyclic index wrap;
+no recurrence is re-checked afterwards, since the staircase values
+determine the array.  Partial arrays are dicts from cell to value; a
+grid (a list of rows, None where the value is unknown) is the working
+store.  One rule scan, _rule_reads(), decides which solved recurrence
+fills a cell: the first one led at or below it whose cells are known.
+Which recurrence fills which cell depends only on the basis, never on
+the values, so extend() runs the scan once per basis, in one pass over
+the grid in the basis order on known/unknown flags, and replays the
+fill plan it gives on every call.
 _forced() applies the scan to values: the decoder derives with it every
 cell the ambient recurrences reach.
 
@@ -150,7 +150,7 @@ class GroebnerBasis:
     elements: tuple[BivariatePoly, ...]
     delta: tuple[Cell, ...]
     order: WeightedCurveOrder
-    # extend()'s fill plans by (field, schedule), each built on first use;
+    # extend()'s fill plan per field, built on first use;
     # not part of the basis's value, so equal bases keep their own
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -582,7 +582,7 @@ class _FillPlan(NamedTuple):
 
     free holds the staircase: the grid cells with no leading cell at or
     below them, the cells extend() takes from its values.  steps lists
-    every other cell in fill order as (flat index i*(q-1) + j, reads),
+    every other cell in the basis order as (flat index i*(q-1) + j, reads),
     where reads holds the (flat index, mul_table row) pairs of the rule
     that fills it; the cell's value is the sum of row[value at index].
     """
@@ -591,12 +591,20 @@ class _FillPlan(NamedTuple):
     steps: tuple[tuple[int, tuple[tuple[int, tuple[Elt, ...]], ...]], ...]
 
 
-def _build_fill_plan(basis: GroebnerBasis, f: Field, schedule: str) -> _FillPlan:
-    """extend()'s fill run on known/unknown flags instead of values:
-    passes over the schedule's cells repeat until a fixpoint, each
-    unknown cell taking the first rule led at or below it whose cells are
-    known (_rule_reads).  A cell filled in a pass is known to the cells
-    after it.  IncompleteCover when some cell stays unreachable."""
+def _build_fill_plan(basis: GroebnerBasis, f: Field) -> _FillPlan:
+    """extend()'s fill run on known/unknown flags instead of values: one
+    pass over the grid in the basis order, each cell outside the
+    staircase taking the first rule led at or below it whose cells are
+    known (_rule_reads).
+
+    One pass fills every cell.  A rule led by lt that fills w >= lt reads
+    (w - lt + s) mod (q-1) for its tail terms s < lt.  Translation
+    invariance puts w - lt + s before w, and taking an index mod q-1 only
+    lowers the weight, so every read is a grid cell earlier in the order:
+    in the staircase, or filled earlier in the pass.  So every rule led
+    at or below w can fill it, and the scan takes the first.  Raises
+    IncompleteCover naming the cell where no rule can, which happens only
+    when the elements were led under another order than basis.order."""
     n = f.q - 1
     lts = [p.lt for p in basis.elements]
     # a known cell holds its flat index, which is what a step reads there
@@ -605,26 +613,17 @@ def _build_fill_plan(basis: GroebnerBasis, f: Field, schedule: str) -> _FillPlan
         for i in range(n)
     ]
     free = frozenset((i, j) for i in range(n) for j in range(n) if grid[i][j] is not None)
-    if schedule == "order":
-        cells: Iterable[Cell] = grid_cells(f.q, basis.order)
-    else:
-        cells = product(range(n), range(n))
     rules = _solved_rules(f, [(p.lt, p.coeffs) for p in basis.elements])
     steps = []
-    missing = [w for w in cells if w not in free]
-    while missing:
-        still: list[Cell] = []
-        for w in missing:
-            reads = _rule_reads(rules, grid, w)
-            if reads is None:
-                still.append(w)
-                continue
-            k = w[0] * n + w[1]
-            grid[w[0]][w[1]] = k
-            steps.append((k, tuple(reads)))
-        if len(still) == len(missing):
-            raise IncompleteCover("some cells are not reachable by any recurrence")
-        missing = still
+    for w in grid_cells(f.q, basis.order):
+        if w in free:
+            continue
+        reads = _rule_reads(rules, grid, w)
+        if reads is None:
+            raise IncompleteCover(f"cell {w} is not reachable by any recurrence")
+        k = w[0] * n + w[1]
+        grid[w[0]][w[1]] = k
+        steps.append((k, tuple(reads)))
     return _FillPlan(free, tuple(steps))
 
 
@@ -632,7 +631,6 @@ def extend(
     values: dict[Cell, Elt],
     basis: GroebnerBasis,
     f: Field,
-    schedule: str = "order",
 ) -> Array2D:
     """Complete an array known at the cells of values so every basis
     recurrence holds cyclically.
@@ -647,37 +645,32 @@ def extend(
     cell outside delta is then compared with it.  Raises ValueError for a
     cell outside the grid or a value that is no element log in
     [-1, q-2], IncompleteCover when some cell stays unreachable (a delta
-    cell is not known, or the recurrences do not reach every cell from
-    delta), and InconsistentKnownValues when a known cell outside delta
-    differs from the extension.
+    cell is not known, or the elements were not led under basis.order),
+    and InconsistentKnownValues when a known cell outside delta differs
+    from the extension.
 
-    Which rule fills which cell, and in which pass, depends only on the
-    basis and the schedule, never on the values.  So the first extend()
-    with a basis, field and schedule builds the fill plan
-    (_build_fill_plan), never construction, and every call replays it:
-    one pass over a flat list.  The plan is cached on the basis, so it is
-    freed with the basis, and is no part of its value, hash, repr or
-    serialize().  On the redundant-point basis of Hermitian codes a plan
-    retains 0.07 MB at GF(16) m = 20, 0.20 MB at GF(25) m = 30, 1.5 MB at
-    GF(64) m = 72 and 29 MB at GF(256) m = 300 (tracemalloc).  Building
-    it costs three to four of the value fills it replaces: the first call
-    takes 14 ms at GF(64) m = 72 and 0.45 s at GF(256) m = 300.
-
-    Known values are never changed.  schedule is "order" (the basis
-    order's enumeration) or "rowmajor"; the result is independent of it.
+    Which rule fills which cell depends only on the basis, never on the
+    values.  So the first extend() with a basis and field builds the fill
+    plan (_build_fill_plan), never construction, and every call replays
+    it: one pass over a flat list.  The plan is cached on the basis, so
+    it is freed with the basis, and is no part of its value, hash, repr
+    or serialize().  On the redundant-point basis of Hermitian codes a
+    plan retains 0.07 MB at GF(16) m = 20, 0.20 MB at GF(25) m = 30,
+    1.5 MB at GF(64) m = 72 and 29 MB at GF(256) m = 300 (tracemalloc).
+    Building it costs three to four of the value fills it replaces: the
+    first call takes 14 ms at GF(64) m = 72 and 0.45 s at GF(256)
+    m = 300.  Known values are never changed.
     """
     q = f.q
     n = q - 1
-    if schedule not in ("order", "rowmajor"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     _check_in_grid(values, n)
     top = q - 2
     for c, v in values.items():
         if not isinstance(v, int) or not -1 <= v <= top:
             raise ValueError(f"value {v!r} at cell {c} is not an element log in [-1, {top}]")
-    plan = basis._plans.get((f, schedule))
+    plan = basis._plans.get(f)
     if plan is None:
-        plan = basis._plans[f, schedule] = _build_fill_plan(basis, f, schedule)
+        plan = basis._plans[f] = _build_fill_plan(basis, f)
     flat: list[Elt | None] = [None] * (n * n)
     outside: list[tuple[int, Elt]] = []
     free = plan.free

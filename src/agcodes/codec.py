@@ -414,9 +414,7 @@ def make_curve_code(f: Field, curve: CurveSpec, m: int) -> CodeSpec:
     code."""
     _check_symbols(f, [c for _, c in curve.defining_poly], "curve coefficient")
     order = WeightedCurveOrder(curve.a, curve.b)
-    all_points = enumerate_points(curve, f, include_zero=True)
-    points = [p for p in all_points if p.x != ZERO and p.y != ZERO]
-    zero_points = [p for p in all_points if p.x == ZERO or p.y == ZERO]
+    points, zero_points = enumerate_points(curve, f)
     if m <= 2 * curve.genus - 2:
         raise MTooSmall(f"m={m} must exceed 2g-2={2 * curve.genus - 2}")
     phi = defining_set(order, m, f)

@@ -152,14 +152,15 @@ def hermitian_curve(f: Field) -> CurveSpec:
     return curve_spec(u, u + 1, poly)
 
 
-def enumerate_points(c: CurveSpec, f: Field, include_zero: bool = False) -> list[Point]:
-    """All affine points of the curve, in ascending (log x, log y) order.
+def enumerate_points(c: CurveSpec, f: Field) -> tuple[list[Point], list[Point]]:
+    """The affine points of the curve as (points, zero_points): those with
+    both coordinates nonzero and those with a zero coordinate, each in
+    ascending (log x, log y) order.
 
-    include_zero=False keeps only points with both coordinates nonzero.
-    Those are found one x-line at a time: the curve's values along the
-    line are summed term by term, each term c*x^i*y^j being the log
-    c + i*x + j*y over every y at once.  The points with a zero
-    coordinate are tested with poly_values.
+    The nonzero-coordinate points are found one x-line at a time: the
+    curve's values along the line are summed term by term, each term
+    c*x^i*y^j being the log c + i*x + j*y over every y at once.  The
+    points with a zero coordinate are tested with poly_values.
     """
     n = f.q - 1
     add_t, mul_t = f.add_table, f.mul_table
@@ -175,11 +176,10 @@ def enumerate_points(c: CurveSpec, f: Field, include_zero: bool = False) -> list
             times = mul_t[(cf + i * x) % n]  # times c*x^i
             line = [add_t[v][times[w]] for v, w in zip(line, yj)]
         pts += [Point(x, y) for y, v in zip(ys, line) if v == ZERO]
-    if include_zero:
-        axes = [Point(ZERO, y) for y in f.elements()] + [Point(x, ZERO) for x in ys]
-        pts += [p for p, v in zip(axes, poly_values(f, c.poly_dict(), axes)) if v == ZERO]
-    pts.sort()
-    return pts
+    # in ascending order already: ZERO is the log -1
+    axes = [Point(ZERO, y) for y in f.elements()] + [Point(x, ZERO) for x in ys]
+    zero_pts = [p for p, v in zip(axes, poly_values(f, c.poly_dict(), axes)) if v == ZERO]
+    return pts, zero_pts
 
 
 # -- defining sets ---------------------------------------------------------

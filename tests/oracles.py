@@ -9,9 +9,10 @@ the package.
 plain_walk is construction's greedy walk without its skip of x-line
 tails: every point is evaluated until the defining set is covered.
 
-fill_by_recurrences is extend()'s fill on values: passes over a schedule
-to a fixpoint, every pass rescanning the rules at each unknown cell,
-where extend() replays a plan built once per basis and schedule.
+fill_by_recurrences is extend()'s fill on values: passes over any cell
+list to a fixpoint, every pass rescanning the rules at each unknown
+cell, where extend() replays a plan built once per basis in one pass
+over the basis order.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ def fill_by_recurrences(
     f: Field,
     grid: list[list[Elt | None]],
     elems: Iterable[tuple[Cell, dict[Cell, Elt]]],
-    schedule: Iterable[Cell],
+    cells: Iterable[Cell],
 ) -> bool:
     """Fill the unknown (None) cells of the grid in place by the
     recurrences; False if some cell stays unreachable.  Repeats passes
-    over the schedule until a fixpoint, so schedule order cannot change
+    over the cells until a fixpoint, so their order cannot change
     reachability."""
     add_t = f.add_table
     rules = _solved_rules(f, elems)
-    missing = [w for w in schedule if grid[w[0]][w[1]] is None]
+    missing = [w for w in cells if grid[w[0]][w[1]] is None]
     while missing:
         still: list[Cell] = []
         for w in missing:

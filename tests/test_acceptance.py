@@ -21,7 +21,8 @@ from agcodes.geometry import (
     hermitian_curve,
     hyperbolic_set,
 )
-from agcodes.transform import dft1, idft2
+from agcodes.transform import Array2D, dft1, idft2
+from oracles import fill_by_recurrences
 
 F9 = gf9()
 HERM = codec.preset("hermitian-q9")
@@ -48,12 +49,10 @@ def test_01_field_fidelity():
 
 def test_02_point_census():
     curve = hermitian_curve(F9)
-    nonzero = enumerate_points(curve, F9, include_zero=False)
+    nonzero, zero = enumerate_points(curve, F9)
     assert len(nonzero) == 24
-    allpts = enumerate_points(curve, F9, include_zero=True)
-    zero = [p for p in allpts if p.x == ZERO or p.y == ZERO]
     assert zero == [Point(ZERO, ZERO), Point(ZERO, 2), Point(ZERO, 6)]
-    assert len(allpts) == 27
+    assert len(nonzero) + len(zero) == 27
     ok(2, "24 nonzero-coordinate points and exactly (0,0),(0,a^2),(0,a^6)")
 
 
@@ -99,7 +98,7 @@ def test_04_transform_image_on_points_and_injectivity():
 
 
 def test_05_vanishing_ideal_basis():
-    pts = enumerate_points(hermitian_curve(F9), F9)
+    pts, _ = enumerate_points(hermitian_curve(F9), F9)
     basis = vanishing_ideal_basis(pts, WeightedCurveOrder(3, 4), F9)
     coeff_sets = sorted(tuple(sorted(p.coeffs.items())) for p in basis.elements)
     assert coeff_sets == [
@@ -114,14 +113,18 @@ def test_05_vanishing_ideal_basis():
 
 
 def test_06_extension_order_independence():
+    # extend fills in the basis order; the oracle fills by the same
+    # recurrences in passes over the row-major cell list
     rng = random.Random(106)
     strip = [(i, j) for i in range(8) for j in range(3)]
+    cells = [(i, j) for i in range(8) for j in range(8)]
+    elems = [(p.lt, p.coeffs) for p in HERM.basis_all.elements]
     for _ in range(100):
         vals = {c: rng.randrange(-1, 8) for c in strip}
-        a = extend(vals, HERM.basis_all, F9, schedule="order")
-        b = extend(vals, HERM.basis_all, F9, schedule="rowmajor")
-        assert a == b
-    ok(6, "extension identical under order and row-major fill schedules")
+        grid = [[vals.get((i, j)) for j in range(8)] for i in range(8)]
+        assert fill_by_recurrences(F9, grid, elems, cells)
+        assert extend(vals, HERM.basis_all, F9) == Array2D(9, grid)
+    ok(6, "extension in the basis order equals the row-major fill by recurrences")
 
 
 def test_07_systematic_equals_matrix_oracle():

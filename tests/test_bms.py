@@ -51,7 +51,7 @@ from oracles import (
 
 F9 = gf9()
 WORDER = WeightedCurveOrder(3, 4)
-HERM_POINTS = enumerate_points(hermitian_curve(F9), F9)
+HERM_POINTS, _ = enumerate_points(hermitian_curve(F9), F9)
 STRIP = [(i, j) for i in range(8) for j in range(3)]
 
 
@@ -139,7 +139,7 @@ F25 = field_new(5, 2, [2, 1, 1])
 ORACLE_POINT_SETS = [
     (F9, WORDER, HERM_POINTS),
     (F16, WeightedCurveOrder(1, 1), [Point(x, y) for x in range(15) for y in range(15)]),
-    (F25, WeightedCurveOrder(5, 6), enumerate_points(hermitian_curve(F25), F25)),
+    (F25, WeightedCurveOrder(5, 6), enumerate_points(hermitian_curve(F25), F25)[0]),
 ]
 
 
@@ -323,10 +323,15 @@ def test_extend_hermitian_recurrence_identity(basis_all):
 
 
 def test_extend_schedule_independence(basis_all):
+    # the one-pass plan in the order against the value fixpoint over the
+    # row-major cell list
     rng = random.Random(29)
+    elems = [(p.lt, p.coeffs) for p in basis_all.elements]
     for _ in range(100):
         vals = {c: rng.randrange(-1, 8) for c in STRIP}
-        assert extend(vals, basis_all, F9) == extend(vals, basis_all, F9, "rowmajor")
+        grid = [[vals.get((i, j)) for j in range(8)] for i in range(8)]
+        assert fill_by_recurrences(F9, grid, elems, all_cells())
+        assert extend(vals, basis_all, F9) == Array2D(9, grid)
 
 
 def test_extend_idempotent(basis_all):
@@ -338,13 +343,26 @@ def test_extend_idempotent(basis_all):
 
 
 def test_extend_incomplete_cover():
-    # only the curve polynomial: row cells j < 3 are unreachable
+    # only the curve polynomial: its staircase is every cell with j < 3,
+    # and of those only (0, 0) is known; (1, 0) comes next in the order
     full = vanishing_ideal_basis(HERM_POINTS, WORDER, F9)
     curve_only = GroebnerBasis(
         tuple(p for p in full.elements if p.lt == (0, 3)), full.delta, WORDER
     )
-    with pytest.raises(IncompleteCover):
+    with pytest.raises(IncompleteCover, match=re.escape("staircase cell (1, 0) is not known")):
         extend({(0, 0): 3}, curve_only, F9)
+
+
+def test_extend_refuses_a_basis_led_under_another_order():
+    # x + y^2 is led by x under (5, 2) but by y^2 under the graded order
+    # of the basis: (1, 0) reads (0, 2) of the staircase, but (2, 0), the
+    # next cell outside it, reads (1, 2), which comes later
+    poly = BivariatePoly({(1, 0): ONE, (0, 2): ONE}, WeightedCurveOrder(5, 2))
+    graded = WeightedCurveOrder(1, 1)
+    basis = GroebnerBasis((poly,), tuple((0, j) for j in range(8)), graded)
+    with pytest.raises(IncompleteCover, match=re.escape("cell (2, 0) is not reachable")):
+        extend({(0, j): ZERO for j in range(8)}, basis, F9)
+    assert basis._plans == {}
 
 
 def test_extend_inconsistent_known_values(basis_all):
@@ -437,7 +455,8 @@ def _hermitian_code(p, deg, poly, m):
 @pytest.mark.parametrize("name", PLAN_CODES)
 def test_extend_plan_agrees_with_value_fixpoint(name):
     # the plan replay against the fill it replaces, run on the values: on
-    # random staircase values, under both schedules, for both bases
+    # random staircase values, with the value fill over the cells in the
+    # order and row-major, for both bases
     spec = PLAN_CODES[name]()
     f = spec.field
     n = f.q - 1
@@ -448,30 +467,45 @@ def test_extend_plan_agrees_with_value_fixpoint(name):
         delta = list(basis.delta)
         every = list(product(range(n), range(n)))
         outside = sorted(set(every) - set(delta))
-        for schedule, cells in (("order", grid_cells(f.q, basis.order)), ("rowmajor", every)):
+        for cells in (grid_cells(f.q, basis.order), every):
             for _ in range(3):
                 vals = {c: rng.randrange(-1, n) for c in delta}
                 grid = [[None] * n for _ in range(n)]
                 for (i, j), v in vals.items():
                     grid[i][j] = v
                 assert fill_by_recurrences(f, grid, elems, cells)
-                arr = extend(vals, basis, f, schedule)
-                assert arr == Array2D(f.q, grid), (ideal, schedule)
+                arr = extend(vals, basis, f)
+                assert arr == Array2D(f.q, grid), (ideal, cells is every)
             if outside:  # hcrs codes have a point on every cell: basis_all's delta is the grid
                 bad = arr.copy()
                 c = rng.choice(outside)
                 bad[c] = f.add(bad[c], rng.randrange(n))
                 with pytest.raises(InconsistentKnownValues):
-                    extend(values_of(bad, every), basis, f, schedule)
+                    extend(values_of(bad, every), basis, f)
             dropped = dict(vals)
             cell = rng.choice(delta)
             del dropped[cell]
             with pytest.raises(IncompleteCover, match=re.escape(f"staircase cell {cell}")):
-                extend(dropped, basis, f, schedule)
+                extend(dropped, basis, f)
             # the grid check comes first
             dropped[(n, 0)] = ZERO
             with pytest.raises(ValueError, match="outside the"):
-                extend(dropped, basis, f, schedule)
+                extend(dropped, basis, f)
+
+
+@pytest.mark.parametrize("name", PLAN_CODES)
+def test_fill_plan_steps_are_the_cells_outside_the_staircase_in_order(name):
+    # one pass in the order fills every cell outside the staircase, each
+    # when the pass reaches it
+    spec = PLAN_CODES[name]()
+    f = spec.field
+    n = f.q - 1
+    for ideal in ("basis_wp", "basis_all"):
+        basis = getattr(spec, ideal)
+        plan = bms_module._build_fill_plan(basis, f)
+        assert plan.free == frozenset(basis.delta), ideal
+        outside = [c for c in grid_cells(f.q, basis.order) if c not in plan.free]
+        assert [k for k, _ in plan.steps] == [i * n + j for i, j in outside], ideal
 
 
 @pytest.mark.parametrize("bad", [-2, 8, "x"])
@@ -487,13 +521,13 @@ def test_extend_rejects_values_that_are_no_element_logs(bad):
         extend(values, spec.basis_wp, F9)
 
 
-def test_fill_plan_is_built_once_per_basis_and_schedule(monkeypatch, tmp_path):
+def test_fill_plan_is_built_once_per_basis(monkeypatch, tmp_path):
     built = []
     build = bms_module._build_fill_plan
 
-    def spy(basis, f, schedule):
-        built.append((id(basis), schedule))
-        return build(basis, f, schedule)
+    def spy(basis, f):
+        built.append(id(basis))
+        return build(basis, f)
 
     monkeypatch.setattr(bms_module, "_build_fill_plan", spy)
     spec = codec.make_curve_code(F9, hermitian_curve(F9), 11)
@@ -501,9 +535,9 @@ def test_fill_plan_is_built_once_per_basis_and_schedule(monkeypatch, tmp_path):
     r = repr(spec.basis_wp)
     h = hash(spec.basis_wp)
     rng = random.Random(41)
-    for schedule in ("order", "rowmajor", "order", "rowmajor"):
-        extend({c: rng.randrange(-1, 8) for c in spec.phi}, spec.basis_wp, F9, schedule)
-    assert built == [(id(spec.basis_wp), "order"), (id(spec.basis_wp), "rowmajor")]
+    for _ in range(4):
+        extend({c: rng.randrange(-1, 8) for c in spec.phi}, spec.basis_wp, F9)
+    assert built == [id(spec.basis_wp)]
     # the plans are no part of the basis's value, text form or spec file
     assert spec.basis_wp.serialize() == text
     assert repr(spec.basis_wp) == r
@@ -517,8 +551,8 @@ def test_fill_plan_is_built_once_per_basis_and_schedule(monkeypatch, tmp_path):
     assert basis is not spec.basis_wp and basis._plans == {}
     vals = {c: rng.randrange(-1, 8) for c in spec.phi}
     assert extend(vals, basis, F9) == extend(vals, spec.basis_wp, F9)
-    assert built[2:] == [(id(basis), "order")]
-    assert basis._plans[F9, "order"] is not spec.basis_wp._plans[F9, "order"]
+    assert built[1:] == [id(basis)]
+    assert basis._plans[F9] is not spec.basis_wp._plans[F9]
     assert basis == spec.basis_wp and hash(basis) == h
     assert again == spec
 

@@ -184,7 +184,7 @@ def test_construction_basis_checks_fire(herm, monkeypatch):
     # goes missing, or the scan's elements are scaled by alpha
     a, b, terms = CAB_GF9_REDUCED
     curve, order = curve_spec(a, b, terms), WeightedCurveOrder(a, b)
-    points = enumerate_points(curve, F9)
+    points, _ = enumerate_points(curve, F9)
     assert (3, 0) not in codec._ambient_basis(F9, order, curve, points).delta
     real_scan = codec.vanishing_ideal_basis
 
@@ -357,7 +357,7 @@ def test_ambient_basis_equals_synthesis_on_random_cab_curves():
         built = 0
         while built < 40:
             curve = _random_cab_curve(rng, f)
-            points = enumerate_points(curve, f)
+            points, _ = enumerate_points(curve, f)
             if not points:
                 continue
             built += 1

@@ -61,12 +61,10 @@ def test_hermitian_curve_shape(herm):
 
 
 def test_hermitian_point_census(f9, herm):
-    pts = enumerate_points(herm, f9, include_zero=False)
+    pts, zero = enumerate_points(herm, f9)
     assert len(pts) == 24
     assert all(p.x != ZERO and p.y != ZERO for p in pts)
-    allpts = enumerate_points(herm, f9, include_zero=True)
-    assert len(allpts) == 27
-    zero = [p for p in allpts if p.x == ZERO or p.y == ZERO]
+    assert len(pts) + len(zero) == 27
     assert zero == [Point(ZERO, ZERO), Point(ZERO, 2), Point(ZERO, 6)]
 
 
@@ -91,26 +89,29 @@ def test_point_enumeration_matches_brute_force(f9, herm):
             low = [(i, j) for i in range(b) for j in range(a) if a * i + b * j < a * b]
             terms.update((c, rng.randrange(-1, f.q - 1)) for c in rng.sample(low, 3))
             curves.append(curve_spec(a, b, terms))
+        # y^2 + x^3 - 1 passes through (1, 0), on the axis y = 0 off x = 0
+        curves.append(curve_spec(2, 3, {(0, 2): 0, (3, 0): 0, (0, 0): f.neg(0)}))
         for curve in curves:
             logs = f.elements()
             pairs = [Point(x, y) for x in logs for y in logs]
             on = [p for p, v in zip(pairs, poly_values(f, curve.poly_dict(), pairs)) if v == ZERO]
-            assert enumerate_points(curve, f, include_zero=True) == on, (f.q, curve)
             nonzero = [p for p in on if p.x != ZERO and p.y != ZERO]
-            assert enumerate_points(curve, f) == nonzero, (f.q, curve)
+            zero = [p for p in on if p.x == ZERO or p.y == ZERO]
+            assert enumerate_points(curve, f) == (nonzero, zero), (f.q, curve)
 
 
 def test_points_on_curve(f9, herm):
     poly = herm.poly_dict()
-    pts = enumerate_points(herm, f9, include_zero=True)
-    assert poly_values(f9, poly, pts) == [ZERO] * len(pts)
+    pts, zero = enumerate_points(herm, f9)
+    assert poly_values(f9, poly, pts + zero) == [ZERO] * (len(pts) + len(zero))
 
 
 def test_degenerate_diagonal_curve(f9):
     # x = y, constructed without the C_a^b validation
     diag = CurveSpec(a=1, b=2, defining_poly=(((1, 0), 0), ((0, 1), 4)))
-    pts = enumerate_points(diag, f9, include_zero=False)
+    pts, zero = enumerate_points(diag, f9)
     assert pts == [Point(k, k) for k in range(8)]
+    assert zero == [Point(ZERO, ZERO)]
 
 
 def test_curve_spec_validation(f9):
