@@ -125,9 +125,6 @@ class BivariatePoly:
             raise ValueError("the zero polynomial has no leading term")
         self.lt = max(self.coeffs, key=order.key)
 
-    def evaluate(self, f: Field, x: Elt, y: Elt) -> Elt:
-        return poly_values(f, self.coeffs, [(x, y)])[0]
-
     # equal coefficients are the same polynomial; coeffs is never changed
     # after construction, so the hash holds
     def __eq__(self, other: object) -> bool:
@@ -830,7 +827,6 @@ def _vote(
 def bms_with_voting(
     f: Field,
     known: dict[Cell, Elt],
-    order: WeightedCurveOrder,
     max_errors: int,
     ambient: GroebnerBasis,
     support: AbstractSet[Cell],
@@ -838,9 +834,11 @@ def bms_with_voting(
 ) -> Array2D:
     """The error array from syndrome values on the defining set.
 
-    The known cells must form a lower set (ValueError otherwise), as
-    every defining set does.  The cells processed are the order prefix of
-    N^2 up to the key of the last grid cell, in the order's enumeration.
+    The order is ambient.order, under which the ambient recurrences that
+    derive cells are led, as extend() reads basis.order.  The known cells
+    must form a lower set (ValueError otherwise), as every defining set
+    does.  The cells processed are the order prefix of N^2 up to the key
+    of the last grid cell, in the order's enumeration.
     The prefix is finite because every weight is positive.  On it every
     cell a minimal polynomial's test touches is already processed, and
     every basis split of a cell is a valid prediction pair.  The
@@ -881,6 +879,7 @@ def bms_with_voting(
     """
     q = f.q
     n = q - 1
+    order = ambient.order
     amb_rules = _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
     # the curve equation's leading cell (0, a): a cell at or above it is
     # no basis monomial of the order domain; the grid holds none for hcrs

@@ -255,24 +255,23 @@ def cmd_encode(args) -> int:
         _check_shape(args.infile, rows, q - 1, q - 1)
         what = f"an information carrier for mode {args.mode}"
         info = _values_on(args.infile, rows, spec.carrier_cells(args.mode), what)
-    out_trailer = []
+    zero_cells = [(p.x, p.y) for p in spec.zero_points]
     if trailer:
         if args.mode != "systematic":
             raise ValueError("zero-point symbols need systematic mode")
-        zero_cells = [(p.x, p.y) for p in spec.zero_points]
         for cell in trailer:
             if cell not in zero_cells:
                 raise ValueError(f"@zero cell {cell} is not a zero point of this code")
         for x, y in zero_cells:
             if (x, y) not in trailer:
                 raise ValueError(f"missing zero-point symbol for ({x},{y})")
-        word = codec.encode_systematic_extended(spec, info + [trailer[c] for c in zero_cells])
-        out_trailer = list(zip(zero_cells, word[spec.n :]))
-    elif args.mode == "systematic":
+        info += [trailer[c] for c in zero_cells]
+    if args.mode == "systematic":
         word = codec.encode_systematic(spec, info)
     else:
         word = codec.encode_nonsystematic(spec, info)
     sv = codec.syndromes(spec, word)
+    out_trailer = zip(zero_cells, word[spec.n :])
     write_array_file(args.out, q, word_to_rows(spec, word[: spec.n]), out_trailer)
     with open(args.out + ".check", "w") as fh:
         fh.write(" ".join(str(v) for v in sv) + "\n")

@@ -31,7 +31,10 @@ location h is the point (alpha^h, 1).  A word of the code lengthened by
 the zero-coordinate points appends one value per spec.zero_points.  A
 systematic word has its parity at the redundant points spec.wp, listed
 by spec.parity_positions(), and its information at the rest (rs: the
-first r locations, and the rest).  In a 2-D information array the
+first r locations, and the rest).  The one systematic encoder takes
+both layouts, as syndromes() and check_matrix() do: k information
+symbols give a plain word, and k symbols followed by one per zero point
+a lengthened one.  In a 2-D information array the
 symbols sit on spec.carrier_cells(mode): the information points' cells
 (systematic) or the free staircase cells, the point-ideal staircase
 minus the defining set (nonsystematic).  An rs code has no such array,
@@ -110,11 +113,6 @@ class CodeSpec:
     def r(self) -> int:
         return self.m
 
-    def info_cells(self) -> list[Cell]:
-        """Carrier cells for non-systematic information symbols: the
-        staircase of the full point ideal minus the defining set."""
-        return self.carrier_cells("nonsystematic")
-
     def carrier_cells(self, mode: str) -> list[Cell]:
         """The cells of a 2-D code's information array that carry the
         information symbols in mode, in information-vector order."""
@@ -168,12 +166,14 @@ def _check_symbols(f: Field, symbols: Sequence, what: str) -> None:
             raise ValueError(f"{what} symbol {v!r} is not an element log in [-1, {top}]")
 
 
-def _check_info(f: Field, info: Sequence, length: int) -> None:
-    """Raise ValueError unless info is length element logs; a bad symbol
-    is reported before a bad length."""
-    _check_symbols(f, info, "info")
-    if len(info) != length:
-        raise ValueError(f"info must have length {length}")
+def _check_layout(f: Field, symbols: Sequence, what: str, length: int, extra: int = 0) -> None:
+    """Raise ValueError unless symbols are length element logs, or length +
+    extra (a lengthened layout); a bad symbol is reported before a bad
+    length."""
+    _check_symbols(f, symbols, what)
+    if len(symbols) not in (length, length + extra):
+        lengthened = f" or {length + extra}" if extra else ""
+        raise ValueError(f"{what} must have length {length}{lengthened}")
 
 
 def _check_redundancy(f: Field, r: int) -> None:
@@ -527,10 +527,8 @@ def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     v * x(Z)^i * y(Z)^j, its transform analogue.
     """
     f = spec.field
-    _check_symbols(f, word, "word")
-    n, full = spec.n, spec.n + len(spec.zero_points)
-    if len(word) not in (n, full):
-        raise ValueError(f"word must have length {n}" + (f" or {full}" if full != n else ""))
+    n = spec.n
+    _check_layout(f, word, "word", n, len(spec.zero_points))
     if spec.kind == "rs":
         out = dft1(f, list(word))[: spec.r]
     else:
@@ -576,7 +574,7 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
     f = spec.field
     parity_idx = spec.parity_positions()
     info_idx = spec.info_positions()
-    _check_info(f, info, len(info_idx))
+    _check_layout(f, info, "info", len(info_idx))
     h = check_matrix(spec)[: spec.n]
     nphi = len(spec.phi)
     add_t, mul_t, neg = f.add_table, f.mul_table, f.sub_table[ZERO]
@@ -615,8 +613,8 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     if spec.kind == "rs":
         return rs_encode_idft(spec.field, spec.r, info)
     f = spec.field
-    cells = spec.info_cells()
-    _check_info(f, info, len(cells))
+    cells = spec.carrier_cells("nonsystematic")
+    _check_layout(f, info, "info", len(cells))
     values = {c: ZERO for c in spec.phi}
     values.update(zip(cells, info))
     cw = idft2(f, extend(values, spec.basis_all, f))
@@ -624,17 +622,25 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     return [cw[(p.x, p.y)] for p in spec.points]
 
 
-def _encode_systematic(spec: CodeSpec, info: Info) -> Word:
-    """The systematic encoder of a 2-D code, plain or lengthened.
+def encode_systematic(spec: CodeSpec, info: Info) -> Word:
+    """Information verbatim at the information positions, redundancy
+    generated by the recurrence of the redundant-point ideal (for rs codes
+    this is rs_encode_euclid, the generator polynomial it generalizes).
 
-    info[:k] goes verbatim to the information positions and info[k:] (the
-    zero-point symbols of a lengthened word, if any) after the n point
-    values.  The syndromes of that word, zero at the redundant points, are
+    A 2-D code takes k symbols, the plain code's layout, or k symbols
+    followed by one per zero point, the code lengthened by the
+    zero-coordinate points; any other length is a ValueError naming the
+    two.  info[:k] goes verbatim to the information positions and info[k:]
+    after the n point values, so the word has the layout syndromes()
+    reads.  The syndromes of that word, zero at the redundant points, are
     extended by the redundant-point basis; the inverse transform of the
     extension is the array red supported on the redundant points with
     those syndromes, and the codeword carries -red there.
     """
+    if spec.kind == "rs":
+        return rs_encode_euclid(spec.field, spec.r, info)
     f = spec.field
+    _check_layout(f, info, "info", spec.k, len(spec.zero_points))
     word = [ZERO] * spec.n
     for h, v in zip(spec.info_positions(), info):
         word[h] = v
@@ -649,16 +655,6 @@ def _encode_systematic(spec: CodeSpec, info: Info) -> Word:
     if any(v != ZERO for v in syndromes(spec, word)):
         raise AssertionError("systematic encoder produced a parity violation")
     return word
-
-
-def encode_systematic(spec: CodeSpec, info: Info) -> Word:
-    """Information verbatim at the information positions, redundancy
-    generated by the recurrence of the redundant-point ideal (for rs codes
-    this is rs_encode_euclid, the generator polynomial it generalizes)."""
-    if spec.kind == "rs":
-        return rs_encode_euclid(spec.field, spec.r, info)
-    _check_info(spec.field, info, spec.k)
-    return _encode_systematic(spec, info)
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +675,6 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
     mv = f.mul_table[value]
     rows = [monomial_logs(f, point, [(i, j) for j in range(n_side)]) for i in range(n_side)]
     return Array2D(f.q, [[mv[e] for e in row] for row in rows])
-
-
-def encode_systematic_extended(spec: CodeSpec, info: Info) -> Word:
-    """Systematic encoding of the code lengthened by the zero-coordinate
-    points.  info carries the information-point symbols followed by one
-    symbol per zero point; the output word is the n point values followed
-    by the zero-point values, the layout syndromes() reads."""
-    if not spec.zero_points:
-        _check_symbols(spec.field, info, "info")  # a bad symbol is named first
-        raise ValueError("this code has no zero-coordinate points")
-    _check_info(spec.field, info, spec.k + len(spec.zero_points))
-    return _encode_systematic(spec, info)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +716,7 @@ def decode(
         corrected = _rs_decode(spec, list(received), s)
     else:
         err = bms_with_voting(
-            f, dict(zip(spec.phi, s)), spec.order, spec.t_capability,
+            f, dict(zip(spec.phi, s)), spec.t_capability,
             ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
         )
         sub_t = f.sub_table
@@ -745,7 +729,7 @@ def decode(
         neg = f.sub_table[ZERO]
         info = [neg[v] for v in dft1(f, corrected)[spec.r :]]
     else:
-        info = dft2_cells(f, point_array(spec, corrected), spec.info_cells())
+        info = dft2_cells(f, point_array(spec, corrected), spec.carrier_cells("nonsystematic"))
     return corrected, info
 
 
@@ -776,7 +760,7 @@ def rs_encode_euclid(f: Field, r: int, info: Info) -> Word:
     """
     n = f.q - 1
     _check_redundancy(f, r)
-    _check_info(f, info, n - r)
+    _check_layout(f, info, "info", n - r)
     g = rs_gen_poly(f, r)
     sub_t, mul_t = f.sub_table, f.mul_table
     # remainder of I(x) = sum info[t] x^(r+t) modulo monic g
@@ -797,7 +781,7 @@ def rs_encode_idft(f: Field, r: int, info: Info) -> Word:
     information on indices r..n-1."""
     n = f.q - 1
     _check_redundancy(f, r)
-    _check_info(f, info, n - r)
+    _check_layout(f, info, "info", n - r)
     coeffs = [ZERO] * r + list(info)
     neg = f.sub_table[ZERO]
     return [neg[v] for v in idft1(f, coeffs)]
@@ -812,7 +796,7 @@ def rs_encode_dh(f: Field, r: int, info: Info) -> Word:
     """
     n = f.q - 1
     _check_redundancy(f, r)
-    _check_info(f, info, n - r)
+    _check_layout(f, info, "info", n - r)
     g = rs_gen_poly(f, r)
     add_t, sub_t, mul_t = f.add_table, f.sub_table, f.mul_table
     neg = sub_t[ZERO]

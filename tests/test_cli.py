@@ -769,7 +769,7 @@ def _cli_pinned_lines(name, rng):
             carriers = (
                 [(p.x, p.y) for p in spec.wp_prime]
                 if mode == "systematic"
-                else spec.info_cells()
+                else spec.carrier_cells("nonsystematic")
             )
             for (i, j), v in zip(carriers, rand_info(len(carriers))):
                 rows[i][j] = v

@@ -520,7 +520,7 @@ def test_oracle_parity_random(herm):
 
 
 def test_nonsystematic_zero_info(herm):
-    k = len(herm.info_cells())
+    k = len(herm.carrier_cells("nonsystematic"))
     assert k == herm.k
     assert codec.encode_nonsystematic(herm, [ZERO] * k) == [ZERO] * herm.n
 
@@ -601,7 +601,7 @@ def test_one_inverse_transform_per_encode_and_decode(monkeypatch, name):
     assert calls == {"dft2": 0, "idft2": 0}
     if spec.zero_points:
         calls.update(dft2=0, idft2=0)
-        codec.encode_systematic_extended(spec, info + [ONE] * len(spec.zero_points))
+        codec.encode_systematic(spec, info + [ONE] * len(spec.zero_points))
         assert calls == {"dft2": 0, "idft2": 1}
 
 
@@ -860,7 +860,7 @@ def test_hermitian_gf49_scale_point():
         assert codec.decode(spec, plain, mode="nonsystematic") == (plain, info)
         assert codec.decode(spec, corrupt(word, t)) == (word, info)
     ext = info + [rng.randrange(-1, f.q - 1) for _ in spec.zero_points]
-    lengthened = codec.encode_systematic_extended(spec, ext)
+    lengthened = codec.encode_systematic(spec, ext)
     assert codec.syndromes(spec, lengthened) == [ZERO] * len(spec.phi)
     rx = corrupt(word, t + 1)
     try:
@@ -904,7 +904,7 @@ def test_extended_systematic_single_symbol(herm):
     nz = len(herm.zero_points)
     info = [ZERO] * (herm.k + nz)
     info[herm.k] = 7  # value alpha^7 at the (0, 0) zero point
-    word = codec.encode_systematic_extended(herm, info)
+    word = codec.encode_systematic(herm, info)
     assert len(word) == 27
     assert word[24] == 7
     h = codec.check_matrix(herm)
@@ -921,7 +921,7 @@ def test_extended_systematic_builds_no_check_matrix(herm, monkeypatch):
 
     monkeypatch.setattr(codec, "check_matrix", refuse)
     info = rand_info(random.Random(13), herm.k + len(herm.zero_points))
-    word = codec.encode_systematic_extended(herm, info)
+    word = codec.encode_systematic(herm, info)
     assert codec.syndromes(herm, word) == [ZERO] * len(herm.phi)
 
 
@@ -932,7 +932,7 @@ def test_extended_systematic_random(herm):
     info_idx = herm.info_positions()
     for _ in range(100):
         info = rand_info(rng, herm.k + nz)
-        word = codec.encode_systematic_extended(herm, info)
+        word = codec.encode_systematic(herm, info)
         # lengthened parity
         for l in range(len(herm.phi)):
             acc = ZERO
@@ -1162,16 +1162,14 @@ def test_rs_layout_and_nonsystematic_dispatch(rs4):
 def test_rs_has_no_information_array(rs4):
     # basis_all is None for rs, and its k information symbols sit on
     # positions, not cells
-    for call in (rs4.info_cells, lambda: rs4.carrier_cells("systematic"),
-                 lambda: rs4.carrier_cells("nonsystematic")):
+    for mode in ("systematic", "nonsystematic"):
         with pytest.raises(ValueError, match="rs has no 2-D information array"):
-            call()
+            rs4.carrier_cells(mode)
 
 
 def test_carrier_cells(herm, hcrs):
     for spec in (herm, hcrs):
         assert spec.carrier_cells("systematic") == [(p.x, p.y) for p in spec.wp_prime]
-        assert spec.carrier_cells("nonsystematic") == spec.info_cells()
         with pytest.raises(ValueError, match="unknown mode"):
             spec.carrier_cells("other")
 
@@ -1217,7 +1215,7 @@ def test_encode_systematic_checks_full_support(herm, monkeypatch):
     with pytest.raises(AssertionError, match="off the redundant points"):
         codec.encode_systematic(herm, info)
     with pytest.raises(AssertionError, match="off the redundant points"):
-        codec.encode_systematic_extended(herm, info + [ZERO] * 3)
+        codec.encode_systematic(herm, info + [ZERO] * 3)
 
 
 # -- persistence ---------------------------------------------------------------
@@ -1334,8 +1332,7 @@ def test_encoders_reject_out_of_range_info(name):
         encoders.append(codec.encode_nonsystematic)
     for bad in (f.q - 1, -2, 0.0):
         for encode in encoders:
-            k = len(spec.info_cells()) if encode is codec.encode_nonsystematic else spec.k
-            info = [ZERO] * k
+            info = [ZERO] * spec.k  # as many nonsystematic carriers as k
             info[-1] = bad
             with pytest.raises(ValueError, match="element log"):
                 encode(spec, info)
@@ -1343,7 +1340,26 @@ def test_encoders_reject_out_of_range_info(name):
         info = [ZERO] * (spec.k + len(spec.zero_points))
         info[-1] = f.q - 1  # a zero-point symbol
         with pytest.raises(ValueError, match="element log"):
-            codec.encode_systematic_extended(spec, info)
+            codec.encode_systematic(spec, info)
+
+
+def test_encode_systematic_takes_the_plain_and_the_lengthened_layout(herm, hcrs, rs4):
+    # k symbols give a plain word, k + |zero_points| a lengthened one, in
+    # the wording of syndromes(); hcrs and rs have no zero points
+    plain = codec.encode_systematic(herm, [ZERO] * 15)
+    lengthened = codec.encode_systematic(herm, [ZERO] * 15 + [3, 5, 7])
+    assert plain == [ZERO] * 24
+    assert len(lengthened) == 27 and lengthened[24:] == [3, 5, 7]
+    assert codec.syndromes(herm, lengthened) == [ZERO] * len(herm.phi)
+    for length in (14, 16, 19):
+        with pytest.raises(ValueError, match=r"^info must have length 15 or 18$"):
+            codec.encode_systematic(herm, [ZERO] * length)
+    for spec in (hcrs, rs4):
+        with pytest.raises(ValueError, match=rf"^info must have length {spec.k}$"):
+            codec.encode_systematic(spec, [ZERO] * (spec.k + 1))
+    # a bad zero-point symbol is named before a bad length
+    with pytest.raises(ValueError, match=r"^info symbol 8 is not an element log"):
+        codec.encode_systematic(herm, [ZERO] * 16 + [8])
 
 
 # -- pinned outputs ------------------------------------------------------------
@@ -1362,11 +1378,12 @@ def _pinned_lines(spec, rng, words):
         if spec.kind == "rs":
             other = codec.rs_encode_idft(f, spec.r, info)
         else:
-            other = codec.encode_nonsystematic(spec, rand_info(rng, len(spec.info_cells())))
+            cells = spec.carrier_cells("nonsystematic")
+            other = codec.encode_nonsystematic(spec, rand_info(rng, len(cells)))
         yield f"sys {sent} non {other}"
         if nz:
             info_ext = info + rand_info(rng, nz)
-            yield f"ext {codec.encode_systematic_extended(spec, info_ext)}"
+            yield f"ext {codec.encode_systematic(spec, info_ext)}"
         for weight in range(spec.t_capability + 3):
             received = add_errors(rng, f, sent, weight)
             for mode in ("systematic", "nonsystematic"):
