@@ -3,9 +3,18 @@ vanishing ideals.
 
 Everything here works on (q-1) x (q-1) arrays of field elements whose
 recurrences live in the doubly cyclic ring K[x,y]/(x^(q-1)-1, y^(q-1)-1):
-a polynomial with leading cell t "holds at shift w" when
+a polynomial f with leading cell t "holds at shift w" when
+sum_s f_s * u[(s + w - t) mod (q-1)] = 0 (Sakata 1988).  Every recurrence
+bms reads is held in that form, monic, as its leading cell lt and its
+tail: the (e0, e1, coeff) offsets e = s - lt of its other terms.  It
+holds at shift w when
 
-    sum_s f_s * u[(s + w - t) mod (q-1)] = 0.
+    u[w] + sum coeff * u[(w + e) mod (q-1)] = 0,
+
+so moving a polynomial to another leading cell changes only lt.  One
+reader, _tail_sum(), gives the sum over a tail at w, or None when it
+reads an unknown cell; Sakata's test, the vote's sums, the ambient
+derivations and extend()'s fill plan all read through it.
 
 Two synthesis entry points:
 
@@ -51,24 +60,24 @@ Construction takes its two point-ideal bases without any synthesis.
 vanishing_ideal_basis() is the routine for the ideal of an arbitrary
 point set: a monomial scan on the points' evaluation columns.  For all
 code points codec scans only those off the curve's full x-lines, and
-_normal_form() reduces the curve by the products it forms.  The
-redundant points' basis is read off the elimination of codec's greedy
-walk, whose _Echelon rows carry each point's corner monomials.  The CLI
-runs the scan on the located error points.
+_normal_form() reduces the curve by the (lt, tail) forms of the products
+it forms.  The redundant points' basis is read off the elimination of
+codec's greedy walk, whose _Echelon rows carry each point's corner
+monomials.  The CLI runs the scan on the located error points.
 
 extend() fills a partially known array from its values on the basis
 staircase, using the recurrences of the basis with cyclic index wrap;
 no recurrence is re-checked afterwards, since the staircase values
 determine the array.  Partial arrays are dicts from cell to value; a
 grid (a list of rows, None where the value is unknown) is the working
-store.  One rule scan, _rule_reads(), decides which solved recurrence
-fills a cell: the first one led at or below it whose cells are known.
+store.  A cell is filled by the first recurrence led at or below it
+whose tail reads are all known: it forces minus its tail sum there.
 Which recurrence fills which cell depends only on the basis, never on
-the values, so extend() runs the scan once per basis, in one pass over
-the grid in the basis order on known/unknown flags, and replays the
-fill plan it gives on every call.
-_forced() applies the scan to values: the decoder derives with it every
-cell the ambient recurrences reach.
+the values, so extend() takes that choice once per basis, in one pass
+over the grid in the basis order on a grid holding ZERO at its known
+cells, and replays the fill plan it gives on every call.  _forced()
+makes the same choice on values: the decoder derives with it every cell
+the ambient recurrences reach.
 
 The grid's enumeration under an order depends only on q and the order,
 never on a word, so grid_cells() memoizes it, keyed by the value of
@@ -138,6 +147,34 @@ class BivariatePoly:
     def __repr__(self) -> str:
         terms = ", ".join(f"({i},{j}):{c}" for (i, j), c in sorted(self.coeffs.items()))
         return f"BivariatePoly[{terms}]"
+
+
+# a monic polynomial's terms other than its leading one, as (e0, e1,
+# coeff): the term coeff * x^(lt + e)
+Tail = tuple[tuple[int, int, Elt], ...]
+
+
+def _monic(f: Field, poly: BivariatePoly) -> tuple[Cell, Tail]:
+    """poly scaled to be monic, as its leading cell and tail."""
+    lt = poly.lt
+    scale = f.mul_table[f.inv(poly.coeffs[lt])]
+    terms = poly.coeffs.items()
+    return lt, tuple((s[0] - lt[0], s[1] - lt[1], scale[c]) for s, c in terms if s != lt)
+
+
+def _tail_sum(f: Field, tail: Tail, grid: list[list], w: Cell) -> Elt | None:
+    """sum coeff * u[(w + e) mod (q-1)] over the tail, reading the grid
+    cyclically; None when it reads an unknown (None) cell."""
+    add_t, mul_t = f.add_table, f.mul_table
+    n = len(grid)
+    w0, w1 = w
+    acc = ZERO
+    for e0, e1, c in tail:
+        v = grid[(w0 + e0) % n][(w1 + e1) % n]
+        if v is None:
+            return None
+        acc = add_t[acc][mul_t[c][v]]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -322,15 +359,16 @@ def vanishing_ideal_basis(
 
 
 def _normal_form(
-    f: Field, poly: dict[Cell, Elt], basis: list[tuple[Cell, dict[Cell, Elt]]], key
+    f: Field, poly: dict[Cell, Elt], basis: list[tuple[Cell, Tail]], key
 ) -> dict[Cell, Elt]:
-    """The remainder of poly on full reduction by the monic (lt, coeffs)
+    """The remainder of poly on full reduction by the monic (lt, tail)
     pairs of basis.
 
-    The terms are taken largest first from a heap.  A term with a leading
-    cell at or below it is cancelled by that polynomial, which only adds
-    smaller terms (the order is translation invariant); any other term
-    is part of the remainder.
+    The terms are taken largest first from a heap.  A term a * x^c with a
+    leading cell at or below c is cancelled by that polynomial: a * coeff
+    is subtracted at c + e for each tail term, which is smaller than c
+    (the order is translation invariant).  Any other term is part of the
+    remainder.
     """
     sub_t, mul_t = f.sub_table, f.mul_table
     work = dict(poly)
@@ -346,13 +384,9 @@ def _normal_form(
         if red is None:
             rem[c] = a
             continue
-        (l0, l1), coeffs = red
-        d0, d1 = c[0] - l0, c[1] - l1
         ma = mul_t[a]
-        for (s0, s1), gc in coeffs.items():
-            s = (s0 + d0, s1 + d1)
-            if s == c:
-                continue
+        for e0, e1, gc in red[1]:
+            s = (c[0] + e0, c[1] + e1)
             old = work.get(s, ZERO)
             if old == ZERO:
                 heappush(heap, (tuple(-v for v in key(s)), s))
@@ -366,10 +400,11 @@ def _normal_form(
 
 @dataclass
 class _Record:
-    """A past failure: polynomial, its nonzero discrepancy, and the span
-    from its leading cell to the cell lt + span where it failed."""
+    """A past failure: the tail of the polynomial led by lt, its nonzero
+    discrepancy, and the span from lt to the cell lt + span where it
+    failed."""
 
-    coeffs: dict[Cell, Elt]
+    tail: Tail
     lt: Cell
     disc: Elt
     span: Cell
@@ -382,10 +417,11 @@ class SakataState:
     the order's enumeration, and the array is periodic with period q-1 in
     each index: a value is kept in grid at the cell mod q-1 (None until
     processed), and every read takes its indices mod q-1.  Each element
-    of F is monic at its leading cell, and the leading cells are the
-    corners of the staircase.  A test at w reads only cells s + w - lt,
-    each with key at most w's by translation invariance, so on an order
-    prefix every test is computed and none is skipped.
+    of F is a monic (lt, tail) pair, and the leading cells are the
+    corners of the staircase.  A test at w reads u[w] and the cells
+    w + e of the tail, each with key below w's by translation
+    invariance, so on an order prefix every test is computed and none is
+    skipped.
 
     The staircase is kept as column heights, (i, j) in it iff
     j < heights[i]: a failure at c of the polynomial led by lt raises
@@ -393,13 +429,16 @@ class SakataState:
     increase, and geometry.corners lists the corners from them.
 
     When polynomials fail at cell c, each new corner t2 gets a surviving
-    polynomial shifted to t2 if one lies below it.  Otherwise a failing
-    polynomial f is shifted to t2, and then:
+    polynomial moved to t2 if one lies below it.  A move changes only the
+    leading cell: t2 takes the very tail object.  Otherwise a failing
+    polynomial f is moved to t2, and then:
 
-    * t2 not <= c: f is kept as it is; no test led by t2 reaches c yet.
+    * t2 not <= c: f's tail is kept as it is; no test led by t2 reaches c
+      yet.
     * t2 <= c: a failure g recorded before c whose span covers c - t2 is
-      shifted and scaled so that its discrepancy cancels f's at c; the
-      one with the largest span is taken.
+      moved and scaled so that its discrepancy cancels f's at c, and its
+      terms are merged into f's tail; the one with the largest span is
+      taken.
 
     G keeps only its span frontier (pairwise incomparable spans), as
     Sakata keeps one record per staircase corner.  That takes the same
@@ -414,46 +453,48 @@ class SakataState:
         self.n = f.q - 1
         self.grid: list[list[Elt | None]] = [[None] * self.n for _ in range(self.n)]
         self.heights: list[int] = []
-        # F as (lt, coeffs) pairs, kept sorted by order key of lt
-        self.F: list[tuple[Cell, dict[Cell, Elt]]] = [((0, 0), {(0, 0): ONE})]
+        # F as monic (lt, tail) pairs, kept sorted by order key of lt
+        self.F: list[tuple[Cell, Tail]] = [((0, 0), ())]
         self.G: list[_Record] = []
         self.version = 0
 
     # -- discrepancies ----------------------------------------------------
 
-    def _test(self, lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt:
-        """Recurrence sum of the polynomial at shift w (at or above lt)."""
-        add_t, mul_t = self.f.add_table, self.f.mul_table
+    def _test(self, tail: Tail, w: Cell) -> Elt | None:
+        """The recurrence sum u[w] + sum coeff * u[w + e] of a monic
+        polynomial at a known cell w, reading mod q-1; None when a tail
+        read is unknown."""
         grid, n = self.grid, self.n
-        d0, d1 = w[0] - lt[0], w[1] - lt[1]
-        acc = ZERO
-        for (s0, s1), c in coeffs.items():
-            acc = add_t[acc][mul_t[c][grid[(s0 + d0) % n][(s1 + d1) % n]]]
-        return acc
+        s = _tail_sum(self.f, tail, grid, w)
+        return None if s is None else self.f.add_table[grid[w[0] % n][w[1] % n]][s]
 
     # -- the update -------------------------------------------------------
 
     def process(self, c: Cell, value: Elt) -> None:
-        self.grid[c[0] % self.n][c[1] % self.n] = value
-        fails: list[tuple[Cell, dict[Cell, Elt], Elt]] = []
-        for lt, coeffs in self.F:
+        f, grid = self.f, self.grid
+        grid[c[0] % self.n][c[1] % self.n] = value
+        plus_u = f.add_table[value]
+        fails: list[tuple[Cell, Tail, Elt]] = []
+        for lt, tail in self.F:
             if lt[0] <= c[0] and lt[1] <= c[1]:
-                d = self._test(lt, coeffs, c)
+                # the test at c, as _test gives it: every cell it reads is
+                # processed, so the tail sum is known
+                d = plus_u[_tail_sum(f, tail, grid, c)]
                 if d != ZERO:
-                    fails.append((lt, coeffs, d))
+                    fails.append((lt, tail, d))
         if not fails:
             return
         self.version += 1
         records = []
         heights = self.heights
-        for lt, coeffs, d in fails:
+        for lt, tail, d in fails:
             span = (c[0] - lt[0], c[1] - lt[1])
             heights.extend([0] * (span[0] + 1 - len(heights)))
             for i in range(span[0] + 1):
                 heights[i] = max(heights[i], span[1] + 1)
-            records.append(_Record(coeffs, lt, d, span))
+            records.append(_Record(tail, lt, d, span))
         failed_lts = {lt for lt, _, _ in fails}
-        kept = [(lt, co) for lt, co in self.F if lt not in failed_lts]
+        kept = [(lt, tail) for lt, tail in self.F if lt not in failed_lts]
         self.F = [(t2, self._poly_for_corner(t2, c, fails, kept)) for t2 in corners(heights)]
         # the corners come by ascending i, not in the order
         self.F.sort(key=lambda e: self.order.key(e[0]))
@@ -467,111 +508,58 @@ class SakataState:
         self,
         t2: Cell,
         c: Cell,
-        fails: list[tuple[Cell, dict[Cell, Elt], Elt]],
-        kept: list[tuple[Cell, dict[Cell, Elt]]],
-    ) -> dict[Cell, Elt]:
-        """The minimal polynomial led by the new corner t2 after failures at c."""
+        fails: list[tuple[Cell, Tail, Elt]],
+        kept: list[tuple[Cell, Tail]],
+    ) -> Tail:
+        """The tail of the minimal polynomial led by the new corner t2
+        after failures at c."""
         f = self.f
         sub_t, mul_t = f.sub_table, f.mul_table
         key = self.order.key
-        # no failure to correct: shift a surviving polynomial
-        cands = [(lt, co) for lt, co in kept if _leq(lt, t2)]
+        # no failure to correct: move a surviving polynomial
+        cands = [(lt, tail) for lt, tail in kept if _leq(lt, t2)]
         if cands:
-            lt, co = min(cands, key=lambda e: key(e[0]))
-            return self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
+            return min(cands, key=lambda e: key(e[0]))[1]
         # t2 lies outside the old staircase, so it is above a failing corner
-        lt, co, d = min((e for e in fails if _leq(e[0], t2)), key=lambda e: key(e[0]))
-        h = self._shift(co, (t2[0] - lt[0], t2[1] - lt[1]))
+        _, tail, d = min((e for e in fails if _leq(e[0], t2)), key=lambda e: key(e[0]))
         target = (c[0] - t2[0], c[1] - t2[1])
         if target[0] < 0 or target[1] < 0:
             # t2 is not below c: no test of a polynomial led by t2 reaches c
-            return h
+            return tail
         # no test is skipped, so Sakata's theorem puts c - t2 in the old
         # staircase, which the records' spans cover; the spans are
         # distinct, so the largest one covering it decides
         r = max((r for r in self.G if _leq(target, r.span)), key=lambda r: key(r.span))
         # x^e g with e = span - (c - t2): its test at c is g's recorded
-        # failing test, and its leading cell r.lt + r.span - (c - t2) lies
-        # below t2, since g failed before c and the order is translation
-        # invariant; so h stays monic at t2 with its test at c cancelled
-        aux = self._shift(r.coeffs, (r.span[0] - target[0], r.span[1] - target[1]))
+        # failing test, and its leading cell r.lt + r.span - (c - t2), the
+        # offset r.lt + r.span - c from t2, lies below t2, since g failed
+        # before c and the order is translation invariant; so the merged
+        # tail stays monic at t2 with its test at c cancelled
+        d0, d1 = r.lt[0] + r.span[0] - c[0], r.lt[1] + r.span[1] - c[1]
         mf = mul_t[f.div(d, r.disc)]
-        for s, rc in aux.items():
+        h = {(e0, e1): v for e0, e1, v in tail}
+        for e0, e1, rc in ((0, 0, ONE), *r.tail):
+            s = (e0 + d0, e1 + d1)
             h[s] = sub_t[h.get(s, ZERO)][mf[rc]]
-        return {s: v for s, v in h.items() if v != ZERO}
-
-    def _shift(self, coeffs: dict[Cell, Elt], d: Cell) -> dict[Cell, Elt]:
-        return {(s[0] + d[0], s[1] + d[1]): c for s, c in coeffs.items()}
+        return tuple((e0, e1, v) for (e0, e1), v in h.items() if v != ZERO)
 
 
 # ---------------------------------------------------------------------------
 # extension by recurrences
 
 
-def _solved_rules(
-    f: Field, elems: Iterable[tuple[Cell, dict[Cell, Elt]]]
-) -> list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]]:
-    """Each recurrence solved for its leading cell.
-
-    Returns (lt, tail) pairs: tail holds (offset from lt, mul_table row of
-    -coeff/lead) per other term, so the value the recurrence forces at w
-    is the sum of row[value at w + offset] over the tail.
-    """
-    mul_t = f.mul_table
-    rules = []
-    for lt, coeffs in elems:
-        scale = f.neg(f.inv(coeffs[lt]))
-        tail = [
-            (s0 - lt[0], s1 - lt[1], mul_t[mul_t[cf][scale]])
-            for (s0, s1), cf in coeffs.items()
-            if (s0, s1) != lt
-        ]
-        rules.append((lt, tail))
-    return rules
-
-
-def _rule_reads(
-    rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
-    grid: list[list],
-    w: Cell,
-) -> list[tuple[object, tuple[Elt, ...]]] | None:
-    """The reads of the first rule led at or below w whose cells are all
-    known, reading the grid cyclically: (grid entry, mul_table row) per
-    tail term.  None when no rule led at or below w has all its cells
-    known.  This decides which recurrence fills a cell: the grid holds
-    values for _forced and flat indices for _build_fill_plan, and None
-    where a cell is unknown."""
-    n = len(grid)
-    w0, w1 = w
-    for (l0, l1), tail in rules:
-        if l0 > w0 or l1 > w1:
-            continue
-        reads = []
-        for e0, e1, row in tail:
-            v = grid[(w0 + e0) % n][(w1 + e1) % n]
-            if v is None:
-                break
-            reads.append((v, row))
-        else:
-            return reads
-    return None
-
-
 def _forced(
-    add_t: list[list[Elt]],
-    rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
-    grid: list[list[Elt | None]],
-    w: Cell,
+    f: Field, rules: list[tuple[Cell, Tail]], grid: list[list[Elt | None]], w: Cell
 ) -> Elt | None:
-    """The value the first rule led at or below w forces there, reading
-    the grid cyclically; None when no such rule has all its cells known."""
-    reads = _rule_reads(rules, grid, w)
-    if reads is None:
-        return None
-    acc = ZERO
-    for v, row in reads:
-        acc = add_t[acc][row[v]]
-    return acc
+    """The value the first monic rule led at or below w whose reads are
+    all known forces there, minus its tail sum, reading the grid
+    cyclically; None when there is no such rule."""
+    for lt, tail in rules:
+        if lt[0] <= w[0] and lt[1] <= w[1]:
+            s = _tail_sum(f, tail, grid, w)
+            if s is not None:
+                return f.sub_table[ZERO][s]
+    return None
 
 
 class _FillPlan(NamedTuple):
@@ -579,9 +567,11 @@ class _FillPlan(NamedTuple):
 
     free holds the staircase: the grid cells with no leading cell at or
     below them, the cells extend() takes from its values.  steps lists
-    every other cell in the basis order as (flat index i*(q-1) + j, reads),
-    where reads holds the (flat index, mul_table row) pairs of the rule
-    that fills it; the cell's value is the sum of row[value at index].
+    every other cell w in the basis order as (flat index i*(q-1) + j,
+    reads), where reads holds, for each tail term (e, coeff) of the monic
+    rule that fills it, the flat index of (w + e) mod (q-1) and the
+    mul_table row of -coeff; the cell's value is the sum of row[value at
+    index].
     """
 
     free: frozenset[Cell]
@@ -591,36 +581,41 @@ class _FillPlan(NamedTuple):
 def _build_fill_plan(basis: GroebnerBasis, f: Field) -> _FillPlan:
     """extend()'s fill run on known/unknown flags instead of values: one
     pass over the grid in the basis order, each cell outside the
-    staircase taking the first rule led at or below it whose cells are
-    known (_rule_reads).
+    staircase taking the first rule led at or below it whose reads are
+    known, as _forced() takes it.
 
     One pass fills every cell.  A rule led by lt that fills w >= lt reads
-    (w - lt + s) mod (q-1) for its tail terms s < lt.  Translation
-    invariance puts w - lt + s before w, and taking an index mod q-1 only
-    lowers the weight, so every read is a grid cell earlier in the order:
-    in the staircase, or filled earlier in the pass.  So every rule led
-    at or below w can fill it, and the scan takes the first.  Raises
-    IncompleteCover naming the cell where no rule can, which happens only
-    when the elements were led under another order than basis.order."""
+    (w + e) mod (q-1) for its tail offsets e, where lt + e < lt.
+    Translation invariance puts w + e before w, and taking an index mod
+    q-1 only lowers the weight, so every read is a grid cell earlier in
+    the order: in the staircase, or filled earlier in the pass.  So every
+    rule led at or below w can fill it, and the scan takes the first.
+    Raises IncompleteCover naming the cell where no rule can, which
+    happens only when the elements were led under another order than
+    basis.order."""
     n = f.q - 1
-    lts = [p.lt for p in basis.elements]
-    # a known cell holds its flat index, which is what a step reads there
-    grid: list[list[int | None]] = [
-        [None if any(_leq(lt, (i, j)) for lt in lts) else i * n + j for j in range(n)]
+    neg, mul_t = f.sub_table[ZERO], f.mul_table
+    rules = [_monic(f, p) for p in basis.elements]
+    # a known cell holds ZERO, so a tail sum is None exactly when it reads
+    # an unknown cell
+    grid: list[list[Elt | None]] = [
+        [None if any(_leq(lt, (i, j)) for lt, _ in rules) else ZERO for j in range(n)]
         for i in range(n)
     ]
     free = frozenset((i, j) for i in range(n) for j in range(n) if grid[i][j] is not None)
-    rules = _solved_rules(f, [(p.lt, p.coeffs) for p in basis.elements])
     steps = []
     for w in grid_cells(f.q, basis.order):
         if w in free:
             continue
-        reads = _rule_reads(rules, grid, w)
-        if reads is None:
+        w0, w1 = w
+        for (l0, l1), tail in rules:
+            if l0 <= w0 and l1 <= w1 and _tail_sum(f, tail, grid, w) is not None:
+                break
+        else:
             raise IncompleteCover(f"cell {w} is not reachable by any recurrence")
-        k = w[0] * n + w[1]
-        grid[w[0]][w[1]] = k
-        steps.append((k, tuple(reads)))
+        grid[w0][w1] = ZERO
+        reads = [((w0 + e0) % n * n + (w1 + e1) % n, mul_t[neg[c]]) for e0, e1, c in tail]
+        steps.append((w0 * n + w1, tuple(reads)))
     return _FillPlan(free, tuple(steps))
 
 
@@ -638,25 +633,29 @@ def extend(
     below them.  By Macaulay's basis theorem the monomials of delta are a
     basis of K[x,y]/I, so each choice of values on delta extends to
     exactly one array on which every recurrence holds, and the fill by
-    recurrences computes that array from the delta cells alone.  A known
-    cell outside delta is then compared with it.  Raises ValueError for a
-    cell outside the grid or a value that is no element log in
-    [-1, q-2], IncompleteCover when some cell stays unreachable (a delta
-    cell is not known, or the elements were not led under basis.order),
-    and InconsistentKnownValues when a known cell outside delta differs
-    from the extension.
+    recurrences computes that array from the delta cells alone: each
+    element, held monic as its leading cell lt and tail, sets u[w] to
+    minus its tail sum, sum coeff * u[(w + e) mod (q-1)], at a cell
+    w >= lt.  A known cell outside delta is then compared with it.
+    Raises ValueError for a cell outside the grid or a value that is no
+    element log in [-1, q-2], IncompleteCover when some cell stays
+    unreachable (a delta cell is not known, or the elements were not led
+    under basis.order), and InconsistentKnownValues when a known cell
+    outside delta differs from the extension.
 
     Which rule fills which cell depends only on the basis, never on the
     values.  So the first extend() with a basis and field builds the fill
     plan (_build_fill_plan), never construction, and every call replays
-    it: one pass over a flat list.  The plan is cached on the basis, so
+    it: one pass over a flat list, each step the sum of -coeff times the
+    value at w + e over one tail.  The plan is cached on the basis, so
     it is freed with the basis, and is no part of its value, hash, repr
     or serialize().  On the redundant-point basis of Hermitian codes a
     plan retains 0.07 MB at GF(16) m = 20, 0.20 MB at GF(25) m = 30,
     1.5 MB at GF(64) m = 72 and 29 MB at GF(256) m = 300 (tracemalloc).
-    Building it costs three to four of the value fills it replaces: the
-    first call takes 14 ms at GF(64) m = 72 and 0.45 s at GF(256)
-    m = 300.  Known values are never changed.
+    Building it costs more than ten replays: on a shared 2-core host the
+    first call took 12-13 ms at GF(64) m = 72 and 0.27-0.31 s at
+    GF(256) m = 300, and the next one 0.9 ms and 22 ms.  Known values
+    are never changed.
     """
     q = f.q
     n = q - 1
@@ -718,7 +717,9 @@ def _certificate(
     """
     f = state.f
     zeros = list(support)
-    for _, coeffs in state.F:
+    for (l0, l1), tail in state.F:
+        coeffs = {(l0 + e0, l1 + e1): c for e0, e1, c in tail}
+        coeffs[(l0, l1)] = ONE
         zeros = [z for z, v in zip(zeros, poly_values(f, coeffs, zeros)) if v == ZERO]
     if len(zeros) > max_errors:
         return None
@@ -741,7 +742,7 @@ def _certificate(
 
 def _vote(
     state: SakataState,
-    amb_rules: list[tuple[Cell, list[tuple[int, int, tuple[Elt, ...]]]]],
+    amb_rules: list[tuple[Cell, Tail]],
     top: Cell | None,
     cls: Sequence[Cell],
     c: Cell,
@@ -755,31 +756,20 @@ def _vote(
     on lighter cells and on the class cells before it: it is affine in X,
     and so is the sum A + B*X of a polynomial of F tested at it.  The
     vote writes X = 0 and then X = 1 at c, fills the other open class
-    cells in enumeration order with _forced, and takes at both the sum of
-    every polynomial of F led at or below each reached cell, reading
-    every cell mod q-1.  A componentwise split w = a + b of a reached
-    cell w counts when both parts are basis monomials of the order domain
-    outside the staircase: neither lies in the staircase or at or above
-    top, the curve equation's leading cell (0, a); top is None for hcrs,
-    whose grid holds no ambient leading cell (Feng-Rao count only such
-    pairs).  It votes -A/B from
-    the first polynomial of F covering a, or not at all when that sum at
-    w is undefined or has B = 0.  The plurality value wins; a tie or no
-    vote raises DecodingFailure.  On return or raise, c and the open
-    class cells hold None again.
+    cells in enumeration order with _forced, and takes at both the test
+    u[w] plus the tail sum (SakataState._test) of every polynomial of F
+    led at or below each reached cell w, reading every cell mod q-1.  A
+    componentwise split w = a + b of a reached cell w counts when both
+    parts are basis monomials of the order domain outside the staircase:
+    neither lies in the staircase or at or above top, the curve
+    equation's leading cell (0, a); top is None for hcrs, whose grid
+    holds no ambient leading cell (Feng-Rao count only such pairs).  It
+    votes -A/B from the first polynomial of F covering a, or not at all
+    when that sum at w is undefined or has B = 0.  The plurality value
+    wins; a tie or no vote raises DecodingFailure.  On return or raise, c
+    and the open class cells hold None again.
     """
     f, grid, n, F, heights = state.f, state.grid, state.n, state.F, state.heights
-    add_t, mul_t, sub_t = f.add_table, f.mul_table, f.sub_table
-
-    def recurrence_sum(lt: Cell, coeffs: dict[Cell, Elt], w: Cell) -> Elt | None:
-        d0, d1 = w[0] - lt[0], w[1] - lt[1]
-        acc = ZERO
-        for (s0, s1), cf in coeffs.items():
-            v = grid[(s0 + d0) % n][(s1 + d1) % n]
-            if v is None:
-                return None
-            acc = add_t[acc][mul_t[cf][v]]
-        return acc
 
     # a class cell past the grid repeats a lighter, processed cell
     opened = [w for w in cls if grid[w[0] % n][w[1] % n] is None]
@@ -788,12 +778,12 @@ def _vote(
         for x in (ZERO, ONE):
             grid[c[0]][c[1]] = x
             for w0, w1 in opened[1:]:
-                grid[w0][w1] = _forced(add_t, amb_rules, grid, (w0, w1))
+                grid[w0][w1] = _forced(f, amb_rules, grid, (w0, w1))
             voters = [w for w in opened if grid[w[0]][w[1]] is not None]
             sums.append({
-                (fi, w): recurrence_sum(lt, coeffs, w)
+                (fi, w): state._test(tail, w)
                 for w in voters
-                for fi, (lt, coeffs) in enumerate(F)
+                for fi, (lt, tail) in enumerate(F)
                 if _leq(lt, w)
             })
     finally:
@@ -814,7 +804,7 @@ def _vote(
                 fi = next(fi for fi, (lt, _) in enumerate(F) if lt[0] <= a0 and lt[1] <= a1)
                 v0, v1 = sums[0][fi, w], sums[1][fi, w]
                 if v0 is not None and v1 != v0:
-                    value = f.div(v0, sub_t[v0][v1])  # -A/B
+                    value = f.div(v0, f.sub_table[v0][v1])  # -A/B
                     tally[value] = tally.get(value, 0) + 1
     if not tally:
         raise DecodingFailure(f"no votes for cell {c}")
@@ -880,7 +870,7 @@ def bms_with_voting(
     q = f.q
     n = q - 1
     order = ambient.order
-    amb_rules = _solved_rules(f, [(p.lt, p.coeffs) for p in ambient.elements])
+    amb_rules = [_monic(f, p) for p in ambient.elements]
     # the curve equation's leading cell (0, a): a cell at or above it is
     # no basis monomial of the order domain; the grid holds none for hcrs
     top = next((lt for lt, _ in amb_rules if lt[0] == 0 and lt[1] < n), None)
@@ -890,7 +880,6 @@ def bms_with_voting(
     _, prefix, classes = _enumeration(q, order)
 
     state = SakataState(f, order)
-    add_t = f.add_table
     voted = 0
     if stats is not None:
         stats.update(voted_cells=0, early_certificate=False)
@@ -898,7 +887,7 @@ def bms_with_voting(
     for c in prefix:
         v = known.get(c)
         if v is None:
-            v = _forced(add_t, amb_rules, state.grid, c)
+            v = _forced(f, amb_rules, state.grid, c)
         if v is None:
             # try the certificate once per F; the refusal below keeps
             # the staircase at most max_errors cells here

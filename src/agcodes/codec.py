@@ -53,6 +53,7 @@ from .bms import (
     BivariatePoly,
     GroebnerBasis,
     _Echelon,
+    _monic,
     _normal_form,
     bms_with_voting,
     extend,
@@ -353,7 +354,7 @@ def _ambient_basis(
     if full:
         scale = mul_t[f.inv(c[(0, a)])]
         monic = {s: scale[v] for s, v in c.items()}
-        others = [(g.lt, g.coeffs) for g in elements]
+        others = [_monic(f, g) for g in elements]
         elements.append(BivariatePoly(_normal_form(f, monic, others, order.key), order))
     elements.sort(key=lambda g: order.key(g.lt))
     cells = [(i, j) for i in range(full) for j in range(a)]

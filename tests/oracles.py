@@ -9,10 +9,14 @@ the package.
 plain_walk is construction's greedy walk without its skip of x-line
 tails: every point is evaluated until the defining set is covered.
 
-fill_by_recurrences is extend()'s fill on values: passes over any cell
-list to a fixpoint, every pass rescanning the rules at each unknown
-cell, where extend() replays a plan built once per basis in one pass
-over the basis order.
+fill_by_recurrences is extend()'s fill on values, written apart from
+bms: it reads each recurrence's coefficients by absolute cell and solves
+it for the leading term, where bms reads monic (leading cell, tail)
+pairs through one tail sum.  It passes over any cell list to a fixpoint,
+every pass rescanning the recurrences at each unknown cell, where
+extend() replays a plan built once per basis in one pass over the basis
+order.  absolute() turns bms's (leading cell, tail) pairs back into
+coefficients by absolute cell for the tests.
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ from agcodes.bms import (
     GroebnerBasis,
     SakataState,
     _Echelon,
-    _forced,
     _leq,
-    _solved_rules,
 )
-from agcodes.galois import ONE, Elt, Field
+from agcodes.galois import ONE, ZERO, Elt, Field
 from agcodes.geometry import Cell, Point, WeightedCurveOrder, monomial_logs
 from agcodes.transform import Array2D, dft2
 
@@ -107,16 +109,35 @@ def fill_by_recurrences(
     cells: Iterable[Cell],
 ) -> bool:
     """Fill the unknown (None) cells of the grid in place by the
-    recurrences; False if some cell stays unreachable.  Repeats passes
-    over the cells until a fixpoint, so their order cannot change
-    reachability."""
-    add_t = f.add_table
-    rules = _solved_rules(f, elems)
+    recurrences, given as (leading cell, coefficients by absolute cell);
+    False if some cell stays unreachable.  A recurrence led by lt fills
+    w >= lt when every cell (s - lt + w) mod (q-1) of its other terms s is
+    known.  Repeats passes over the cells until a fixpoint, so their
+    order cannot change reachability."""
+    n = f.q - 1
+    elems = list(elems)
+
+    def forced(w: Cell) -> Elt | None:
+        for lt, coeffs in elems:
+            if not _leq(lt, w):
+                continue
+            acc = ZERO
+            for (s0, s1), c in coeffs.items():
+                if (s0, s1) == lt:
+                    continue
+                v = grid[(s0 - lt[0] + w[0]) % n][(s1 - lt[1] + w[1]) % n]
+                if v is None:
+                    break
+                acc = f.add(acc, f.mul(c, v))
+            else:
+                return f.neg(f.div(acc, coeffs[lt]))
+        return None
+
     missing = [w for w in cells if grid[w[0]][w[1]] is None]
     while missing:
         still: list[Cell] = []
         for w in missing:
-            v = _forced(add_t, rules, grid, w)
+            v = forced(w)
             if v is None:
                 still.append(w)
             else:
@@ -164,9 +185,17 @@ def staircase(state: SakataState) -> tuple[set[Cell], list[Cell]]:
     return cells, minimal_outside_scan(cells, bound)
 
 
+def absolute(lt: Cell, tail) -> dict[Cell, Elt]:
+    """A monic (leading cell, tail) pair as coefficients by absolute cell:
+    ONE at lt, and coeff at lt + e for each tail term (e0, e1, coeff)."""
+    coeffs = {(lt[0] + e0, lt[1] + e1): c for e0, e1, c in tail}
+    coeffs.setdefault(lt, ONE)
+    return coeffs
+
+
 def sakata_basis(state: SakataState) -> GroebnerBasis:
     """A Sakata state's minimal polynomial set F with its staircase."""
     order = state.order
-    elems = tuple(BivariatePoly(co, order) for _, co in state.F)
+    elems = tuple(BivariatePoly(absolute(lt, tail), order) for lt, tail in state.F)
     delta = tuple(sorted(staircase(state)[0], key=order.key))
     return GroebnerBasis(elems, delta, order)

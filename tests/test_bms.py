@@ -15,7 +15,7 @@ from agcodes.bms import (
     _Echelon,
     _enumeration,
     _leq,
-    _solved_rules,
+    _monic,
     bms_with_voting,
     extend,
     grid_cells,
@@ -42,6 +42,7 @@ from agcodes.geometry import (
 from agcodes.transform import Array2D, dft2, idft2
 from test_codec import CAB_GF16_TAILS
 from oracles import (
+    absolute,
     bms,
     fill_by_recurrences,
     sakata_basis,
@@ -659,20 +660,22 @@ def test_sakata_validity_invariant_weighted_order(order):
                 assert not any(_leq(s, o) for o in spans[:k] + spans[k + 1 :]), spans
             corners = sorted(staircase(state)[1], key=order.key)
             assert [lt for lt, _ in state.F] == corners
-            for lt, co in state.F:
+            for lt, tail in state.F:
+                co = absolute(lt, tail)
                 assert co[lt] == ONE
                 assert all(order.key(s) < order.key(lt) for s in co if s != lt)
                 for w in all_cells():
                     if state.grid[w[0]][w[1]] is None or not _leq(lt, w):
                         continue
-                    d = state._test(lt, co, w)
+                    d = state._test(tail, w)
                     assert d is None or d == ZERO, (lt, w)
 
 
 F16 = field_new(2, 4, [1, 1, 0, 0, 1])
 
 
-@pytest.mark.parametrize(
+# (field, order) of the Sakata runs on a periodic random array
+SAKATA_RUNS = pytest.mark.parametrize(
     "f, order",
     [
         (F9, WeightedCurveOrder(1, 1)),
@@ -682,6 +685,9 @@ F16 = field_new(2, 4, [1, 1, 0, 0, 1])
     ],
     ids=["gf9-graded", "gf9-curve", "gf16-graded", "gf16-curve"],
 )
+
+
+@SAKATA_RUNS
 def test_sakata_staircase_is_the_union_of_the_record_spans(f, order):
     # On the order prefix the decoder processes, fed a periodic random
     # array (the value at c is arr[c mod n], as the decoder reads it),
@@ -708,6 +714,34 @@ def test_sakata_staircase_is_the_union_of_the_record_spans(f, order):
             assert sum(state.heights) == len(cells), c
 
 
+@SAKATA_RUNS
+def test_sakata_moves_keep_the_tail_object(f, order):
+    # A move to a new corner changes only the leading cell.  After every
+    # process(), a corner filled from a surviving polynomial (the one of
+    # smallest key below it, in these runs always its own corner) holds
+    # the very same tail object, and so does a corner not below c moved
+    # to from a failing polynomial; only a corrected one gets a new tail.
+    n = f.q - 1
+    prefix = _enumeration(f.q, order).prefix
+    rng = random.Random(f"identity-{f.q}-{order}")
+    moved = Counter()
+    for _ in range(5):
+        arr = [[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)]
+        state = SakataState(f, order)
+        for c in prefix:
+            old = list(state.F)
+            state.process(c, arr[c[0] % n][c[1] % n])
+            failed = {lt for lt, tail in old if _leq(lt, c) and state._test(tail, c) != ZERO}
+            for t2, tail in state.F:
+                below = [e for e in old if _leq(e[0], t2)]
+                kept = [e for e in below if e[0] not in failed]
+                src = min(kept or below, key=lambda e: order.key(e[0]))
+                if kept or not _leq(t2, c):
+                    assert tail is src[1], (c, t2)
+                    moved["kept" if kept else "moved"] += 1
+    assert moved["kept"] > 0 and moved["moved"] > 0, moved
+
+
 def _hermitian_q16():
     f = field_new(2, 4, [1, 1, 0, 0, 1])
     return codec.make_curve_code(f, hermitian_curve(f), 20)
@@ -724,22 +758,23 @@ def test_sakata_never_skips_a_test_within_radius(monkeypatch, name):
     specs = [_hermitian_q16() if name == "hermitian-q16" else codec.preset(name)]
     if name in LARGER_M:
         specs.append(codec.preset(name, m=LARGER_M[name]))
-    test, process = SakataState._test, SakataState.process
+    process = SakataState.process
     processed = set()
     past_grid = Counter()
 
-    def checked_test(self, lt, coeffs, w):
-        reads = {(s0 + w[0] - lt[0], s1 + w[1] - lt[1]) for s0, s1 in coeffs}
-        assert reads <= processed, (lt, w, reads - processed)
-        past_grid["reads"] += any(max(c) >= self.n for c in reads)
-        return test(self, lt, coeffs, w)
-
-    def recording(self, c, value):
+    def checked(self, c, value):
+        # the tests process() runs at c: every polynomial of F led at or
+        # below c, reading u[c] and the cells of its tail moved to c; the
+        # vote tests F on open cells too, so _test itself is not checked
         processed.add(c)
+        for lt, tail in self.F:
+            if _leq(lt, c):
+                reads = {(s0 - lt[0] + c[0], s1 - lt[1] + c[1]) for s0, s1 in absolute(lt, tail)}
+                assert reads <= processed, (lt, c, reads - processed)
+                past_grid["reads"] += any(max(r) >= self.n for r in reads)
         process(self, c, value)
 
-    monkeypatch.setattr(SakataState, "_test", checked_test)
-    monkeypatch.setattr(SakataState, "process", recording)
+    monkeypatch.setattr(SakataState, "process", checked)
     rng = random.Random(47)
     for spec in specs:
         f = spec.field
@@ -811,7 +846,8 @@ def _fill_certificate(state, known, support, max_errors):
     full = [row[:] for row in state.grid]
     for (i, j), v in known.items():
         full[i][j] = v
-    if not fill_by_recurrences(f, full, state.F, grid_cells(f.q, state.order)):
+    elems = [(lt, absolute(lt, tail)) for lt, tail in state.F]
+    if not fill_by_recurrences(f, full, elems, grid_cells(f.q, state.order)):
         return None
     err = idft2(f, Array2D(f.q, full))
     hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
@@ -1071,11 +1107,17 @@ def _symbolic_vote(state, amb_rules, top, cls, c):
         for lt, tail in amb_rules:
             if not _leq(lt, cell):
                 continue
+            # the rule led by lt solved for its leading term
+            coeffs = absolute(lt, tail)
+            scale = f.neg(f.inv(coeffs[lt]))
             acc_a = acc_b = ZERO
-            for e0, e1, row in tail:
-                child = sym(((c0 + e0) % n, (c1 + e1) % n))
+            for (s0, s1), cf in coeffs.items():
+                if (s0, s1) == lt:
+                    continue
+                child = sym(((c0 + s0 - lt[0]) % n, (c1 + s1 - lt[1]) % n))
                 if child is None:
                     break
+                row = mul_t[mul_t[cf][scale]]
                 acc_a = add_t[acc_a][row[child[0]]]
                 acc_b = add_t[acc_b][row[child[1]]]
             else:
@@ -1090,7 +1132,8 @@ def _symbolic_vote(state, amb_rules, top, cls, c):
     def predict(fi, w):
         if (fi, w) in pred_memo:
             return pred_memo[fi, w]
-        lt, coeffs = state.F[fi]
+        lt, tail = state.F[fi]
+        coeffs = absolute(lt, tail)
         acc_a = acc_b = ZERO
         d0, d1 = w[0] - lt[0], w[1] - lt[1]
         defined = True
@@ -1238,7 +1281,7 @@ def test_vote_counts_a_split_through_an_ambient_cell_off_the_y_axis():
     for cell in prefix[: prefix.index(c)]:
         state.process(cell, u[(cell[0] % 15, cell[1] % 15)])
     assert sorted(staircase(state)[0]) == [(i, j) for i in range(6) for j in range(2)]
-    amb_rules = _solved_rules(f, [(g.lt, g.coeffs) for g in spec.basis_all.elements])
+    amb_rules = [_monic(f, g) for g in spec.basis_all.elements]
     cls = classes[spec.order.weight(c)]
     assert bms_module._vote(state, amb_rules, (0, 2), cls, c) == u[c]
 

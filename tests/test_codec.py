@@ -27,7 +27,7 @@ from agcodes.geometry import (
     monomial_logs,
 )
 from agcodes.transform import dft1
-from oracles import minimal_outside_scan, plain_walk, synthesis_basis
+from oracles import absolute, minimal_outside_scan, plain_walk, synthesis_basis
 
 F9 = gf9()
 
@@ -98,11 +98,19 @@ def _assert_bases_equal_synthesis(spec):
     # a reduced Groebner basis is unique, so the bases construction builds
     # from the curve's x-lines and reads off the greedy walk must equal
     # the full-array synthesis of the same points, element by element and
-    # cell by cell
+    # cell by cell.  The monic (leading cell, tail) form that extend() and
+    # the decoder read gives each element back scaled to be monic, as built
+    # and times alpha
+    f = spec.field
     for basis, points in ((spec.basis_all, spec.points), (spec.basis_wp, spec.wp)):
-        oracle = synthesis_basis(points, spec.order, spec.field)
+        oracle = synthesis_basis(points, spec.order, f)
         assert basis.serialize() == oracle.serialize()
         assert basis.delta == oracle.delta
+        for g in basis.elements:
+            monic = {s: f.div(c, g.coeffs[g.lt]) for s, c in g.coeffs.items()}
+            for scale in (ONE, 1):
+                scaled = {s: f.mul(scale, c) for s, c in g.coeffs.items()}
+                assert absolute(*bms._monic(f, bms.BivariatePoly(scaled, spec.order))) == monic
 
 
 def test_construction_bases_equal_synthesis_every_gf9_m():
@@ -1394,13 +1402,33 @@ def _pinned_lines(spec, rng, words):
                 yield f"{weight} {mode} {received} {out}"
 
 
+# (first seed, [(build, words)]) per digest: the presets at their default
+# m, and the bigger codes, each with a larger t than the presets: the
+# benchmark's three scale codes, hermitian-q9 at m = 21 and hcrs-q9 at
+# m = 40
+_PINNED_CODES = {
+    "presets": (8100, [(functools.partial(codec.preset, name), 40) for name in codec.PRESETS]),
+    "bigger": (
+        8200,
+        [
+            (lambda: _hermitian(2, 4, [1, 1, 0, 0, 1], 20), 12),
+            (lambda: codec.make_hcrs_code(field_new(2, 4, [1, 1, 0, 0, 1]), 12), 12),
+            (lambda: _hermitian(5, 2, [2, 1, 1], 30), 12),
+            (lambda: codec.preset("hermitian-q9", m=21), 12),
+            (lambda: codec.preset("hcrs-q9", m=40), 6),
+        ],
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _pinned_digests() -> tuple[str, str]:
+def _pinned_digests(codes: str = "presets") -> tuple[str, str]:
     """(successes, refusals): the digest of the codeword and decode-result
     lines, and the digest of the DecodingFailure lines."""
     successes, refusals = hashlib.sha256(), hashlib.sha256()
-    for seed, name in enumerate(codec.PRESETS, start=8100):
-        for line in _pinned_lines(codec.preset(name), random.Random(seed), 40):
+    first, builds = _PINNED_CODES[codes]
+    for seed, (build, words) in enumerate(builds, start=first):
+        for line in _pinned_lines(build(), random.Random(seed), words):
             h = refusals if " DecodingFailure: " in line else successes
             h.update(line.encode() + b"\n")
     return successes.hexdigest(), refusals.hexdigest()
@@ -1420,4 +1448,18 @@ def test_refusals_pinned():
     # from the successes so that a reworded refusal moves this digest only.
     assert _pinned_digests()[1] == (
         "0d469b041fb48d946b969113779a82b4249290d2e36383639a73a9d6487c2295"
+    )
+
+
+def test_bigger_code_outputs_pinned():
+    # The successes of the same fixed-seed run on the bigger codes; the
+    # refusals are pinned apart, as for the presets.
+    assert _pinned_digests("bigger")[0] == (
+        "907c3debd2796801bdaa2140ad940d8c65b68a4ff65541f41c90df8c0c07f799"
+    )
+
+
+def test_bigger_code_refusals_pinned():
+    assert _pinned_digests("bigger")[1] == (
+        "a48297771711bb6f14ffa3d179cc756e191c532f2516c8f51eea024ea3b01098"
     )
