@@ -41,11 +41,14 @@ Two synthesis entry points:
   (the 2-D Forney step of Sakata, Jensen and Hoeholdt).  It returns the
   error array; no grid is completed and no inverse transform taken.  The
   full syndrome array is its dft2, and the locator basis is
-  vanishing_ideal_basis() of its nonzero cells.  A decode is refused at
-  the first cell after which the staircase holds more than t cells: on a
-  word within t of a codeword the votes are exact, every processed cell
-  is a syndrome of its error, and the staircase of such a prefix never
-  outgrows the error weight (Sakata's lower bound and Blahut's theorem).
+  vanishing_ideal_basis() of its nonzero cells.  The locate step is a
+  packed scan (_ZeroScan): a polynomial's values at every code point are
+  one slot-wise sum of packed columns, in the transform's slot layout,
+  decoded once, for every field.  A decode is refused at the first cell
+  after which the staircase holds more than t cells: on a word within t
+  of a codeword the votes are exact, every processed cell is a syndrome
+  of its error, and the staircase of such a prefix never outgrows the
+  error weight (Sakata's lower bound and Blahut's theorem).
   The cells processed are the order prefix of N^2 up to the last grid
   cell, the domain that Sakata's update and the Feng-Rao vote assume
   (Sakata, Justesen, Madelung, Jensen and Hoeholdt 1995); the (q-1) x
@@ -78,6 +81,18 @@ over the grid in the basis order on a grid holding ZERO at its known
 cells, and replays the fill plan it gives on every call.  _forced()
 makes the same choice on values: the decoder derives with it every cell
 the ambient recurrences reach.
+
+What the decoder reads of its ambient basis, the monic ambient rules
+and the zero scan's columns, depends only on the basis, the field and
+the support, never on a word.  So the first bms_with_voting() call
+builds it (_decoder), never construction, and caches it on the basis
+beside extend()'s plans, so it is freed with the code.  The columns
+grow with the cells that F's polynomials touch, and level off after a
+few words: with tracemalloc and sys.getsizeof, after 100 decodes at t
+the columns held 5-12 KB on the benchmark's scale codes and 0.20 MB at
+Hermitian GF(64) m = 150 (57 cells), and after 40 decodes 1.3 MB at
+GF(256) m = 300 (38 cells); the slot layout adds 6-150 KB, 49 KB and
+0.33 MB.
 
 The grid's enumeration under an order depends only on q and the order,
 never on a word, so grid_cells() memoizes it, keyed by the value of
@@ -113,11 +128,10 @@ from .geometry import (
     corners,
     is_downward_closed,
     monomial_logs,
-    poly_values,
 )
 # dft2 and idft2 stay bound here although no bms path calls them:
 # perfbench/tracer.py and the transform-count test rebind them
-from .transform import Array2D, dft2, idft2
+from .transform import Array2D, _slot_layout, dft2, idft2
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -184,9 +198,11 @@ class GroebnerBasis:
     elements: tuple[BivariatePoly, ...]
     delta: tuple[Cell, ...]
     order: WeightedCurveOrder
-    # extend()'s fill plan per field, built on first use;
-    # not part of the basis's value, so equal bases keep their own
+    # extend()'s fill plan per field, and bms_with_voting()'s _Decoder per
+    # (field, support), built on first use; not part of the basis's value,
+    # so equal bases keep their own
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _decoders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def serialize(self) -> str:
         """Text form: one block per polynomial, lines of 'i j coefflog'."""
@@ -699,28 +715,126 @@ def _refuse_beyond_radius(c: Cell) -> None:
     raise DecodingFailure(f"staircase exceeds t at cell {c}")
 
 
+class _ZeroScan:
+    """The 2-D locate step over a support: a polynomial's value at every
+    support point from one packed sum.
+
+    Slot k of an int is the point of cells[k], in the slot layout of
+    transform._slot_layout.  The cell (i, j), taken mod q-1 since every
+    support point has nonzero coordinates, has m ints, int d packing the
+    coordinates of alpha^d * x(P)^i * y(P)^j over the support; they are
+    built on the cell's first use and kept in columns under the flat
+    index i*(q-1) + j.  A term c * x^i * y^j with c = sum_d c_d * alpha^d
+    is int d taken c_d times for each d, so a polynomial's values are one
+    slot-wise sum of columns over its terms, decoded once.  A column's
+    digits are below p, so for odd p a sum of more columns than the
+    layout's cap could carry; it is decoded in parts, added with
+    add_table.
+    """
+
+    __slots__ = ("f", "n", "cells", "slots", "columns", "_rots", "_picks")
+
+    def __init__(self, f: Field, support: AbstractSet[Cell]):
+        self.f = f
+        self.n = f.q - 1
+        self.cells = tuple(support)
+        _check_in_grid(self.cells, self.n)
+        self.slots = _slot_layout(f, len(self.cells))
+        enc = self.slots.enc
+        # alpha^d times each log, as its slot
+        self._rots = [enc[d:] + enc[:d] for d in range(f.m)]
+        # per coefficient log: each d repeated c_d times
+        self._picks = [
+            tuple(d for d, c in enumerate(coords) for _ in range(c)) for coords in f.exp_table
+        ]
+        self.columns: dict[int, tuple[int, ...]] = {}
+
+    def _column(self, k: int) -> tuple[int, ...]:
+        # x(P)^i * y(P)^j is symmetric in the cell and the point's logs
+        logs = monomial_logs(self.f, divmod(k, self.n), self.cells)
+        cols = tuple(
+            int.from_bytes(b"".join(map(rot.__getitem__, logs)), "little") for rot in self._rots
+        )
+        self.columns[k] = cols
+        return cols
+
+    def values(self, lt: Cell, tail: Tail) -> list[Elt]:
+        """The monic polynomial (lt, tail) at each support point."""
+        add_t, n = self.f.add_table, self.n
+        _, combine, cap, decode = self.slots
+        get, picks = self.columns.get, self._picks
+        l0, l1 = lt
+        decoded = []  # the parts decoded before their digits could carry
+        parts: list[int] = []
+        for e0, e1, c in ((0, 0, ONE), *tail):
+            k = (l0 + e0) % n * n + (l1 + e1) % n
+            cols = get(k) or self._column(k)
+            ds = picks[c]
+            if len(parts) + len(ds) > cap:
+                decoded.append(decode(combine(parts)))
+                parts = []
+            parts += map(cols.__getitem__, ds)
+        vals = decode(combine(parts))
+        for part in decoded:
+            vals = [add_t[a][b] for a, b in zip(vals, part)]
+        return vals
+
+    def zeros(self, F: Sequence[tuple[Cell, Tail]]) -> list[Cell]:
+        """The support cells at whose point every polynomial of F vanishes."""
+        alive: Sequence[int] = range(len(self.cells))
+        for lt, tail in F:
+            if not alive:
+                break
+            vals = self.values(lt, tail)
+            alive = [k for k in alive if vals[k] == ZERO]
+        return [self.cells[k] for k in alive]
+
+
+class _Decoder(NamedTuple):
+    """What bms_with_voting() reads of its ambient basis on one field and
+    support: the monic ambient rules, top (see _vote) and the zero scan."""
+
+    rules: list[tuple[Cell, Tail]]
+    top: Cell | None
+    scan: _ZeroScan
+
+
+def _decoder(ambient: GroebnerBasis, f: Field, support: AbstractSet[Cell]) -> _Decoder:
+    """The _Decoder of ambient on f and support, built by the first call
+    and cached on the basis."""
+    key = (f, frozenset(support))
+    dec = ambient._decoders.get(key)
+    if dec is None:
+        n = f.q - 1
+        rules = [_monic(f, p) for p in ambient.elements]
+        # the curve equation's leading cell (0, a): a cell at or above it is
+        # no basis monomial of the order domain; the grid holds none for hcrs
+        top = next((lt for lt, _ in rules if lt[0] == 0 and lt[1] < n), None)
+        dec = ambient._decoders[key] = _Decoder(rules, top, _ZeroScan(f, key[1]))
+    return dec
+
+
 def _certificate(
     state: SakataState,
     known: Mapping[Cell, Elt],
-    support: AbstractSet[Cell],
+    scan: _ZeroScan,
     max_errors: int,
 ) -> Array2D | None:
     """The error array located by F and solved on the known syndromes.
 
-    Z is the set of cells (x, y) of support at whose point (alpha^x,
-    alpha^y) every polynomial of F vanishes; each polynomial is evaluated
-    (poly_values) on the cells the ones before it left.  When
-    |Z| <= max_errors, the values e_z on Z are solved from
+    Z is the set of cells (x, y) of the scan's support at whose point
+    (alpha^x, alpha^y) every polynomial of F vanishes: _ZeroScan.zeros
+    decodes each polynomial's packed sum once over the whole support.
+    The scan comes with the ambient basis's _Decoder, cached on the
+    basis; its columns held 0.20 MB at Hermitian GF(64) m = 150 and
+    1.3 MB at GF(256) m = 300 (module docstring).
+    When |Z| <= max_errors, the values e_z on Z are solved from
     sum_z e_z * alpha^(k.z) = u[k], one equation per known cell k, whose
     columns are monomial_logs.  None when Z is larger or the system is
     inconsistent.
     """
     f = state.f
-    zeros = list(support)
-    for (l0, l1), tail in state.F:
-        coeffs = {(l0 + e0, l1 + e1): c for e0, e1, c in tail}
-        coeffs[(l0, l1)] = ONE
-        zeros = [z for z, v in zip(zeros, poly_values(f, coeffs, zeros)) if v == ZERO]
+    zeros = scan.zeros(state.F)
     if len(zeros) > max_errors:
         return None
     kcells = list(known)
@@ -870,13 +984,10 @@ def bms_with_voting(
     q = f.q
     n = q - 1
     order = ambient.order
-    amb_rules = [_monic(f, p) for p in ambient.elements]
-    # the curve equation's leading cell (0, a): a cell at or above it is
-    # no basis monomial of the order domain; the grid holds none for hcrs
-    top = next((lt for lt, _ in amb_rules if lt[0] == 0 and lt[1] < n), None)
     _check_in_grid(known, n)
     if not is_downward_closed(known):
         raise ValueError("the known syndrome cells must form a lower set")
+    amb_rules, top, scan = _decoder(ambient, f, support)
     _, prefix, classes = _enumeration(q, order)
 
     state = SakataState(f, order)
@@ -893,7 +1004,7 @@ def bms_with_voting(
             # the staircase at most max_errors cells here
             if state.version != last_attempt:
                 last_attempt = state.version
-                err = _certificate(state, known, support, max_errors)
+                err = _certificate(state, known, scan, max_errors)
                 if err is not None:
                     if stats is not None:
                         stats.update(voted_cells=voted, early_certificate=True)
@@ -907,7 +1018,7 @@ def bms_with_voting(
             _refuse_beyond_radius(c)
 
     # the whole prefix is processed, so the grid is full
-    err = _certificate(state, known, support, max_errors)
+    err = _certificate(state, known, scan, max_errors)
     if err is None:
         raise DecodingFailure("completed syndrome array fails the final checks")
     return err

@@ -17,10 +17,11 @@ The signs are fixed here.  Outside this module the dft2 kernel is also
 evaluated directly, with the same sign, and only in geometry: by two
 kernels, monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
 parity-check rows, the greedy walk's rows and corner monomials, the
-evaluation columns of bms.vanishing_ideal_basis and bms._certificate's
-columns alpha^(k.z)) and poly_values (a polynomial's value at each
-point, the certificate's filter and construction's vanishing checks),
-and by enumerate_points, which sums the curve along whole x-lines.
+evaluation columns of bms.vanishing_ideal_basis, bms._certificate's
+columns alpha^(k.z) and the logs of the zero scan's packed columns) and
+poly_values (a polynomial's value at each point, construction's
+vanishing checks), and by enumerate_points, which sums the curve along
+whole x-lines.
 
 Full transforms are computed by row-column decomposition into 1-D
 transforms, all four by one packed kernel.  For each field a table packs
@@ -29,17 +30,22 @@ Python int, so a 1-D transform of length n is n big-int additions (XORs
 in characteristic 2) run in C, then one unpacking of the n slots.  The
 table is built by the first full transform of a field, never by Field()
 or code construction, and is cached on the field; it holds about
-n^2 * q slots.  dft2_cells evaluates dft2 only at a list of cells, for
-the syndromes on a defining set, by Horner's rule: for a few cells that
-beats a packed full transform.  All functions are pure and return fresh
-arrays.
+n^2 * q slots.  The slot layout and its two decoders (_slot_layout: one
+lookup per slot, or digit by digit) serve any number of slots, and are
+shared with bms's zero scan, whose slots are the code points; the scan
+builds only its own layout, never these tables.  dft2_cells evaluates
+dft2 only at a list of cells, for the syndromes on a defining set, by
+Horner's rule: for a few cells that beats a packed full transform.  All
+functions are pure and return fresh arrays.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import partial, reduce
 from operator import xor
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DimensionMismatch
 from .galois import Elt, Field, ZERO
@@ -86,19 +92,29 @@ class Array2D:
         return f"Array2D(q={self.q})\n{rows}"
 
 
-def _packed_kernels(f: Field) -> dict:
-    """f's packed 1-D transform of each sign: {+1: dft, -1: idft}.
+class _Slots(NamedTuple):
+    """A layout of count field elements in one Python int, one slot each.
 
-    rows[h][v] packs the GF(p) coordinates of alpha^(v+i*h) for every
-    output i into one int, slot i at bits i*S, S = 8*slot_bytes.  Each
-    coordinate is a digit of w bits: one XOR bit for p = 2, otherwise wide
-    enough that a sum of n digits below p cannot carry out of it.  Entry
-    q-1, the zero log, is 0.  out[i] = sum_h a[h] * alpha^(sign*ih) is the
-    slot-wise sum of rows[sign*h][a[h]] over h, n big-int additions (XORs
-    for p = 2), unpacked once.  The table holds n*q ints of n*S bits:
-    about 0.2 MB at q = 25, 2.4 MB at q = 81, 20 MB at q = 256 and 93 MB
-    at q = 243.
+    enc[e] is the slot holding the GF(p) coordinates of alpha^e, e < q-1:
+    coordinate d is a digit of w bits at bit d*w, one XOR bit for p = 2,
+    otherwise wide enough that a sum of q-1 digits below p cannot carry
+    out of it.  A packed int has slot k at bytes k*len(enc[e]) onwards
+    (little-endian).  combine adds packed ints slot-wise (XOR-reduce for
+    p = 2, sum otherwise); cap is how many digits below p a slot digit can
+    sum without carrying (unbounded for p = 2); decode gives the element
+    log of each of the count slots of a combined int.
     """
+
+    enc: list[bytes]
+    combine: Callable[[Iterable[int]], int]
+    cap: float
+    decode: Callable[[int], list[Elt]]
+
+
+def _slot_layout(f: Field, count: int) -> _Slots:
+    """f's slot layout for ints of count slots, with its decoder: by one
+    lookup per slot when a slot's m digits fit in 16 bits, otherwise
+    digit by digit, each digit reduced mod p by its own lookup."""
     p, m, q = f.p, f.m, f.q
     n = q - 1
     w = 1 if p == 2 else (n * (p - 1)).bit_length()
@@ -109,7 +125,7 @@ def _packed_kernels(f: Field) -> dict:
         cell = 8 if w <= 8 else 16
         stride = -(-m * w // cell)
     slot_bytes = stride * cell // 8
-    nbytes = n * slot_bytes
+    nbytes = count * slot_bytes
     fmt = "B" if cell == 8 else "H"
     # cells are read in host byte order; a big-endian host sees the slots
     # last first, so it steps through them backwards
@@ -125,16 +141,6 @@ def _packed_kernels(f: Field) -> dict:
     # digit_pos[d][x]: where a value x of digit d moves the sum c_d p^d
     digit_pos = [[(x % p) * p**d for x in range(1 << w)] for d in range(m)]
 
-    enc = [x.to_bytes(slot_bytes, "little") for x in packed]
-    rots = [enc[v:] + enc[:v] for v in range(n)]
-    rows = []
-    for h in range(n):
-        at = [i * h % n for i in range(n)]
-        rows.append(tuple(
-            [int.from_bytes(b"".join(map(rot.__getitem__, at)), "little") for rot in rots] + [0]
-        ))
-    combine = partial(reduce, xor) if p == 2 else sum
-
     if direct:
         sums = [0]
         for table in digit_pos:
@@ -145,7 +151,7 @@ def _packed_kernels(f: Field) -> dict:
             view = memoryview(total.to_bytes(nbytes, order)).cast(fmt)[::step]
             return list(map(slot_log.__getitem__, view))
     else:
-        mask = int.from_bytes(((1 << w) - 1).to_bytes(slot_bytes, "little") * n, "little")
+        mask = int.from_bytes(((1 << w) - 1).to_bytes(slot_bytes, "little") * count, "little")
         digits = [(d * w, table.__getitem__) for d, table in enumerate(digit_pos)]
 
         def decode(total: int) -> list[Elt]:
@@ -155,6 +161,33 @@ def _packed_kernels(f: Field) -> dict:
                 cells = memoryview(((total >> s) & mask).to_bytes(nbytes, order)).cast(fmt)
                 parts.append(map(pos, cells[::step]))
             return list(map(log_at.__getitem__, map(sum, zip(*parts))))
+
+    enc = [x.to_bytes(slot_bytes, "little") for x in packed]
+    if p == 2:
+        return _Slots(enc, partial(reduce, xor), math.inf, decode)
+    return _Slots(enc, sum, ((1 << w) - 1) // (p - 1), decode)
+
+
+def _packed_kernels(f: Field) -> dict:
+    """f's packed 1-D transform of each sign: {+1: dft, -1: idft}.
+
+    rows[h][v] packs alpha^(v+i*h) for every output i into one int of
+    q-1 slots (_slot_layout), slot i for output i.  Entry q-1, the zero
+    log, is 0.  out[i] = sum_h a[h] * alpha^(sign*ih) is the slot-wise sum
+    of rows[sign*h][a[h]] over h, n big-int additions (XORs for p = 2),
+    unpacked once; a sum of n digits below p stays within the cap.  The
+    table holds n*q ints of n slots: about 0.2 MB at q = 25, 2.4 MB at
+    q = 81, 20 MB at q = 256 and 93 MB at q = 243.
+    """
+    n = f.q - 1
+    enc, combine, _, decode = _slot_layout(f, n)
+    rots = [enc[v:] + enc[:v] for v in range(n)]
+    rows = []
+    for h in range(n):
+        at = [i * h % n for i in range(n)]
+        rows.append(tuple(
+            [int.from_bytes(b"".join(map(rot.__getitem__, at)), "little") for rot in rots] + [0]
+        ))
 
     def kernel(tabs):
         return lambda a: decode(combine(map(tuple.__getitem__, tabs, a)))

@@ -836,12 +836,12 @@ def test_voting_collinear_errors(basis_all):
 # -- the fill-based certificate as an oracle -----------------------------------
 
 
-def _fill_certificate(state, known, support, max_errors):
+def _fill_certificate(state, known, scan, max_errors):
     """bms._certificate by completion instead of location: the grid and
     every known syndrome, completed by the recurrences of F, must have an
     inverse transform (the error array) with at most max_errors nonzero
-    cells, all in support; None when a cell stays unreachable or the
-    error array fails."""
+    cells, all in the scan's support; None when a cell stays unreachable
+    or the error array fails."""
     f = state.f
     full = [row[:] for row in state.grid]
     for (i, j), v in known.items():
@@ -851,7 +851,7 @@ def _fill_certificate(state, known, support, max_errors):
         return None
     err = idft2(f, Array2D(f.q, full))
     hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
-    if len(hits) > max_errors or any(c not in support for c in hits):
+    if len(hits) > max_errors or any(c not in scan.cells for c in hits):
         return None
     return err
 
@@ -1309,6 +1309,109 @@ def test_vote_is_passed_the_curve_leading_cell(monkeypatch):
         assert tops == {want}, spec.kind
 
 
+# -- the packed zero scan -------------------------------------------------------
+
+
+def _hermitian_cells(p, deg, poly):
+    f = field_new(p, deg, poly)
+    points, _ = enumerate_points(hermitian_curve(f), f)
+    return f, [(pt.x, pt.y) for pt in points]
+
+
+def _every_cell(p, deg, poly):
+    # an hcrs code's support: every point with nonzero coordinates
+    f = field_new(p, deg, poly)
+    return f, list(product(range(f.q - 1), repeat=2))
+
+
+# the supports of codes over fields read by each slot decoder: one lookup
+# per slot of one byte (GF(16), GF(64)) or two (GF(9), GF(25)), and digit
+# by digit from one-byte (GF(27)) or two-byte (GF(49)) cells
+SCAN_SUPPORTS = {
+    "GF(9)": lambda: (F9, [(pt.x, pt.y) for pt in HERM_POINTS]),
+    "GF(16)": lambda: _hermitian_cells(2, 4, [1, 1, 0, 0, 1]),
+    "GF(25)": lambda: _hermitian_cells(5, 2, [2, 1, 1]),
+    "GF(27)": lambda: _every_cell(3, 3, [1, 2, 0, 1]),
+    "GF(49)": lambda: _hermitian_cells(7, 2, [3, 6, 1]),
+    "GF(64)": lambda: _hermitian_cells(2, 6, [1, 1, 0, 0, 0, 0, 1]),
+}
+
+
+def _random_monic(rng, n, coeffs):
+    """A monic (lt, tail) with one tail term per coefficient log, at
+    distinct cells of [0, 2n)^2, so some lie past the grid."""
+    cells = rng.sample(list(product(range(2 * n), repeat=2)), len(coeffs) + 1)
+    lt = cells[0]
+    return lt, tuple((s[0] - lt[0], s[1] - lt[1], c) for s, c in zip(cells[1:], coeffs))
+
+
+@pytest.mark.parametrize("name", SCAN_SUPPORTS)
+def test_zero_scan_matches_poly_values(name):
+    # The packed scan's values and common zeros against poly_values, point
+    # by point: every coefficient value occurs, terms lie past the grid,
+    # and one polynomial sums more columns than an odd-p digit holds.
+    f, cells = SCAN_SUPPORTS[name]()
+    n = f.q - 1
+    scan = bms_module._ZeroScan(f, frozenset(cells))
+    points = [Point(*c) for c in scan.cells]
+    rng = random.Random(f"zero-scan-{name}")
+    logs = list(range(n))
+    rng.shuffle(logs)
+    polys = [_random_monic(rng, n, logs[k : k + 5]) for k in range(0, n, 5)]
+    # a long polynomial of the digit-heaviest coefficient
+    heavy = f.from_coords([f.p - 1] * f.m)
+    columns = f.m * (f.p - 1)  # summed per heavy term
+    if f.p == 2:  # XOR never carries
+        terms = 3 * n
+    else:  # past the layout's cap twice over
+        terms = 2 * scan.slots.cap // columns + 1
+        assert terms * columns > 2 * scan.slots.cap
+    polys.append(_random_monic(rng, n, [heavy] * terms))
+    for lt, tail in polys:
+        assert scan.values(lt, tail) == poly_values(f, absolute(lt, tail), points)
+    # common zeros: the ideals of two overlapping point sets S, S' vanish
+    # together exactly on S & S', and one more polynomial keeps the points
+    # where poly_values finds it zero
+    order = WeightedCurveOrder(1, 1)
+    for _ in range(3):
+        s1 = rng.sample(points, 6)
+        s2 = rng.sample(points, 3) + s1[:3]
+        ideal = [
+            _monic(f, g)
+            for pts in (s1, s2)
+            for g in vanishing_ideal_basis(list(dict.fromkeys(pts)), order, f).elements
+        ]
+        assert set(scan.zeros(ideal)) == {(pt.x, pt.y) for pt in s1 if pt in s2}
+        for extra in polys[:2]:
+            F = [*ideal, extra]
+            vals = [poly_values(f, absolute(*g), points) for g in F]
+            want = [c for k, c in enumerate(scan.cells) if all(v[k] == ZERO for v in vals)]
+            assert scan.zeros(F) == want
+
+
+def test_decodes_of_one_spec_share_the_decoder_tables(monkeypatch):
+    # The monic ambient rules, top and the scan's columns are built by a
+    # spec's first decode, never by its construction, and cached on the
+    # ambient basis: two decodes read the very same rules object.
+    forced = bms_module._forced
+    seen = []
+
+    def spy(f, rules, grid, w):
+        seen.append(rules)
+        return forced(f, rules, grid, w)
+
+    monkeypatch.setattr(bms_module, "_forced", spy)
+    spec = codec.preset("hermitian-q9", m=13)
+    assert spec.basis_all._decoders == {}
+    rng = random.Random("shared-rules")
+    for _ in range(2):
+        _decode_outcome(spec, _received(spec, rng, spec.t_capability)[1])
+    (key, dec), = spec.basis_all._decoders.items()
+    assert key == (spec.field, spec.point_cells())
+    assert len({id(r) for r in seen}) == 1 and seen[0] is dec.rules
+    assert dec.top == (0, 3) and dec.scan.columns
+
+
 # -- out-of-grid cells --------------------------------------------------------
 
 
@@ -1326,6 +1429,12 @@ def test_out_of_grid_cells_rejected(bad):
         bms_with_voting(
             F9, values, spec.t_capability,
             ambient=spec.basis_all, support=spec.point_cells(),
+        )
+    # and a support cell, which the zero scan would read as a point
+    with pytest.raises(ValueError, match=msg):
+        bms_with_voting(
+            F9, {c: ZERO for c in spec.phi}, spec.t_capability,
+            ambient=spec.basis_all, support=spec.point_cells() | {bad},
         )
 
 

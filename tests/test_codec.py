@@ -58,7 +58,7 @@ def rand_info_q(rng, q, k):
 def add_errors(rng, f, word, t):
     out = list(word)
     for p in rng.sample(range(len(word)), t):
-        out[p] = f.add(out[p], rng.randrange(0, 8))
+        out[p] = f.add(out[p], rng.randrange(f.q - 1))
     return out
 
 
@@ -1455,11 +1455,11 @@ def test_bigger_code_outputs_pinned():
     # The successes of the same fixed-seed run on the bigger codes; the
     # refusals are pinned apart, as for the presets.
     assert _pinned_digests("bigger")[0] == (
-        "907c3debd2796801bdaa2140ad940d8c65b68a4ff65541f41c90df8c0c07f799"
+        "900d96151d57e93e81990d2e8b8ce43528ced1ddba4d0b10e0c557661530fa5c"
     )
 
 
 def test_bigger_code_refusals_pinned():
     assert _pinned_digests("bigger")[1] == (
-        "a48297771711bb6f14ffa3d179cc756e191c532f2516c8f51eea024ea3b01098"
+        "e177f6b0038459793efbae1412425d6b1d133b2bc23066a535c6fdecab3f7159"
     )
