@@ -641,7 +641,8 @@ def extend(
     f: Field,
 ) -> Array2D:
     """Complete an array known at the cells of values so every basis
-    recurrence holds cyclically.
+    recurrence holds cyclically, returned as q-1 rows of q-1 element logs,
+    u[i][j] at cell (i, j).
 
     The basis is taken to be the reduced Groebner basis of a point ideal
     (nonzero coordinates), as every basis the constructions build is.
@@ -702,7 +703,7 @@ def extend(
         flat[k] = acc
     if any(flat[k] != v for k, v in outside):
         raise InconsistentKnownValues("known values violate a basis recurrence")
-    return Array2D(q, [flat[i : i + n] for i in range(0, n * n, n)])
+    return [flat[i : i + n] for i in range(0, n * n, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +821,9 @@ def _certificate(
     scan: _ZeroScan,
     max_errors: int,
 ) -> Array2D | None:
-    """The error array located by F and solved on the known syndromes.
+    """The error array located by F and solved on the known syndromes:
+    q-1 rows of q-1 element logs, e[x][y] the error at (alpha^x, alpha^y),
+    zero off Z.
 
     Z is the set of cells (x, y) of the scan's support at whose point
     (alpha^x, alpha^y) every polynomial of F vanishes: _ZeroScan.zeros
@@ -847,10 +850,11 @@ def _certificate(
     if relation is None:
         return None
     neg = f.sub_table[ZERO]
-    err = Array2D.zeros(f.q)
+    n = f.q - 1
+    err = [[ZERO] * n for _ in range(n)]
     for z, c in relation.items():
         if z is not None:
-            err[z] = neg[c]
+            err[z[0]][z[1]] = neg[c]
     return err
 
 
@@ -936,7 +940,8 @@ def bms_with_voting(
     support: AbstractSet[Cell],
     stats: dict | None = None,
 ) -> Array2D:
-    """The error array from syndrome values on the defining set.
+    """The error array from syndrome values on the defining set: q-1 rows
+    of q-1 element logs, e[x][y] the error at (alpha^x, alpha^y).
 
     The order is ambient.order, under which the ambient recurrences that
     derive cells are led, as extend() reads basis.order.  The known cells

@@ -33,11 +33,10 @@ from .errors import (
     ExtendedDecodeUnsupported,
     NonGenericSupport,
     NonPrimitivePolynomial,
-    RankDeficient,
 )
 from .galois import ZERO, field_new
 from .geometry import curve_spec
-from .transform import Array2D, idft2
+from .transform import idft2
 
 _MASK = (1 << 64) - 1
 
@@ -106,7 +105,7 @@ def read_array_file(path: str, q: int):
 def word_to_rows(spec, word):
     if spec.kind == "rs":
         return [list(word)]
-    return codec.point_array(spec, word).data
+    return codec.point_array(spec, word)
 
 
 def _check_shape(path: str, rows, height: int, width: int) -> None:
@@ -394,7 +393,7 @@ def cmd_groebner(args) -> int:
         _check_shape(args.syndromes, rows, n, n)
         # a syndrome file is the transform of a word on the code points:
         # its inverse transform is zero off them, and is the received word
-        word = idft2(spec.field, Array2D(spec.field.q, rows)).data
+        word = idft2(spec.field, rows)
         where = f"{args.syndromes}: inverse transform"
         received = _values_on(where, word, [(p.x, p.y) for p in spec.points], "a code point")
         corrected, _ = codec.decode(spec, received)
@@ -484,7 +483,7 @@ def main(argv=None) -> int:
     except DecodingFailure as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    except (NonGenericSupport, RankDeficient, NonPrimitivePolynomial) as e:
+    except (NonGenericSupport, NonPrimitivePolynomial) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
     except (AgcodesError, ValueError, OSError) as e:

@@ -508,11 +508,12 @@ def check_matrix(spec: CodeSpec) -> list[list[Elt]]:
 
 
 def point_array(spec: CodeSpec, word: Word) -> Array2D:
-    """The word at its point cells, zero elsewhere."""
-    arr = Array2D.zeros(spec.field.q)
-    data = arr.data
+    """The word at its point cells, zero elsewhere: q-1 rows of q-1
+    element logs, the value of point P at [P.x][P.y]."""
+    n = spec.field.q - 1
+    arr = [[ZERO] * n for _ in range(n)]
     for p, v in zip(spec.points, word):
-        data[p.x][p.y] = v
+        arr[p.x][p.y] = v
     return arr
 
 
@@ -601,7 +602,7 @@ def encode_matrix_oracle(spec: CodeSpec, info: Info) -> Word:
 
 def _check_support(arr: Array2D, cells: frozenset[Cell], what: str) -> None:
     """AssertionError naming what unless arr is zero off the given cells."""
-    for i, row in enumerate(arr.data):
+    for i, row in enumerate(arr):
         for j, v in enumerate(row):
             if v != ZERO and (i, j) not in cells:
                 raise AssertionError(what)
@@ -620,7 +621,7 @@ def encode_nonsystematic(spec: CodeSpec, info: Info) -> Word:
     values.update(zip(cells, info))
     cw = idft2(f, extend(values, spec.basis_all, f))
     _check_support(cw, spec.point_cells(), "inverse transform nonzero off the point cells")
-    return [cw[(p.x, p.y)] for p in spec.points]
+    return [cw[p.x][p.y] for p in spec.points]
 
 
 def encode_systematic(spec: CodeSpec, info: Info) -> Word:
@@ -652,7 +653,7 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
     neg = f.sub_table[ZERO]
     for h in spec.parity_positions():
         p = spec.points[h]
-        word[h] = neg[red[(p.x, p.y)]]
+        word[h] = neg[red[p.x][p.y]]
     if any(v != ZERO for v in syndromes(spec, word)):
         raise AssertionError("systematic encoder produced a parity violation")
     return word
@@ -664,8 +665,8 @@ def encode_systematic(spec: CodeSpec, info: Info) -> Word:
 
 def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
     """Transform-analogue array of one symbol at one of the code's zero
-    points: out[i][j] = value * x^i * y^j with 0^0 = 1, so the support is
-    a single row, column or cell."""
+    points, q-1 rows of q-1 element logs: out[i][j] = value * x^i * y^j
+    with 0^0 = 1, so the support is a single row, column or cell."""
     f = spec.field
     _check_symbols(f, [value], "value")
     if point.x != ZERO and point.y != ZERO:
@@ -675,7 +676,7 @@ def analogue_dft(spec: CodeSpec, point: Point, value: Elt) -> Array2D:
     n_side = f.q - 1
     mv = f.mul_table[value]
     rows = [monomial_logs(f, point, [(i, j) for j in range(n_side)]) for i in range(n_side)]
-    return Array2D(f.q, [[mv[e] for e in row] for row in rows])
+    return [[mv[e] for e in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +722,7 @@ def decode(
             ambient=spec.basis_all, support=spec.point_cells(), stats=stats,
         )
         sub_t = f.sub_table
-        corrected = [sub_t[v][err[(p.x, p.y)]] for v, p in zip(received, spec.points)]
+        corrected = [sub_t[v][err[p.x][p.y]] for v, p in zip(received, spec.points)]
     if any(v != ZERO for v in syndromes(spec, corrected)):
         raise DecodingFailure("corrected word fails the parity check")
     if mode == "systematic":

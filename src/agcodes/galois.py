@@ -61,8 +61,7 @@ class Field:
     from Zech logarithms, each row a rotation read through a mul_table
     row, with no per-entry coordinate sum or hash lookup: Field() takes
     about 0.07 ms at q = 16, 0.13 ms at q = 25 and 10 ms at q = 256
-    (Python 3.11, 2-core x86-64), against 0.58, 1.04 and 155 ms when
-    every sum was taken in coordinates.  The first full transform over
+    (Python 3.11, 2-core x86-64).  The first full transform over
     the field adds transform_table, the packed DFT tables of the
     transform module; they grow with about q^3 (about 20 MB at q = 256)
     and go with the field.

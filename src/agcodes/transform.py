@@ -37,6 +37,13 @@ builds only its own layout, never these tables.  dft2_cells evaluates
 dft2 only at a list of cells, for the syndromes on a defining set, by
 Horner's rule: for a few cells that beats a packed full transform.  All
 functions are pure and return fresh arrays.
+
+A vector is a list of q-1 element logs and a 2-D array a plain list of
+q-1 rows of q-1, a[i][j] at x-log i and y-log j: the rows extend()
+returns, the inverse transforms the encoders read and the files the CLI
+reads.  dft1 and idft1 check a vector's length; dft2, idft2 and
+dft2_cells check the row count and every row's length, and raise
+DimensionMismatch otherwise.
 """
 
 from __future__ import annotations
@@ -50,46 +57,9 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import DimensionMismatch
 from .galois import Elt, Field, ZERO
 
-# A length-(q-1) vector of element logs.
+# A length-(q-1) vector, and q-1 rows of q-1, of element logs.
 Array1D = list
-
-
-class Array2D:
-    """A (q-1) x (q-1) grid of field elements in log representation.
-
-    data[i][j] is indexed by exponent pairs: first index i is the x-log
-    (row), second index j the y-log (column).
-    """
-
-    __slots__ = ("q", "data")
-
-    def __init__(self, q: int, data: list[list[Elt]]):
-        n = q - 1
-        if len(data) != n or any(len(row) != n for row in data):
-            raise DimensionMismatch(f"array must be {n}x{n}")
-        self.q = q
-        self.data = data
-
-    @classmethod
-    def zeros(cls, q: int) -> "Array2D":
-        n = q - 1
-        return cls(q, [[ZERO] * n for _ in range(n)])
-
-    def copy(self) -> "Array2D":
-        return Array2D(self.q, [row[:] for row in self.data])
-
-    def __getitem__(self, cell: tuple[int, int]) -> Elt:
-        return self.data[cell[0]][cell[1]]
-
-    def __setitem__(self, cell: tuple[int, int], value: Elt) -> None:
-        self.data[cell[0]][cell[1]] = value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Array2D) and self.q == other.q and self.data == other.data
-
-    def __repr__(self) -> str:
-        rows = "\n".join(" ".join(f"{v:3d}" for v in row) for row in self.data)
-        return f"Array2D(q={self.q})\n{rows}"
+Array2D = list
 
 
 class _Slots(NamedTuple):
@@ -221,13 +191,18 @@ def idft1(f: Field, a: Array1D) -> Array1D:
     return [neg[v] for v in _kernel(f, -1)(a)]
 
 
+def _check2(f: Field, a: list[list[Elt]]) -> None:
+    n = f.q - 1
+    if len(a) != n or any(len(row) != n for row in a):
+        raise DimensionMismatch(f"array must be {n}x{n}")
+
+
 def _transform2(f: Field, a: Array2D, sign: int) -> Array2D:
-    if a.q != f.q:
-        raise DimensionMismatch("array built for a different field size")
+    _check2(f, a)
     t = _kernel(f, sign)
     # rows along the second index, then columns along the first
-    cols = map(t, zip(*map(t, a.data)))
-    return Array2D(f.q, [list(row) for row in zip(*cols)])
+    cols = map(t, zip(*map(t, a)))
+    return [list(row) for row in zip(*cols)]
 
 
 def dft2(f: Field, a: Array2D) -> Array2D:
@@ -241,17 +216,17 @@ def idft2(f: Field, a: Array2D) -> Array2D:
 
 
 def dft2_cells(f: Field, a: Array2D, cells: list[tuple[int, int]]) -> list[Elt]:
-    """[dft2(f, a)[c] for c in cells], without the rest of the transform.
+    """[dft2(f, a)[i][j] for i, j in cells], without the rest of the
+    transform.
 
     A row pass evaluates every row at alpha^j for the distinct j of the
     cells, then one Horner column per cell evaluates the results at
     alpha^i: n^2*|J| + n*|cells| steps against 2n^3 for a full dft2.
     """
-    if a.q != f.q:
-        raise DimensionMismatch("array built for a different field size")
+    _check2(f, a)
     add_t, mul_t = f.add_table, f.mul_table
     # Horner form of a vector: its last entry, then the rest reversed
-    rows = [(row[-1], row[-2::-1]) for row in a.data]
+    rows = [(row[-1], row[-2::-1]) for row in a]
     cols = {}  # j -> Horner form of [row r of a at alpha^j for every r]
     for j in {c[1] for c in cells}:
         mw = mul_t[j]

@@ -32,7 +32,7 @@ from agcodes.bms import (
 )
 from agcodes.galois import ONE, ZERO, Elt, Field
 from agcodes.geometry import Cell, Point, WeightedCurveOrder, monomial_logs
-from agcodes.transform import Array2D, dft2
+from agcodes.transform import dft2
 
 
 def synthesize_full(
@@ -83,10 +83,11 @@ def synthesis_basis(
     """The points' vanishing ideal, synthesized from the full transform of
     their indicator: for that array the valid recurrences are exactly the
     polynomials vanishing at the points."""
-    indicator = Array2D.zeros(f.q)
+    n = f.q - 1
+    indicator = [[ZERO] * n for _ in range(n)]
     for p in points:
-        indicator[(p.x, p.y)] = ONE
-    return synthesize_full(f, dft2(f, indicator).data, order)
+        indicator[p.x][p.y] = ONE
+    return synthesize_full(f, dft2(f, indicator), order)
 
 
 def plain_walk(f: Field, points: Sequence[Point], phi: Sequence[Cell]) -> list[Point]:

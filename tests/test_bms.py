@@ -39,7 +39,7 @@ from agcodes.geometry import (
     hermitian_curve,
     poly_values,
 )
-from agcodes.transform import Array2D, dft2, idft2
+from agcodes.transform import dft2, idft2
 from test_codec import CAB_GF16_TAILS
 from oracles import (
     absolute,
@@ -61,8 +61,12 @@ def all_cells():
     return [(i, j) for i in range(8) for j in range(8)]
 
 
+def zeros(q):
+    return [[ZERO] * (q - 1) for _ in range(q - 1)]
+
+
 def values_of(arr, cells):
-    return {c: arr[c] for c in cells}
+    return {(i, j): arr[i][j] for i, j in cells}
 
 
 # Independent oracle: Buchberger-Moeller directly on point-evaluation
@@ -196,8 +200,8 @@ def test_vanishing_basis_rejects_zero_coordinates():
 
 
 def test_bms_full_array_single_error():
-    e = Array2D.zeros(9)
-    e[(3, 5)] = 0  # value alpha^0 at point (alpha^3, alpha^5)
+    e = zeros(9)
+    e[3][5] = 0  # value alpha^0 at point (alpha^3, alpha^5)
     u = dft2(F9, e)
     basis = bms(F9, values_of(u, all_cells()), WORDER)
     assert basis.delta == ((0, 0),)
@@ -210,7 +214,7 @@ def test_bms_full_array_single_error():
 
 
 def test_bms_empty_and_constant_prefixes():
-    arr = Array2D.zeros(9)
+    arr = zeros(9)
     basis = sakata_basis(SakataState(F9, WORDER))
     assert basis.delta == ()
     # all-zero full array: no failures, trivial ideal (basis contains 1)
@@ -224,7 +228,7 @@ def test_bms_empty_and_constant_prefixes():
 
 
 def test_bms_prefix_requires_enumeration_prefix():
-    arr = Array2D.zeros(9)
+    arr = zeros(9)
     with pytest.raises(ValueError):
         bms(F9, values_of(arr, [(5, 5)]), WORDER)
 
@@ -234,16 +238,16 @@ def test_bms_three_error_prefix_locators():
     # already determine the locator ideal (not every pattern does; the
     # decoder's voting stage exists for the rest)
     err_pts = [HERM_POINTS[2], HERM_POINTS[22], HERM_POINTS[17]]
-    e = Array2D.zeros(9)
+    e = zeros(9)
     for v, p in zip((6, 4, 3), err_pts):
-        e[(p.x, p.y)] = v
+        e[p.x][p.y] = v
     u = dft2(F9, e)
     phi = defining_set(WORDER, 11, F9)
     prefix = grid_cells(9, WORDER)[: len(phi)]
     assert set(prefix) == set(phi)
     state = SakataState(F9, WORDER)
     for c in prefix:
-        state.process(c, u[c])
+        state.process(c, u[c[0]][c[1]])
     basis = sakata_basis(state)
     assert len(basis.delta) == 3
     for poly in basis.elements:
@@ -306,7 +310,7 @@ def basis_all():
 
 def test_extend_all_zero(basis_all):
     out = extend({c: ZERO for c in STRIP}, basis_all, F9)
-    assert out == Array2D.zeros(9)
+    assert out == zeros(9)
 
 
 def test_extend_hermitian_recurrence_identity(basis_all):
@@ -316,10 +320,10 @@ def test_extend_hermitian_recurrence_identity(basis_all):
     # cells with j >= 3 satisfy u[i][j] = u[(i+4) mod 8][j-3] - u[i][j-2]
     for i in range(8):
         for j in range(3, 8):
-            want = F9.sub(arr[((i + 4) % 8, j - 3)], arr[(i, j - 2)])
-            assert arr[(i, j)] == want
+            want = F9.sub(arr[(i + 4) % 8][j - 3], arr[i][j - 2])
+            assert arr[i][j] == want
     for c in STRIP:
-        assert arr[c] == vals[c]
+        assert arr[c[0]][c[1]] == vals[c]
 
 
 def test_extend_schedule_independence(basis_all):
@@ -331,7 +335,7 @@ def test_extend_schedule_independence(basis_all):
         vals = {c: rng.randrange(-1, 8) for c in STRIP}
         grid = [[vals.get((i, j)) for j in range(8)] for i in range(8)]
         assert fill_by_recurrences(F9, grid, elems, all_cells())
-        assert extend(vals, basis_all, F9) == Array2D(9, grid)
+        assert extend(vals, basis_all, F9) == grid
 
 
 def test_extend_idempotent(basis_all):
@@ -369,8 +373,8 @@ def test_extend_inconsistent_known_values(basis_all):
     rng = random.Random(37)
     vals = {c: rng.randrange(-1, 8) for c in STRIP}
     arr = extend(vals, basis_all, F9)
-    bad = arr.copy()
-    bad[(0, 5)] = F9.add(bad[(0, 5)], 0)  # plus 1: breaks the recurrences
+    bad = [row[:] for row in arr]
+    bad[0][5] = F9.add(bad[0][5], 0)  # plus 1: breaks the recurrences
     with pytest.raises(InconsistentKnownValues):
         extend(values_of(bad, all_cells()), basis_all, F9)
 
@@ -417,14 +421,14 @@ def test_extend_agrees_with_cyclic_oracle(name, ideal):
     for _ in range(4):
         vals = {c: rng.randrange(-1, n) for c in delta}
         arr = extend(vals, basis, f)
-        assert _verify_recurrences(f, f.q, arr.data, elems)
-        assert all(arr[c] == v for c, v in vals.items())
+        assert _verify_recurrences(f, f.q, arr, elems)
+        assert all(arr[i][j] == v for (i, j), v in vals.items())
         assert extend(values_of(arr, cells), basis, f) == arr
         if outside:  # hcrs-q9 has a point on every cell: delta is the grid
-            bad = arr.copy()
-            c = rng.choice(outside)
-            bad[c] = f.add(bad[c], rng.randrange(0, n))
-            assert not _verify_recurrences(f, f.q, bad.data, elems)
+            bad = [row[:] for row in arr]
+            i, j = rng.choice(outside)
+            bad[i][j] = f.add(bad[i][j], rng.randrange(0, n))
+            assert not _verify_recurrences(f, f.q, bad, elems)
             with pytest.raises(InconsistentKnownValues):
                 extend(values_of(bad, cells), basis, f)
         del vals[rng.choice(delta)]
@@ -475,11 +479,11 @@ def test_extend_plan_agrees_with_value_fixpoint(name):
                     grid[i][j] = v
                 assert fill_by_recurrences(f, grid, elems, cells)
                 arr = extend(vals, basis, f)
-                assert arr == Array2D(f.q, grid), (ideal, cells is every)
+                assert arr == grid, (ideal, cells is every)
             if outside:  # hcrs codes have a point on every cell: basis_all's delta is the grid
-                bad = arr.copy()
-                c = rng.choice(outside)
-                bad[c] = f.add(bad[c], rng.randrange(n))
+                bad = [row[:] for row in arr]
+                i, j = rng.choice(outside)
+                bad[i][j] = f.add(bad[i][j], rng.randrange(n))
                 with pytest.raises(InconsistentKnownValues):
                     extend(values_of(bad, every), basis, f)
             dropped = dict(vals)
@@ -561,16 +565,16 @@ def test_fill_plan_is_built_once_per_basis(monkeypatch, tmp_path):
 
 
 def _syndromes_of(err_cells, phi):
-    e = Array2D.zeros(9)
-    for cell, v in err_cells.items():
-        e[cell] = v
+    e = zeros(9)
+    for (i, j), v in err_cells.items():
+        e[i][j] = v
     u = dft2(F9, e)
     return u, values_of(u, phi)
 
 
 def _locator(err, order):
     """The locator basis: the vanishing ideal of the error array's support."""
-    support = [Point(i, j) for i in range(8) for j in range(8) if err[(i, j)] != ZERO]
+    support = [Point(i, j) for i in range(8) for j in range(8) if err[i][j] != ZERO]
     return vanishing_ideal_basis(support, order, F9)
 
 
@@ -580,7 +584,7 @@ def test_voting_zero_syndromes(basis_all):
     err = bms_with_voting(
         F9, pa, 3, ambient=basis_all, support={(p.x, p.y) for p in HERM_POINTS}
     )
-    assert err == Array2D.zeros(9)
+    assert err == zeros(9)
     assert _locator(err, WORDER).delta == ()
 
 
@@ -592,11 +596,13 @@ def test_voting_single_error_closed_form(basis_all):
     err = bms_with_voting(F9, pa, 3, ambient=basis_all, support=support)
     ext = dft2(F9, err)
     assert ext == u  # full array equals alpha^3 * dft2(point indicator)
-    assert [(c, err[c]) for c in all_cells() if err[c] != ZERO] == [((p.x, p.y), 3)]
+    assert [((i, j), err[i][j]) for i, j in all_cells() if err[i][j] != ZERO] == [
+        ((p.x, p.y), 3)
+    ]
     assert len(_locator(err, WORDER).delta) == 1
     for i in range(8):
         for j in range(8):
-            assert ext[(i, j)] == (3 + p.x * i + p.y * j) % 8
+            assert ext[i][j] == (3 + p.x * i + p.y * j) % 8
 
 
 def test_voting_three_errors_matches_truth(basis_all):
@@ -609,13 +615,13 @@ def test_voting_three_errors_matches_truth(basis_all):
         u, pa = _syndromes_of(errs, phi)
         err = bms_with_voting(F9, pa, 3, ambient=basis_all, support=support)
         assert dft2(F9, err) == u
-        assert {c: err[c] for c in all_cells() if err[c] != ZERO} == errs
+        assert {(i, j): err[i][j] for i, j in all_cells() if err[i][j] != ZERO} == errs
         for poly in _locator(err, WORDER).elements:
             assert poly_values(F9, poly.coeffs, pts) == [ZERO] * 3
 
 
 def test_voting_prefix_validation(basis_all):
-    arr = Array2D.zeros(9)
+    arr = zeros(9)
     support = {(p.x, p.y) for p in HERM_POINTS}
     # a lone far cell, and the hermitian defining set with a hole at (1, 0)
     holed = [c for c in defining_set(WORDER, 11, F9) if c != (1, 0)]
@@ -637,7 +643,7 @@ def test_hcrs_defining_set_passes_the_cover_check():
         F9, known, spec.t_capability,
         ambient=spec.basis_all, support=spec.point_cells(),
     )
-    assert err == Array2D.zeros(9)
+    assert err == zeros(9)
 
 
 @pytest.mark.parametrize(
@@ -811,12 +817,12 @@ def test_error_support_locator_equals_full_synthesis(name):
                 ambient=spec.basis_all,
                 support=spec.point_cells(),
             )
-            assert [err[(p.x, p.y)] for p in spec.points] == word
-            located = [Point(*c) for c in grid_cells(f.q, spec.order) if err[c] != ZERO]
+            assert [err[p.x][p.y] for p in spec.points] == word
+            located = [Point(i, j) for i, j in grid_cells(f.q, spec.order) if err[i][j] != ZERO]
             assert len(located) == weight
             locator = vanishing_ideal_basis(located, spec.order, f).serialize()
             full = dft2(f, err)
-            assert locator == synthesize_full(f, full.data, spec.order).serialize()
+            assert locator == synthesize_full(f, full, spec.order).serialize()
 
 
 def test_voting_collinear_errors(basis_all):
@@ -849,8 +855,8 @@ def _fill_certificate(state, known, scan, max_errors):
     elems = [(lt, absolute(lt, tail)) for lt, tail in state.F]
     if not fill_by_recurrences(f, full, elems, grid_cells(f.q, state.order)):
         return None
-    err = idft2(f, Array2D(f.q, full))
-    hits = [(i, j) for i, r in enumerate(err.data) for j, v in enumerate(r) if v != ZERO]
+    err = idft2(f, full)
+    hits = [(i, j) for i, r in enumerate(err) for j, v in enumerate(r) if v != ZERO]
     if len(hits) > max_errors or any(c not in scan.cells for c in hits):
         return None
     return err
@@ -1270,20 +1276,20 @@ def test_vote_counts_a_split_through_an_ambient_cell_off_the_y_axis():
     spec = codec.make_curve_code(f, curve, 5)
     assert [g.lt for g in spec.basis_all.elements] == [(0, 2), (7, 0), (6, 1)]
     xs = Counter(p.x for p in spec.points)
-    err = Array2D.zeros(f.q)
+    err = zeros(f.q)
     for p in spec.points:
         if xs[p.x] == 2:
-            err[(p.x, p.y)] = ONE
+            err[p.x][p.y] = ONE
     u = dft2(f, err)
     _, prefix, classes = _enumeration(f.q, spec.order)
     c = (12, 1)
     state = SakataState(f, spec.order)
     for cell in prefix[: prefix.index(c)]:
-        state.process(cell, u[(cell[0] % 15, cell[1] % 15)])
+        state.process(cell, u[cell[0] % 15][cell[1] % 15])
     assert sorted(staircase(state)[0]) == [(i, j) for i in range(6) for j in range(2)]
     amb_rules = [_monic(f, g) for g in spec.basis_all.elements]
     cls = classes[spec.order.weight(c)]
-    assert bms_module._vote(state, amb_rules, (0, 2), cls, c) == u[c]
+    assert bms_module._vote(state, amb_rules, (0, 2), cls, c) == u[c[0]][c[1]]
 
 
 def test_vote_is_passed_the_curve_leading_cell(monkeypatch):

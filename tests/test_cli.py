@@ -16,7 +16,7 @@ from agcodes.cli import (
 )
 from agcodes.galois import ZERO, gf9
 from agcodes.geometry import poly_values
-from agcodes.transform import Array2D, dft2
+from agcodes.transform import dft2
 
 F9 = gf9()
 
@@ -608,7 +608,7 @@ def test_decode_rejects_value_off_the_point_cells(tmp_path, capsys):
     # a value the decoder would not read is an error, not silently dropped
     spec = codec.preset("hermitian-q9")
     assert (0, 0) not in spec.point_cells()
-    rows = codec.point_array(spec, codec.encode_systematic(spec, [ZERO] * spec.k)).data
+    rows = codec.point_array(spec, codec.encode_systematic(spec, [ZERO] * spec.k))
     rows[0][0] = 5
     path = tmp_path / "rx.arr"
     write_array_file(str(path), 9, rows)
@@ -693,12 +693,12 @@ def test_groebner_errors(tmp_path, capsys):
     for p in err_points:
         h = spec.points.index(p)
         rx[h] = F9.add(rx[h], 3)
-    arr = Array2D.zeros(9)
+    arr = [[ZERO] * 8 for _ in range(8)]
     for p, v in zip(spec.points, rx):
-        arr[(p.x, p.y)] = v
+        arr[p.x][p.y] = v
     full = dft2(F9, arr)
     synfile = tmp_path / "syn.arr"
-    write_array_file(str(synfile), 9, [row[:] for row in full.data])
+    write_array_file(str(synfile), 9, full)
     code, out, _ = run(
         [
             "groebner", "--preset", "hermitian-q9",
@@ -787,7 +787,7 @@ def _cli_pinned_lines(name, rng):
                 "--out", f"{stem}.dec", "--info-out", f"{stem}.back",
             )
             if weight == t and spec.kind != "rs":
-                write_array_file(f"{stem}.syn", f.q, dft2(f, Array2D(f.q, rx)).data)
+                write_array_file(f"{stem}.syn", f.q, dft2(f, rx))
                 cli("groebner", "--ideal", "errors", "--syndromes", f"{stem}.syn")
     if spec.zero_points:
         rows, _ = read_array_file("systematic.info", f.q)

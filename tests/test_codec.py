@@ -884,16 +884,16 @@ def test_hermitian_gf49_scale_point():
 
 def test_analogue_dft_quoted_rows(herm):
     a = codec.analogue_dft(herm, Point(ZERO, 2), 5)
-    assert a.data[0] == [5, 7, 1, 3, 5, 7, 1, 3]
-    assert all(v == ZERO for row in a.data[1:] for v in row)
+    assert a[0] == [5, 7, 1, 3, 5, 7, 1, 3]
+    assert all(v == ZERO for row in a[1:] for v in row)
 
     a = codec.analogue_dft(herm, Point(ZERO, 6), 2)
-    assert a.data[0] == [2, 0, 6, 4, 2, 0, 6, 4]
-    assert all(v == ZERO for row in a.data[1:] for v in row)
+    assert a[0] == [2, 0, 6, 4, 2, 0, 6, 4]
+    assert all(v == ZERO for row in a[1:] for v in row)
 
     a = codec.analogue_dft(herm, Point(ZERO, ZERO), 7)
-    assert a.data[0][0] == 7
-    assert sum(1 for row in a.data for v in row if v != ZERO) == 1
+    assert a[0][0] == 7
+    assert sum(1 for row in a for v in row if v != ZERO) == 1
 
 
 def test_analogue_dft_rejects_nonzero_point(herm):
@@ -906,6 +906,28 @@ def test_analogue_dft_rejects_a_point_off_the_zero_points(herm, hcrs, rs4):
     for spec, point in ((herm, Point(ZERO, 1)), (hcrs, Point(ZERO, 3)), (rs4, Point(ZERO, 3))):
         with pytest.raises(ValueError, match="not a zero point of this code"):
             codec.analogue_dft(spec, point, 2)
+
+
+def test_2d_arrays_are_lists_of_rows(herm):
+    # every 2-D array the package hands out is q-1 plain lists of q-1 logs
+    f = herm.field
+    rx = codec.encode_systematic(herm, rand_info(random.Random(8), herm.k))
+    rx[3] = f.add(rx[3], 2)
+    known = dict(zip(herm.phi, codec.syndromes(herm, rx)))
+    err = bms.bms_with_voting(
+        f, known, herm.t_capability, ambient=herm.basis_all, support=herm.point_cells()
+    )
+    arrays = {
+        "extend": bms.extend({c: ZERO for c in herm.basis_all.delta}, herm.basis_all, f),
+        "bms_with_voting": err,
+        "idft2": transform.idft2(f, err),
+        "point_array": codec.point_array(herm, rx),
+        "analogue_dft": codec.analogue_dft(herm, herm.zero_points[0], 5),
+    }
+    for name, a in arrays.items():
+        assert type(a) is list and len(a) == 8, name
+        assert all(type(row) is list and len(row) == 8 for row in a), name
+    assert [p for p in herm.points if err[p.x][p.y] != ZERO] == [herm.points[3]]
 
 
 def test_extended_systematic_single_symbol(herm):
@@ -1208,14 +1230,14 @@ def test_make_curve_code_enumerates_points_once(monkeypatch):
 def test_encode_systematic_checks_full_support(herm, monkeypatch):
     # the redundancy array must vanish off the redundant points, also at
     # cells that are no code point at all (not only at information points)
-    off = next(
+    off_i, off_j = next(
         (i, j) for i in range(8) for j in range(8) if (i, j) not in herm.point_cells()
     )
     real = codec.idft2
 
     def stray(f, arr):
         out = real(f, arr)
-        out[off] = 0
+        out[off_i][off_j] = 0
         return out
 
     info = [ZERO] * herm.k

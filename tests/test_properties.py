@@ -20,7 +20,7 @@ from agcodes import codec
 from agcodes.cli import main, word_to_rows, write_array_file
 from agcodes.errors import DecodingFailure
 from agcodes.galois import ZERO
-from agcodes.transform import Array2D, dft2
+from agcodes.transform import dft2
 
 SPECS = {name: codec.preset(name) for name in codec.PRESETS}
 
@@ -150,7 +150,7 @@ def _array_inputs(spec):
     info_rows = word_to_rows(spec, [ZERO] * spec.n)
     for p, v in zip(spec.wp_prime, info):
         info_rows[p.x][p.y] = v
-    syn = dft2(spec.field, Array2D(spec.field.q, rx_rows)).data
+    syn = dft2(spec.field, rx_rows)
     return [("encode", info_rows), ("decode", rx_rows), ("groebner", syn)]
 
 

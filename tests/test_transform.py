@@ -7,7 +7,7 @@ import pytest
 from agcodes.errors import DimensionMismatch
 from agcodes.galois import ZERO, field_new, gf9
 from agcodes.geometry import WeightedCurveOrder, defining_set, hyperbolic_set
-from agcodes.transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
+from agcodes.transform import dft1, dft2, dft2_cells, idft1, idft2
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +44,11 @@ def coord_sum(f, logs, negate=False):
 # row-column split, additions in coordinates.
 def dft2_oracle(f, a, sign):
     n = f.q - 1
-    terms = [(r, s, v) for r, row in enumerate(a.data) for s, v in enumerate(row) if v != ZERO]
-    out = Array2D.zeros(f.q)
+    terms = [(r, s, v) for r, row in enumerate(a) for s, v in enumerate(row) if v != ZERO]
+    out = zeros(f.q)
     for i in range(n):
         for j in range(n):
-            out.data[i][j] = coord_sum(
+            out[i][j] = coord_sum(
                 f, ((v + sign * (r * i + s * j)) % n for r, s, v in terms)
             )
     return out
@@ -62,9 +62,13 @@ def dft1_oracle(f, a, sign, negate=False):
     ]
 
 
+def zeros(q):
+    return [[ZERO] * (q - 1) for _ in range(q - 1)]
+
+
 def random_array(f, rng):
     n = f.q - 1
-    return Array2D(f.q, [[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)])
+    return [[rng.randrange(-1, n) for _ in range(n)] for _ in range(n)]
 
 
 def cross_array(f, rng):
@@ -73,32 +77,29 @@ def cross_array(f, rng):
     transform still see full vectors."""
     n = f.q - 1
     r0, s0 = rng.randrange(n), rng.randrange(n)
-    return Array2D(
-        f.q,
-        [
-            [rng.randrange(-1, n) if r == r0 or s == s0 else ZERO for s in range(n)]
-            for r in range(n)
-        ],
-    )
+    return [
+        [rng.randrange(-1, n) if r == r0 or s == s0 else ZERO for s in range(n)]
+        for r in range(n)
+    ]
 
 
 def test_dft2_zero_and_delta(f9):
-    z = Array2D.zeros(9)
+    z = zeros(9)
     assert dft2(f9, z) == z
-    d = Array2D.zeros(9)
-    d.data[0][0] = 0
+    d = zeros(9)
+    d[0][0] = 0
     out = dft2(f9, d)
-    assert all(v == 0 for row in out.data for v in row)
+    assert all(v == 0 for row in out for v in row)
 
 
 def test_dft2_single_cell_row_pattern(f9):
     # alpha^0 at (1, 0): output[i][j] = alpha^i for every j
-    a = Array2D.zeros(9)
-    a.data[1][0] = 0
+    a = zeros(9)
+    a[1][0] = 0
     out = dft2(f9, a)
     for i in range(8):
         for j in range(8):
-            assert out.data[i][j] == i
+            assert out[i][j] == i
     assert out == dft2_oracle(f9, a, +1)
 
 
@@ -115,12 +116,12 @@ def test_dft2_matches_oracle(f9):
 
 
 def test_idft2_of_constant_array(f9):
-    a = Array2D(9, [[0] * 8 for _ in range(8)])
+    a = [[0] * 8 for _ in range(8)]
     out = idft2(f9, a)
     # (q-1)^2 * alpha^0 = alpha^0 at the origin, zero elsewhere
-    assert out.data[0][0] == 0
-    assert sum(1 for row in out.data for v in row if v != ZERO) == 1
-    assert idft2(f9, Array2D.zeros(9)) == Array2D.zeros(9)
+    assert out[0][0] == 0
+    assert sum(1 for row in out for v in row if v != ZERO) == 1
+    assert idft2(f9, zeros(9)) == zeros(9)
 
 
 def check_dft2_roundtrip(f):
@@ -142,31 +143,25 @@ def test_transform_linearity(f9):
         a = random_array(f9, rng)
         b = random_array(f9, rng)
         lam = rng.randrange(0, n)
-        comb = Array2D(
-            9,
-            [
-                [f9.add(a.data[i][j], f9.mul(lam, b.data[i][j])) for j in range(n)]
-                for i in range(n)
-            ],
-        )
+        comb = [[f9.add(a[i][j], f9.mul(lam, b[i][j])) for j in range(n)] for i in range(n)]
         ta, tb, tc = dft2(f9, a), dft2(f9, b), dft2(f9, comb)
         for i in range(n):
             for j in range(n):
-                assert tc.data[i][j] == f9.add(ta.data[i][j], f9.mul(lam, tb.data[i][j]))
+                assert tc[i][j] == f9.add(ta[i][j], f9.mul(lam, tb[i][j]))
 
 
 def test_dft2_rank_one_row_pattern(f9):
     # array supported on a single row r: output depends on i only via alpha^(ri)
     rng = random.Random(17)
     r = 3
-    a = Array2D.zeros(9)
+    a = zeros(9)
     for j in range(8):
-        a.data[r][j] = rng.randrange(-1, 8)
+        a[r][j] = rng.randrange(-1, 8)
     out = dft2(f9, a)
     for j in range(8):
-        base = out.data[0][j]
+        base = out[0][j]
         for i in range(8):
-            assert out.data[i][j] == f9.mul(base, (r * i) % 8)
+            assert out[i][j] == f9.mul(base, (r * i) % 8)
 
 
 def test_idft1_delta_convention(f9):
@@ -228,9 +223,9 @@ def test_transforms_of_the_largest_coordinate_sums(name):
     assert dft1(f, [c] * n) == dft1_oracle(f, [c] * n, +1)
     assert idft1(f, [c] * n) == dft1_oracle(f, [c] * n, -1, negate=True)
     # and the constant array transforms to c at the origin: n^2 = 1 mod p
-    delta = Array2D.zeros(f.q)
-    delta.data[0][0] = c
-    const = Array2D(f.q, [[c] * n for _ in range(n)])
+    delta = zeros(f.q)
+    delta[0][0] = c
+    const = [[c] * n for _ in range(n)]
     assert dft2(f, const) == delta
     assert idft2(f, const) == delta
 
@@ -243,7 +238,7 @@ def test_second_transform_reuses_the_table():
     table = f.transform_table
     assert table is not None
     assert idft2(f, out) == a
-    assert dft1(f, idft1(f, a.data[0])) == a.data[0]
+    assert dft1(f, idft1(f, a[0])) == a[0]
     assert f.transform_table is table
 
 
@@ -269,13 +264,26 @@ def test_dft2_cells_matches_dft2(name):
         full = dft2(f, a)
         subset = rng.sample(grid, rng.randrange(1, len(grid)))
         for cells in cell_lists + [subset]:
-            assert dft2_cells(f, a, cells) == [full[c] for c in cells]
+            assert dft2_cells(f, a, cells) == [full[i][j] for i, j in cells]
 
 
 def test_dimension_mismatch(f9):
     with pytest.raises(DimensionMismatch):
         dft1(f9, [0, 0, 0])
     with pytest.raises(DimensionMismatch):
-        Array2D(9, [[ZERO] * 7 for _ in range(8)])
+        dft2_cells(f9, zeros(16), [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [dft2, idft2, lambda f, a: dft2_cells(f, a, [(0, 0)])],
+    ids=["dft2", "idft2", "dft2_cells"],
+)
+@pytest.mark.parametrize(
+    "shape",
+    [[8] * 7, [8] * 7 + [7], [15] * 15],
+    ids=["7 rows of 8", "a row of 7", "15x15"],
+)
+def test_2d_entries_reject_malformed_arrays(f9, transform, shape):
     with pytest.raises(DimensionMismatch):
-        dft2_cells(f9, Array2D.zeros(16), [(0, 0)])
+        transform(f9, [[ZERO] * width for width in shape])
