@@ -84,7 +84,7 @@ from .geometry import (
     poly_values,
 )
 # dft2 stays bound here: perfbench/tracer.py and the transform-count test rebind it
-from .transform import Array2D, dft1, dft2, dft2_cells, idft1, idft2
+from .transform import Array2D, dft1, dft2, idft1, idft2
 
 Word = list  # list[Elt], one value per code location
 Info = list  # list[Elt], one value per information position
@@ -157,6 +157,83 @@ class CodeSpec:
         parity = tuple(h for h, p in enumerate(self.points) if p in wpset)
         info = tuple(h for h, p in enumerate(self.points) if p not in wpset)
         return parity, info
+
+    @cached_property
+    def _point_dft(self) -> _PointDFT:
+        """The plan of syndromes() and of decode's nonsystematic readout,
+        built on the first 2-D syndromes call."""
+        return _PointDFT(self)
+
+
+class _PointDFT:
+    """A 2-D code's dft2 at given cells, read from the word's n point
+    values instead of the (q-1) x (q-1) point array, which is zero off the
+    points.
+
+    dft2[i][j] = sum_x alpha^(ix) R_x(j), where R_x(j) is the sum of
+    v_h * alpha^(j*y_h) over the points h on the x-line x.  For each
+    distinct j of the cells a row pass sums every line from its points
+    alone, n table steps in all; one Horner column over x per cell then
+    gives the cell, q-1 steps each.  A line without a point reads as zero.
+    A Horner row over all q-1 cells of every line would take (q-1)^2 steps
+    per j, though a Hermitian code fills only 24 of the 64 cells at GF(9)
+    and 120 of 576 at GF(25).
+
+    The plan groups the positions by x-line.  For each j, the first time
+    it is used, it keeps per point the mul_table row of alpha^(j*y_h), so
+    a step reads the term at the point's value and adds it.  zero_logs
+    holds x(Z)^i * y(Z)^j on phi for each zero point Z, the columns of a
+    lengthened word's extra values.  The spec keeps the plan: n row
+    pointers per distinct j used, 0.05 MB at Hermitian GF(64) m = 72 and
+    0.73 MB at Hermitian GF(256) m = 300 (tracemalloc); threads racing to
+    add a j build equal rows.
+    """
+
+    def __init__(self, spec: CodeSpec):
+        f = spec.field
+        self.field = f
+        by_x: dict[int, list[int]] = {}
+        for h, p in enumerate(spec.points):
+            by_x.setdefault(p.x, []).append(h)
+        # (x, first position, the others): a line's sum starts at its first term
+        self.lines = [(x, hs[0], tuple(hs[1:])) for x, hs in by_x.items()]
+        self.ys = [p.y for p in spec.points]
+        self.rows: dict[int, list[tuple[Elt, ...]]] = {}
+        self.zero_logs = [monomial_logs(f, z, spec.phi) for z in spec.zero_points]
+
+    def _line_sums(self, word: Word, j: int) -> tuple[Elt, list[Elt]]:
+        """R_x(j) for every x, in Horner form over x: the last line's sum,
+        then the others from x = q-3 down to 0."""
+        f = self.field
+        rows = self.rows.get(j)
+        if rows is None:
+            mul_t, n = f.mul_table, f.q - 1
+            rows = self.rows[j] = [mul_t[j * y % n] for y in self.ys]
+        add_t = f.add_table
+        col = [ZERO] * (f.q - 1)
+        for x, h0, rest in self.lines:
+            acc = rows[h0][word[h0]]
+            for h in rest:
+                acc = add_t[acc][rows[h][word[h]]]
+            col[x] = acc
+        return col[-1], col[-2::-1]
+
+    def at(self, word: Word, cells: Sequence[Cell]) -> list[Elt]:
+        """[dft2(f, point_array(spec, word))[i][j] for i, j in cells] of a
+        word of at least n valid element logs (values past n are not read)."""
+        add_t, mul_t = self.field.add_table, self.field.mul_table
+        cols = {}
+        out = []
+        for i, j in cells:
+            col = cols.get(j)
+            if col is None:
+                col = cols[j] = self._line_sums(word, j)
+            acc, rest = col
+            mw = mul_t[i]
+            for v in rest:
+                acc = add_t[mw[acc]][v]
+            out.append(acc)
+        return out
 
 
 def _check_symbols(f: Field, symbols: Sequence, what: str) -> None:
@@ -519,26 +596,27 @@ def point_array(spec: CodeSpec, word: Word) -> Array2D:
 
 def syndromes(spec: CodeSpec, word: Word) -> list[Elt]:
     """The word's transform on the defining set, one value per cell of phi:
-    the word times check_matrix(spec).
+    the word times check_matrix(spec), computed without that matrix.
 
     word holds the n point values, optionally followed by one value per
     zero point (a lengthened word).  The point values give the first r
-    entries of their DFT for rs, and for 2-D kinds r(alpha^i, alpha^j) of
-    the word embedded at its point cells, evaluated at the defining-set
-    cells only (dft2_cells).  Each zero point Z with value v then adds
-    v * x(Z)^i * y(Z)^j, its transform analogue.
+    entries of their DFT for rs, and for 2-D kinds the dft2 of the word's
+    point array at the defining-set cells, read from the points by the
+    spec's plan (_PointDFT), which the first call builds and the spec
+    keeps.  Each zero point Z with value v then adds v * x(Z)^i * y(Z)^j,
+    its transform analogue, from the plan's logs.
     """
     f = spec.field
     n = spec.n
     _check_layout(f, word, "word", n, len(spec.zero_points))
     if spec.kind == "rs":
-        out = dft1(f, list(word))[: spec.r]
-    else:
-        out = dft2_cells(f, point_array(spec, word), list(spec.phi))
+        return dft1(f, list(word))[: spec.r]
+    plan = spec._point_dft
+    out = plan.at(word, spec.phi)
     add_t, mul_t = f.add_table, f.mul_table
-    for z, v in zip(spec.zero_points, word[n:]):
+    for logs, v in zip(plan.zero_logs, word[n:]):
         mv = mul_t[v]
-        out = [add_t[acc][mv[e]] for acc, e in zip(out, monomial_logs(f, z, spec.phi))]
+        out = [add_t[acc][mv[e]] for acc, e in zip(out, logs)]
     return out
 
 
@@ -696,9 +774,12 @@ def decode(
     transform at the free staircase cells (for rs, the negated transform
     at r..n-1).  The mode, the length and the symbols are checked before
     anything is decoded.  For 2-D codes the syndromes are the received
-    word's transform on the defining set only, and the voting pass locates
+    word's transform on the defining set only, read from its point values
+    by the spec's plan (see syndromes and _PointDFT, which keeps n row
+    pointers per distinct y-exponent used), and the voting pass locates
     the errors and solves for their values, so a decode makes no full
-    transform; rs codes use 1-D Berlekamp-Massey.  The corrected word
+    transform; the nonsystematic readout runs the same plan on the
+    carrier cells.  rs codes use 1-D Berlekamp-Massey.  The corrected word
     always re-passes the parity check before it is returned.  When a dict
     is passed as stats a 2-D decode reports how many syndrome cells
     actually needed a vote ("voted_cells") and whether the certificate
@@ -731,7 +812,7 @@ def decode(
         neg = f.sub_table[ZERO]
         info = [neg[v] for v in dft1(f, corrected)[spec.r :]]
     else:
-        info = dft2_cells(f, point_array(spec, corrected), spec.carrier_cells("nonsystematic"))
+        info = spec._point_dft.at(corrected, spec.carrier_cells("nonsystematic"))
     return corrected, info
 
 

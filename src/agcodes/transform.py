@@ -14,14 +14,16 @@ The 2-D pair needs no normalization: the inversion constant (q-1)^2 is
 The 1-D inverse carries the single normalization factor
 (q-1)^(-1) = -1 inside idft1, so dft1(idft1(a)) = idft1(dft1(a)) = a.
 The signs are fixed here.  Outside this module the dft2 kernel is also
-evaluated directly, with the same sign, and only in geometry: by two
-kernels, monomial_logs (x(P)^i * y(P)^j per cell, which gives codec's
-parity-check rows, the greedy walk's rows and corner monomials, the
-evaluation columns of bms.vanishing_ideal_basis, bms._certificate's
-columns alpha^(k.z) and the logs of the zero scan's packed columns) and
-poly_values (a polynomial's value at each point, construction's
-vanishing checks), and by enumerate_points, which sums the curve along
-whole x-lines.
+evaluated directly, with the same sign: by codec._PointDFT, which gives
+dft2 at a few cells (the syndromes on a defining set, the nonsystematic
+readout) from a word's point values by sums along the x-lines, and in
+geometry by two kernels, monomial_logs (x(P)^i * y(P)^j per cell, which
+gives codec's parity-check rows, the greedy walk's rows and corner
+monomials, the evaluation columns of bms.vanishing_ideal_basis,
+bms._certificate's columns alpha^(k.z) and the logs of the zero scan's
+packed columns) and poly_values (a polynomial's value at each point,
+construction's vanishing checks), and by enumerate_points, which sums
+the curve along whole x-lines.
 
 Full transforms are computed by row-column decomposition into 1-D
 transforms, all four by one packed kernel.  For each field a table packs
@@ -33,17 +35,15 @@ or code construction, and is cached on the field; it holds about
 n^2 * q slots.  The slot layout and its two decoders (_slot_layout: one
 lookup per slot, or digit by digit) serve any number of slots, and are
 shared with bms's zero scan, whose slots are the code points; the scan
-builds only its own layout, never these tables.  dft2_cells evaluates
-dft2 only at a list of cells, for the syndromes on a defining set, by
-Horner's rule: for a few cells that beats a packed full transform.  All
-functions are pure and return fresh arrays.
+builds only its own layout, never these tables.  All functions are pure
+and return fresh arrays.
 
 A vector is a list of q-1 element logs and a 2-D array a plain list of
 q-1 rows of q-1, a[i][j] at x-log i and y-log j: the rows extend()
 returns, the inverse transforms the encoders read and the files the CLI
-reads.  dft1 and idft1 check a vector's length; dft2, idft2 and
-dft2_cells check the row count and every row's length, and raise
-DimensionMismatch otherwise.
+reads.  dft1 and idft1 check a vector's length; dft2 and idft2 check
+the row count and every row's length, and raise DimensionMismatch
+otherwise.
 """
 
 from __future__ import annotations
@@ -213,35 +213,3 @@ def dft2(f: Field, a: Array2D) -> Array2D:
 def idft2(f: Field, a: Array2D) -> Array2D:
     """out[r][s] = sum a[i][j] * alpha^(-ri-sj); exact inverse of dft2."""
     return _transform2(f, a, -1)
-
-
-def dft2_cells(f: Field, a: Array2D, cells: list[tuple[int, int]]) -> list[Elt]:
-    """[dft2(f, a)[i][j] for i, j in cells], without the rest of the
-    transform.
-
-    A row pass evaluates every row at alpha^j for the distinct j of the
-    cells, then one Horner column per cell evaluates the results at
-    alpha^i: n^2*|J| + n*|cells| steps against 2n^3 for a full dft2.
-    """
-    _check2(f, a)
-    add_t, mul_t = f.add_table, f.mul_table
-    # Horner form of a vector: its last entry, then the rest reversed
-    rows = [(row[-1], row[-2::-1]) for row in a]
-    cols = {}  # j -> Horner form of [row r of a at alpha^j for every r]
-    for j in {c[1] for c in cells}:
-        mw = mul_t[j]
-        col = []
-        for top, rest in rows:
-            acc = top
-            for v in rest:
-                acc = add_t[mw[acc]][v]
-            col.append(acc)
-        cols[j] = (col[-1], col[-2::-1])
-    out = []
-    for i, j in cells:
-        mw = mul_t[i]
-        acc, rest = cols[j]
-        for v in rest:
-            acc = add_t[mw[acc]][v]
-        out.append(acc)
-    return out

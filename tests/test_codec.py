@@ -26,7 +26,7 @@ from agcodes.geometry import (
     hermitian_curve,
     monomial_logs,
 )
-from agcodes.transform import dft1
+from agcodes.transform import dft1, dft2
 from oracles import absolute, minimal_outside_scan, plain_walk, synthesis_basis
 
 F9 = gf9()
@@ -645,24 +645,70 @@ def test_syndromes_single_error_closed_form(herm):
         assert v == (3 + p.x * i + p.y * j) % 8
 
 
+def _check_matrix_product(spec, word):
+    # the oracle: the word times check_matrix(spec), one location at a time
+    f = spec.field
+    out = [ZERO] * len(spec.phi)
+    for v, row in zip(word, codec.check_matrix(spec)):
+        out = [f.add(acc, f.mul(v, e)) for acc, e in zip(out, row)]
+    return out
+
+
 def test_syndromes_match_check_matrix_all_families(herm, hcrs, rs4):
     rng = random.Random(6)
     for spec in (herm, hcrs, rs4):
-        h = codec.check_matrix(spec)
         length = spec.n + len(spec.zero_points)
         for _ in range(100):
             # the lengthened word's tail holds the zero-point values
             word = [rng.randrange(-1, 8) for _ in range(length)]
-            sv = codec.syndromes(spec, word[: spec.n])
-            lsv = codec.syndromes(spec, word)
-            for l in range(len(spec.phi)):
-                acc = ZERO
-                for pos in range(spec.n):
-                    acc = F9.add(acc, F9.mul(word[pos], h[pos][l]))
-                assert acc == sv[l]
-                for pos in range(spec.n, length):
-                    acc = F9.add(acc, F9.mul(word[pos], h[pos][l]))
-                assert acc == lsv[l]
+            plain = word[: spec.n]
+            assert codec.syndromes(spec, plain) == _check_matrix_product(spec, plain)
+            assert codec.syndromes(spec, word) == _check_matrix_product(spec, word)
+
+
+def _cab_code_with_partial_lines():
+    # a code on a random C_ab curve over GF(16) with an x-line that holds
+    # fewer than a points, an x-line with no point and a zero point
+    rng = random.Random(35)
+    f = field_new(2, 4, [1, 1, 0, 0, 1])
+    while True:
+        curve = _random_cab_curve(rng, f)
+        try:
+            spec = codec.make_curve_code(f, curve, rng.randrange(2 * curve.genus - 1, 3 * curve.b))
+        except (NonGenericSupport, ValueError):  # rank deficient, or phi too large
+            continue
+        lines = Counter(p.x for p in spec.points).values()
+        if len(lines) < f.q - 1 and min(lines) < curve.a and spec.zero_points:
+            return spec
+
+
+SYNDROME_CODES = {
+    "hermitian-q16": lambda: _hermitian(2, 4, [1, 1, 0, 0, 1], 20),
+    "hermitian-q25": lambda: _hermitian(5, 2, [2, 1, 1], 30),
+    "hermitian-q64": lambda: _hermitian(2, 6, [1, 1, 0, 0, 0, 0, 1], 72),
+    "hcrs-q16": lambda: codec.make_hcrs_code(field_new(2, 4, [1, 1, 0, 0, 1]), 12),
+    "hcrs-q27": lambda: codec.make_hcrs_code(field_new(3, 3, [1, 2, 0, 1]), 20),
+    "cab-q16-partial-lines": _cab_code_with_partial_lines,
+}
+
+
+@pytest.mark.parametrize("name", list(SYNDROME_CODES))
+def test_syndromes_match_check_matrix_on_larger_fields(name):
+    # plain and lengthened words; then the nonsystematic readout of a
+    # codeword is dft2 of its point array at the carrier cells
+    spec = SYNDROME_CODES[name]()
+    f = spec.field
+    rng = random.Random(36)
+    length = spec.n + len(spec.zero_points)
+    for _ in range(3):
+        word = [rng.randrange(-1, f.q - 1) for _ in range(length)]
+        plain = word[: spec.n]
+        assert codec.syndromes(spec, plain) == _check_matrix_product(spec, plain)
+        assert codec.syndromes(spec, word) == _check_matrix_product(spec, word)
+    sent = codec.encode_systematic(spec, [rng.randrange(-1, f.q - 1) for _ in range(spec.k)])
+    full = dft2(f, codec.point_array(spec, sent))
+    _, info = codec.decode(spec, sent, mode="nonsystematic")
+    assert info == [full[i][j] for i, j in spec.carrier_cells("nonsystematic")]
 
 
 # -- decode ------------------------------------------------------------------

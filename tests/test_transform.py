@@ -1,13 +1,13 @@
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
+from agcodes import codec
 from agcodes.errors import DimensionMismatch
 from agcodes.galois import ZERO, field_new, gf9
-from agcodes.geometry import WeightedCurveOrder, defining_set, hyperbolic_set
-from agcodes.transform import dft1, dft2, dft2_cells, idft1, idft2
+from agcodes.geometry import hermitian_curve
+from agcodes.transform import dft1, dft2, idft1, idft2
 
 
 @pytest.fixture(scope="module")
@@ -242,42 +242,45 @@ def test_second_transform_reuses_the_table():
     assert f.transform_table is table
 
 
-# (defining-set rule, m) of each benchmarked 2-D code on the field; every
-# field also gets the rs-q9 defining set (i, 0), i < 4
-PHI_PARAMS = {
-    "GF(9)": [(partial(defining_set, WeightedCurveOrder(3, 4)), 11), (hyperbolic_set, 9)],
-    "GF(16)": [(partial(defining_set, WeightedCurveOrder(4, 5)), 20), (hyperbolic_set, 12)],
-    "GF(25)": [(partial(defining_set, WeightedCurveOrder(5, 6)), 30)],
+# (kind, m) of each benchmarked 2-D code on the field
+POINT_CODES = {
+    "GF(9)": [("curve", 11), ("hcrs", 9)],
+    "GF(16)": [("curve", 20), ("hcrs", 12)],
+    "GF(25)": [("curve", 30)],
 }
 
 
-@pytest.mark.parametrize("name", sorted(PHI_PARAMS))
+@pytest.mark.parametrize("name", sorted(POINT_CODES))
 def test_dft2_cells_matches_dft2(name):
+    # dft2 at a list of cells of a word's point array, as the syndromes and
+    # the nonsystematic readout take it: from the point values alone, by
+    # the spec's plan.  An hcrs code has a point on every cell, so its
+    # words are arbitrary arrays
     f = gf9() if name == "GF(9)" else field_new(*LARGER_FIELDS[name])
     n = f.q - 1
     rng = random.Random(19)
     grid = [(i, j) for i in range(n) for j in range(n)]
-    cell_lists = [rule(m, f) for rule, m in PHI_PARAMS[name]]
-    cell_lists += [[(i, 0) for i in range(4)], [], grid]
-    for _ in range(4):
-        a = random_array(f, rng)
-        full = dft2(f, a)
-        subset = rng.sample(grid, rng.randrange(1, len(grid)))
-        for cells in cell_lists + [subset]:
-            assert dft2_cells(f, a, cells) == [full[i][j] for i, j in cells]
+    for kind, m in POINT_CODES[name]:
+        spec = codec.make_code(f, kind, m, hermitian_curve(f) if kind == "curve" else None)
+        carriers = spec.carrier_cells("nonsystematic")
+        cell_lists = [list(spec.phi), carriers, [(i, 0) for i in range(4)], [], grid]
+        for _ in range(4):
+            word = [rng.randrange(-1, n) for _ in range(spec.n)]
+            full = dft2(f, codec.point_array(spec, word))
+            subset = rng.sample(grid, rng.randrange(1, len(grid)))
+            for cells in cell_lists + [subset]:
+                assert spec._point_dft.at(word, cells) == [full[i][j] for i, j in cells]
 
 
 def test_dimension_mismatch(f9):
     with pytest.raises(DimensionMismatch):
         dft1(f9, [0, 0, 0])
-    with pytest.raises(DimensionMismatch):
-        dft2_cells(f9, zeros(16), [(0, 0)])
 
 
 @pytest.mark.parametrize(
     "transform",
-    [dft2, idft2, lambda f, a: dft2_cells(f, a, [(0, 0)])],
-    ids=["dft2", "idft2", "dft2_cells"],
+    [dft2, idft2],
+    ids=["dft2", "idft2"],
 )
 @pytest.mark.parametrize(
     "shape",
